@@ -40,6 +40,7 @@ from .scalars import (
     dirichlet_rank,
     fundamental_unit,
     is_totally_positive,
+    squarefree_part,
 )
 
 
@@ -179,25 +180,6 @@ def aut_action(
     return out
 
 
-def squarefree_part(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d)."""
-    s, d = 1, 1
-    p = 2
-    m = n
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= m
-    return s, d
-
-
 @dataclass(frozen=True)
 class SurfaceConeData:
     """Nef-cone data of an abelian surface with intersection form diag(a, -b).
@@ -325,8 +307,8 @@ def model_from_json_dict(data) -> AbelianVarietyModel:
             form = AlbertForm(form_name)
         except ValueError:
             raise InvalidInput(f"unknown Albert form {form_name!r}") from None
-        if not isinstance(m, int) or not isinstance(n, int):
-            raise InvalidInput("m and n must be integers")
+        if not all(type(x) is int for x in (m, n)):  # bool is an int subclass
+            raise InvalidInput(f"m and n must be integers, got m={m!r}, n={n!r}")
         factors.append(
             SimpleFactor(
                 id=fid,

@@ -21,7 +21,7 @@ from . import abelian, reduction
 from .errors import AmpleconesError, UnsupportedDimension
 from .hermitian import LorentzBlock, PDBlock
 from .polyhedral import PolyhedralCone
-from .scalars import is_squarefree
+from .scalars import is_squarefree, squarefree_part
 
 _DEFAULT_SEED = 0
 _DEFAULT_SAMPLES = 500
@@ -116,7 +116,7 @@ def _sqrt_text(n: int) -> str:
     root = math.isqrt(n)
     if root * root == n:
         return str(root)
-    s, d = abelian.squarefree_part(n)
+    s, d = squarefree_part(n)
     prefix = "" if s == 1 else str(s)
     return f"{prefix}√{d}"
 

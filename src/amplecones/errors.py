@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by every module of the library."""
+"""Exception hierarchy shared by every module of the library, and the
+formatting of points in its messages."""
 
 
 class AmpleconesError(Exception):
@@ -43,3 +44,8 @@ class NotFundamental(AmpleconesError):
 
 class PreconditionViolated(AmpleconesError):
     """A structural precondition of a verification routine fails."""
+
+
+def format_point(v) -> str:
+    """A point for an error message, with rationals printed as p/q."""
+    return "(" + ", ".join(str(c) for c in v) + ")"

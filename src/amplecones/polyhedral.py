@@ -1,11 +1,12 @@
 """Exact rational polyhedral cones in low dimension.
 
-Cones are stored by generators (primitive integer rays, orientation
-preserved).  Closed membership is decided by Fourier-Motzkin feasibility of
-the nonnegative-combination system; interior membership and intersections go
-through the double description method, which converts between generators and
-facet inequalities over exact rationals.  Intersections are supported up to
-ambient dimension 4.
+A cone is stored by its generators (primitive integer rays, orientation
+preserved) and by its facet description, which the double description
+method computes once, at construction, over the integers.  Every question
+is answered from that description with integer dot products: closed and
+interior membership from facet signs, pointedness from its rank, and the
+extreme rays of an intersection from facet incidence.  Intersections are
+supported up to ambient dimension 4.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInput, ShapeMismatch, UnsupportedDimension
+from .errors import InvalidInput, ShapeMismatch, UnsupportedDimension, format_point
 
 MAX_INTERSECTION_DIM = 4
 
@@ -77,105 +78,23 @@ class RayClass:
         return f"RayClass({list(self.vector)})"
 
 
-def _dot(a, b) -> Fraction:
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-# --- Fourier-Motzkin feasibility -------------------------------------------
-#
-# A constraint is (coeffs, const, strict) meaning sum(c_i x_i) + const >= 0,
-# with > instead of >= when strict is set.
-
-def _fm_feasible(constraints, nvars: int) -> bool:
-    cons = [(tuple(Fraction(c) for c in coeffs), Fraction(const), strict)
-            for coeffs, const, strict in constraints]
-    for j in range(nvars):
-        keep, lower, upper = [], [], []
-        for c in cons:
-            cj = c[0][j]
-            if cj == 0:
-                keep.append(c)
-            elif cj > 0:
-                lower.append(c)
-            else:
-                upper.append(c)
-        cons = keep
-        for lo in lower:
-            for up in upper:
-                s, t = lo[0][j], -up[0][j]
-                coeffs = tuple(
-                    t * a + s * b for a, b in zip(lo[0], up[0])
-                )
-                cons.append((coeffs, t * lo[1] + s * up[1], lo[2] or up[2]))
-    for coeffs, const, strict in cons:
-        if strict:
-            if const <= 0:
-                return False
-        elif const < 0:
-            return False
-    return True
-
-
-_FM_FREE_VAR_LIMIT = 4
-
-
-def _nonneg_combination_feasible(rays, v, dim: int) -> bool:
-    """Is v a nonnegative rational combination of the given rays?
-
-    The equalities sum(lambda_i r_i) = v are eliminated first by exact
-    Gaussian substitution, so Fourier-Motzkin only ever sees the handful of
-    free variables left over.  With many generators (so many leftover free
-    variables) FM would still blow up; membership is then decided through
-    the dual description instead, which stays exact and small here.
-    """
-    m = len(rays)
-    # augmented system [A | v] with A's columns the rays
-    rows = [
-        [Fraction(rays[i][coord]) for i in range(m)] + [Fraction(v[coord])]
-        for coord in range(dim)
-    ]
-    pivots: list[tuple[int, int]] = []  # (row, column)
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
+def _rank(vectors) -> int:
+    """Rank over Q of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((j for j, c in enumerate(pivot) if c), None)
+        if col is None:
             continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        lead = rows[row][col]
-        rows[row] = [x / lead for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == len(rows):
-            break
-    for r in range(row, len(rows)):
-        if rows[r][m] != 0:
-            return False  # v is not even in the span of the rays
-    pivot_cols = {col for _, col in pivots}
-    free_cols = [c for c in range(m) if c not in pivot_cols]
-    if len(free_cols) > _FM_FREE_VAR_LIMIT:
-        lin_dual, facets = _extreme_rays(rays, dim)
-        if any(_dot(l, v) != 0 for l in lin_dual):
-            return False
-        return all(_dot(f, v) >= 0 for f in facets)
-    index = {c: k for k, c in enumerate(free_cols)}
-    # lambda_i >= 0 as affine constraints in the free variables
-    cons = []
-    for r, col in pivots:
-        coeffs = [Fraction(0)] * len(free_cols)
-        for c in free_cols:
-            coeffs[index[c]] = -rows[r][c]
-        cons.append((tuple(coeffs), rows[r][m], False))
-    for c in free_cols:
-        unit = tuple(
-            Fraction(1) if k == index[c] else Fraction(0)
-            for k in range(len(free_cols))
-        )
-        cons.append((unit, Fraction(0), False))
-    return _fm_feasible(cons, len(free_cols))
+        rank += 1
+        lead = pivot[col]
+        rows = [[lead * x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
+    return rank
 
 
 # --- Double description ------------------------------------------------------
@@ -184,10 +103,10 @@ def _extreme_rays(normals, dim: int):
     """Lineality basis and extreme rays of {x : <a, x> >= 0 for all a}.
 
     Standard incremental double description with the combinatorial adjacency
-    test; ray vectors are kept primitive to control coefficient growth.
+    test, over the integers: the normals are integer vectors and every vector
+    is kept primitive to control coefficient growth.
     """
-    lin = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-           for i in range(dim)]
+    lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays: list[dict] = []
     for idx, a in enumerate(normals):
         scores = [_dot(a, l) for l in lin]
@@ -197,17 +116,18 @@ def _extreme_rays(normals, dim: int):
             if s0 < 0:
                 l0 = tuple(-c for c in l0)
                 s0 = -s0
-            new_lin = []
-            for i, (l, s) in enumerate(zip(lin, scores)):
-                if i == hit:
-                    continue
-                new_lin.append(tuple(c - (s / s0) * c0 for c, c0 in zip(l, l0)))
-            lin = new_lin
+            lin = [
+                l if s == 0 else primitive_vector(
+                    tuple(s0 * c - s * c0 for c, c0 in zip(l, l0))
+                )
+                for i, (l, s) in enumerate(zip(lin, scores))
+                if i != hit
+            ]
             for r in rays:
                 s = _dot(a, r["v"])
                 if s != 0:
                     r["v"] = primitive_vector(
-                        tuple(c - (s / s0) * c0 for c, c0 in zip(r["v"], l0))
+                        tuple(s0 * c - s * c0 for c, c0 in zip(r["v"], l0))
                     )
                 r["zero"].add(idx)
             rays.append({"v": primitive_vector(l0), "zero": set(range(idx))})
@@ -243,29 +163,15 @@ def _extreme_rays(normals, dim: int):
     return lin, [r["v"] for r in rays]
 
 
-def _prune_redundant(rays, dim: int):
-    """Drop duplicate rays and rays generated by the remaining ones."""
-    unique = []
+def _prune_redundant(rays, normals, dim: int):
+    """Drop duplicate rays and rays that are not extreme in the pointed cone
+    {x : <a, x> >= 0 for all a}: a ray is extreme iff the normals tight at it
+    have rank dim - 1."""
+    kept = []
     for r in rays:
-        if r not in unique:
-            unique.append(r)
-    kept = list(unique)
-    for r in list(kept):
-        others = [s for s in kept if s is not r]
-        if others and _nonneg_combination_feasible(others, r, dim):
-            kept.remove(r)
+        if r not in kept and _rank(a for a in normals if _dot(a, r) == 0) == dim - 1:
+            kept.append(r)
     return kept
-
-
-def _facet_description(cone: "PolyhedralCone"):
-    """Equations and facet inequalities cutting out the cone.
-
-    The dual cone of cone(R) is {y : <y, r> >= 0}; its lineality basis gives
-    equations (the span constraints) and its extreme rays give the facet
-    normals.
-    """
-    lin, facets = _extreme_rays(cone.rays, cone.dim)
-    return lin, facets
 
 
 class PolyhedralCone:
@@ -274,9 +180,16 @@ class PolyhedralCone:
     Rays are normalized to primitive integer vectors with orientation kept.
     Construction rejects proportional ray pairs (in particular v and -v)
     and cones whose closure contains a line.
+
+    The facet description is computed once, at construction, by double
+    description of the dual cone {y : <y, r> >= 0 for every ray r}: its
+    lineality basis gives the equations (normals to the span of the cone)
+    and its extreme rays give the facet normals, all primitive integer
+    vectors.  The cone is pointed exactly when equations and facets
+    together have full rank.
     """
 
-    __slots__ = ("dim", "rays")
+    __slots__ = ("dim", "rays", "_equations", "_facets")
 
     def __init__(self, dim: int, rays) -> None:
         if dim < 1:
@@ -286,7 +199,7 @@ class PolyhedralCone:
             ray = tuple(ray)
             if len(ray) != dim:
                 raise ShapeMismatch(
-                    f"ray {ray} does not live in dimension {dim}"
+                    f"ray {format_point(ray)} does not live in dimension {dim}"
                 )
             normalized.append(primitive_vector(ray))
         if not normalized:
@@ -297,26 +210,16 @@ class PolyhedralCone:
             if key in unoriented:
                 raise InvalidInput(f"proportional rays detected: {v}")
             unoriented.add(key)
+        equations, facets = _extreme_rays(normalized, dim)
+        if _rank(equations + facets) < dim:
+            raise InvalidInput("cone closure contains a line")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rays", tuple(normalized))
-        if self._contains_line():
-            raise InvalidInput("cone closure contains a line")
+        object.__setattr__(self, "_equations", tuple(equations))
+        object.__setattr__(self, "_facets", tuple(facets))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyhedralCone is immutable")
-
-    def _contains_line(self) -> bool:
-        # cone(R) is non-pointed iff -r lies in cone(R) for some generator r
-        if len(self.rays) == 1:
-            return False
-        if self.dim == 2 and len(self.rays) == 2:
-            return False  # non-proportional rays in the plane span a sector
-        for r in self.rays:
-            if _nonneg_combination_feasible(
-                self.rays, tuple(-c for c in r), self.dim
-            ):
-                return True
-        return False
 
     def transform(self, matrix) -> "PolyhedralCone":
         """Image cone under an invertible integer/rational matrix (rows)."""
@@ -346,41 +249,30 @@ class PolyhedralCone:
 def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     """Closed mode: is v a nonnegative combination of the rays?  Interior
     mode: does v lie in the topological interior relative to the ambient
-    space (empty unless the cone is full-dimensional)?"""
+    space (empty unless the cone is full-dimensional)?
+
+    Both are read off the facet signs at the primitive integer direction of
+    v: closed iff every equation gives 0 and every facet gives >= 0;
+    interior iff there are no equations and every facet gives > 0.
+    """
     v = tuple(v)
     if len(v) != cone.dim:
-        raise ShapeMismatch(f"point {v} does not live in dimension {cone.dim}")
-    if not interior:
-        if not any(v):
-            return True
-        target = primitive_vector(v)
-        if cone.dim == 2 and len(cone.rays) == 2:
-            (u1, u2), (w1, w2) = cone.rays
-            det = u1 * w2 - u2 * w1
-            alpha = target[0] * w2 - target[1] * w1
-            beta = u1 * target[1] - u2 * target[0]
-            if det < 0:
-                alpha, beta = -alpha, -beta
-            return alpha >= 0 and beta >= 0
-        if len(cone.rays) == 1:
-            ray = cone.rays[0]
-            pivot = next(i for i, c in enumerate(ray) if c)
-            if target[pivot] * ray[pivot] <= 0:
-                return False
-            return all(
-                target[i] * ray[pivot] == ray[i] * target[pivot]
-                for i in range(cone.dim)
-            )
-        return _nonneg_combination_feasible(cone.rays, target, cone.dim)
-    equations, facets = _facet_description(cone)
-    if equations:
-        return False  # not full-dimensional: empty interior
-    return all(_dot(f, v) > 0 for f in facets)
+        raise ShapeMismatch(
+            f"point {format_point(v)} does not live in dimension {cone.dim}"
+        )
+    if not any(v):
+        return not interior  # the origin is on the boundary of a pointed cone
+    v = primitive_vector(v)
+    if interior:
+        return not cone._equations and all(_dot(f, v) > 0 for f in cone._facets)
+    return all(_dot(e, v) == 0 for e in cone._equations) and all(
+        _dot(f, v) >= 0 for f in cone._facets
+    )
 
 
 def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
-    """Generators of the intersection via double description, or None when
-    the cones meet only at the origin."""
+    """Generators of the intersection via double description on the two
+    facet descriptions, or None when the cones meet only at the origin."""
     if a.dim != b.dim:
         raise ShapeMismatch("cones live in different dimensions")
     if a.dim > MAX_INTERSECTION_DIM:
@@ -389,14 +281,13 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
         )
     normals = []
     for cone in (a, b):
-        equations, facets = _facet_description(cone)
-        for e in equations:
+        for e in cone._equations:
             normals.append(e)
             normals.append(tuple(-c for c in e))
-        normals.extend(facets)
+        normals.extend(cone._facets)
     lin, rays = _extreme_rays(normals, a.dim)
     assert not lin, "intersection of pointed cones cannot contain a line"
-    rays = _prune_redundant([primitive_vector(r) for r in rays], a.dim)
+    rays = _prune_redundant(rays, normals, a.dim)
     if not rays:
         return None
     return PolyhedralCone(a.dim, sorted(rays))

@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
     ShapeMismatch,
+    format_point,
 )
 from .polyhedral import PolyhedralCone, cone_intersection, poly_member, primitive_vector
 
@@ -316,7 +317,7 @@ def translate_locate(
     """
     p = (Fraction(p[0]), Fraction(p[1]))
     if not action.open_member(p):
-        raise NotInCone(f"point {p} is outside the open cone")
+        raise NotInCone(f"point {format_point(p)} is outside the open cone")
     if pi.dim != 2:
         raise ShapeMismatch("translate location works in the plane")
     upper = _upper_boundary_ray(pi, action)
@@ -329,7 +330,7 @@ def translate_locate(
             return k
         q = action.ray_image(q, -1)
     raise NotFundamental(
-        f"translates g^k pi with |k| <= {max_word} miss the point {p}"
+        f"translates g^k pi with |k| <= {max_word} miss the point {format_point(p)}"
     )
 
 

@@ -34,18 +34,28 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+def squarefree_part(n: int) -> tuple[int, int]:
+    """n = s^2 * d with d squarefree; returns (s, d)."""
+    s, d = 1, 1
+    p = 2
+    m = n
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    d *= m
+    return s, d
+
+
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n >= 1)."""
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
+    return n >= 1 and squarefree_part(n)[0] == 1
 
 
 def _check_sqrt_input(d: int) -> None:

@@ -7,6 +7,7 @@ checked against genuinely independent computations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -216,6 +217,55 @@ def slope_interval_intersection(rays_a, rays_b):
         return None
     rays = {(s.denominator, s.numerator) for s in {lo, hi}}
     return sorted(rays)
+
+
+# --- Caratheodory + Cramer cone-membership oracle ------------------------------
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
+def caratheodory_member(rays, v, dim: int) -> bool:
+    """Is v a nonnegative combination of the integer rays?
+
+    By Caratheodory's theorem it is iff some linearly independent subset of
+    at most dim rays writes v with nonnegative coefficients.  Each subset is
+    solved by Cramer's rule on its first nonsingular square minor (there is
+    one iff the subset is independent, and then the solution is unique) and
+    the solution is checked on every coordinate.  The coefficients
+    det_j / det are kept as exact Fractions.
+    """
+    v = [Fraction(c) for c in v]
+    if not any(v):
+        return True
+    for k in range(1, min(len(rays), dim) + 1):
+        for subset in itertools.combinations(rays, k):
+            for coords in itertools.combinations(range(dim), k):
+                minor = [[r[i] for r in subset] for i in coords]
+                det = _det(minor)
+                if det == 0:
+                    continue
+                coeffs = []
+                for j in range(k):
+                    c = _det([row[:j] + [v[i]] + row[j + 1:] for row, i in zip(minor, coords)]) / det
+                    if c < 0:
+                        break
+                    coeffs.append(c)
+                else:
+                    if all(
+                        sum(c * r[i] for c, r in zip(coeffs, subset)) == v[i]
+                        for i in range(dim)
+                    ):
+                        return True
+                break
+    return False
 
 
 # --- random abelian-variety models ----------------------------------------------

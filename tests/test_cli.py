@@ -100,6 +100,20 @@ class TestExitCodes:
         wrong.write_text('{"factors": [{"id": "A"}]}', encoding="utf-8")
         assert main(["picard", "--model", str(wrong)]) == 2
 
+    def test_boolean_m_or_n_is_two(self, tmp_path, capsys):
+        model = json.loads((GOLDEN / "model_e2.json").read_text(encoding="utf-8"))
+        for path in (("albert", "m"), ("n",)):
+            bad = json.loads(json.dumps(model))
+            entry = bad["factors"][0]
+            for key in path[:-1]:
+                entry = entry[key]
+            entry[path[-1]] = True
+            file = tmp_path / "bool.json"
+            file.write_text(json.dumps(bad), encoding="utf-8")
+            assert main(["picard", "--model", str(file)]) == 2
+            err = capsys.readouterr().err
+            assert "m and n must be integers" in err and "True" in err
+
     def test_bad_flags_are_two(self, capsys):
         assert main(["reduce", "--form", "1,2"]) == 2
         assert main(["verify", "--d", "2", "--pi", "1,0;3,2", "--g", "1,2,3"]) == 2

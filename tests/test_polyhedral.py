@@ -15,6 +15,7 @@ from amplecones import (
     primitive_vector,
 )
 from support import (
+    caratheodory_member,
     random_right_halfplane_cone_rays,
     slope_interval_intersection,
     square_scan,
@@ -46,8 +47,17 @@ class TestConstruction:
             PolyhedralCone(2, [(1, 2), (2, 4)])
 
     def test_rejects_cone_with_line(self):
-        with pytest.raises(InvalidInput):
-            PolyhedralCone(2, [(1, 0), (-1, 1), (-1, -1)])
+        with_line = [
+            (2, [(1, 0), (-1, 1), (-1, -1)]),
+            (3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)]),
+            # the first three rays sum to zero, so they span a plane
+            (4, [(1, 1, 0, 0), (-1, 0, 1, 0), (0, -1, -1, 0), (0, 0, 0, 1)]),
+        ]
+        for dim, rays in with_line:
+            with pytest.raises(InvalidInput):
+                PolyhedralCone(dim, rays)
+        pyramid = PolyhedralCone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+        assert len(pyramid.rays) == 4
 
     def test_dimension_checked(self):
         with pytest.raises(ShapeMismatch):
@@ -219,11 +229,9 @@ class TestIntersection:
 
 
 class TestMembershipRoutes:
-    def test_fm_and_dual_description_agree(self, monkeypatch):
-        # membership has two exact routes (Fourier-Motzkin on the free
-        # variables, facet signs from the dual description); they must agree
-        import amplecones.polyhedral as P
-
+    def test_facet_signs_match_caratheodory_oracle(self):
+        # closed membership from the stored facet description must agree
+        # with an independent Caratheodory + Cramer oracle
         rng = random.Random(777)
         for _ in range(100):
             dim = rng.choice([2, 3, 4])
@@ -244,11 +252,7 @@ class TestMembershipRoutes:
                 p = tuple(rng.randint(-8, 8) for _ in range(dim))
                 if not any(p):
                     continue
-                monkeypatch.setattr(P, "_FM_FREE_VAR_LIMIT", 99)
-                via_fm = P._nonneg_combination_feasible(cone.rays, p, dim)
-                monkeypatch.setattr(P, "_FM_FREE_VAR_LIMIT", -1)
-                via_dual = P._nonneg_combination_feasible(cone.rays, p, dim)
-                assert via_fm == via_dual
+                assert poly_member(cone, p) == caratheodory_member(cone.rays, p, dim)
 
 
 class TestSquareRational:

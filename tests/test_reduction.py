@@ -14,6 +14,7 @@ from amplecones import (
     NotPositiveDefinite,
     PolyhedralCone,
     PreconditionViolated,
+    ShapeMismatch,
     UnimodularMatrix,
     minkowski_reduce,
     poly_member,
@@ -147,6 +148,21 @@ class TestTranslateLocate:
         far = action.apply((1, Fraction(1, 3)), 9)
         with pytest.raises(NotFundamental):
             translate_locate(far, pi, action, max_word=4)
+
+    def test_error_messages_print_rationals_as_p_over_q(self):
+        pi, action = d2_setup()
+        messages = []
+        for call, error in [
+            (lambda: translate_locate((Fraction(1, 2), 3), pi, action), NotInCone),
+            (lambda: translate_locate((Fraction(3, 2), Fraction(-1, 2)), pi, action, max_word=0),
+             NotFundamental),
+            (lambda: PolyhedralCone(2, [(Fraction(1, 2), 1, 0)]), ShapeMismatch),
+            (lambda: poly_member(pi, (Fraction(1, 2),)), ShapeMismatch),
+        ]:
+            with pytest.raises(error) as caught:
+                call()
+            messages.append(str(caught.value))
+        assert all("Fraction(" not in m and "1/2" in m for m in messages), messages
 
     def test_consistency_and_equivariance(self):
         pi, action = d2_setup()

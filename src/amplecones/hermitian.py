@@ -1,12 +1,17 @@
 """Symmetric and Hermitian matrix cones over R, C, and H, with exact verdicts.
 
 The open cone of positive-definite matrices in each Hermitian space is
-homogeneous and self-dual for the pairing Re Tr(x y*); membership is decided
-by exact LDL* elimination (all pivots are rational because Hermitian
-diagonals are), and the witness D = L diag(delta) L* doubles as a
-constructive homogeneity certificate.  The invertible matrices act by
-D -> M* D M.  Direct sums of these cones and of Lorentz cones are described
-by :class:`ConeSpec`.
+homogeneous and self-dual for the pairing Re Tr(x y*).  Every verdict on it
+comes from one exact LDL* elimination (all pivots are rational because
+Hermitian diagonals are): it skips a zero pivot whose row is zero and stops
+at the first negative pivot, or zero pivot with a nonzero row, carrying a
+violating vector back through its multipliers.  Definiteness,
+semidefiniteness, the witness D = L diag(delta) L* (a constructive
+homogeneity certificate) and the negative certificate are all read off that
+one pass.  The scalars of all three kinds expose ``real`` and
+``conjugate()``, so the elimination has no per-kind branches.  The
+invertible matrices act by D -> M* D M.  Direct sums of these cones and of
+Lorentz cones are described by :class:`ConeSpec`.
 
 The 27-dimensional exceptional cone is representable as a block tag only;
 every arithmetic operation on it raises :class:`~amplecones.errors.Unsupported`.
@@ -83,18 +88,6 @@ def _coerce_entry(kind: ScalarKind, value):
     else:
         raise Unsupported("octonion entries are not supported")
     raise ShapeMismatch(f"entry {value!r} does not belong to scalar kind {kind.value}")
-
-
-def _conj(v):
-    return v if isinstance(v, Fraction) else v.conjugate()
-
-
-def _real_part(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, GaussianRational):
-        return v.re
-    return v.w
 
 
 def _zero(kind: ScalarKind):
@@ -192,7 +185,7 @@ class AlgebraMatrix:
         n = self.size
         return AlgebraMatrix(
             self.kind,
-            [[_conj(self.entries[j][i]) for j in range(n)] for i in range(n)],
+            [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)],
         )
 
     def is_invertible(self) -> bool:
@@ -208,11 +201,7 @@ class AlgebraMatrix:
             if pivot_row is None:
                 return False
             a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv = (
-                1 / a[col][col]
-                if isinstance(a[col][col], Fraction)
-                else a[col][col].inverse()
-            )
+            inv = 1 / a[col][col]
             for i in range(col + 1, n):
                 if not a[i][col]:
                     continue
@@ -254,7 +243,7 @@ class HermitianMatrix:
         m = AlgebraMatrix(kind, rows)
         for i in range(m.size):
             for j in range(i, m.size):
-                if m.entries[i][j] != _conj(m.entries[j][i]):
+                if m.entries[i][j] != m.entries[j][i].conjugate():
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
@@ -277,7 +266,7 @@ class HermitianMatrix:
         return AlgebraMatrix(self.kind, self.entries)
 
     def diagonal_values(self) -> tuple[Fraction, ...]:
-        return tuple(_real_part(self.entries[i][i]) for i in range(self.size))
+        return tuple(self.entries[i][i].real for i in range(self.size))
 
     def __eq__(self, other):
         if isinstance(other, HermitianMatrix):
@@ -314,73 +303,78 @@ def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     total = Fraction(0)
     for i in range(x.size):
         for j in range(x.size):
-            total += _real_part(x.entries[i][j] * _conj(y.entries[i][j]))
+            total += (x.entries[i][j] * y.entries[i][j].conjugate()).real
     return total
 
 
-def _ldl(D: HermitianMatrix):
-    """Attempt D = L diag(delta) L*; return (L rows, delta) or None if a
-    pivot fails to be positive.
+def _eliminate(D: HermitianMatrix):
+    """Exact LDL* elimination of D, stopped at the first sign of negativity.
 
-    Pivots are the real diagonal values of successive Schur complements,
-    so the elimination stays rational even over the quaternions.
+    Returns ``(lower, pivots, v)``.  The pivots are the real diagonal values
+    of successive Schur complements, so the elimination stays rational even
+    over the quaternions.  A zero pivot whose row is zero is skipped (its
+    column of ``lower`` stays a unit column).  A negative pivot, or a zero
+    pivot with a nonzero row, gives a local vector w with w* S w < 0 on the
+    current Schur complement S; it is carried back through the recorded
+    multipliers as v = L^{-*} w, so that v* D v = w* S w < 0, and the
+    elimination stops.  ``v`` is None exactly when D is positive
+    semidefinite, and then D = L diag(pivots) L*.
     """
     n = D.size
     a = [list(row) for row in D.entries]
     one, zero = _one(D.kind), _zero(D.kind)
     lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    delta = []
+    pivots = []
     for k in range(n):
-        pivot = _real_part(a[k][k])
-        if pivot <= 0:
-            return None
-        delta.append(pivot)
-        inv = Fraction(1) / pivot
-        for i in range(k + 1, n):
-            m = a[i][k] * inv
-            lower[i][k] = m
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - m * a[k][j]
-            a[i][k] = zero
-    return lower, tuple(delta)
+        pivot = a[k][k].real
+        if pivot > 0:
+            pivots.append(pivot)
+            inv = 1 / pivot
+            for i in range(k + 1, n):
+                m = a[i][k] * inv
+                lower[i][k] = m
+                for j in range(k + 1, n):
+                    a[i][j] = a[i][j] - m * a[k][j]
+            continue
+        if pivot == 0:
+            bad = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if bad is None:
+                pivots.append(pivot)
+                continue
+        v = [zero] * n
+        if pivot < 0:
+            v[k] = one
+        else:
+            # a semidefinite matrix with a zero diagonal entry has a zero row;
+            # with w = t e_k + e_bad, w* S w = S_bb - 2 scale |entry|^2 = -1
+            entry = a[bad][k]
+            scale = (a[bad][bad].real + 1) / (2 * (entry * entry.conjugate()).real)
+            v[k] = -scale * entry.conjugate()
+            v[bad] = one
+        for i in reversed(range(k)):
+            v[i] = -sum((lower[j][i].conjugate() * v[j] for j in range(i + 1, n)), zero)
+        return lower, tuple(pivots), tuple(v)
+    return lower, tuple(pivots), None
 
 
 def is_positive_definite(D: HermitianMatrix) -> bool:
     """Membership in the open cone: all pivots of exact LDL* are positive."""
-    return _ldl(D) is not None
+    _, pivots, v = _eliminate(D)
+    return v is None and all(pivots)
 
 
 def ldl_witness(D: HermitianMatrix):
     """Unit lower-triangular L and positive diagonal delta with
     D = L diag(delta) L*, i.e. act(L*, diag(delta)) = D exactly."""
-    result = _ldl(D)
-    if result is None:
+    lower, delta, v = _eliminate(D)
+    if v is not None or not all(delta):
         raise NotPositiveDefinite("matrix has a non-positive pivot")
-    lower, delta = result
     return AlgebraMatrix(D.kind, lower), delta
 
 
 def is_positive_semidefinite(D: HermitianMatrix) -> bool:
     """Membership in the closed cone, with exact zero-pivot handling."""
-    n = D.size
-    a = [list(row) for row in D.entries]
-    for k in range(n):
-        pivot = _real_part(a[k][k])
-        if pivot < 0:
-            return False
-        if pivot == 0:
-            # a semidefinite matrix with zero diagonal entry has zero row
-            if any(a[k][j] for j in range(k + 1, n)) or any(
-                a[i][k] for i in range(k + 1, n)
-            ):
-                return False
-            continue
-        inv = Fraction(1) / pivot
-        for i in range(k + 1, n):
-            m = a[i][k] * inv
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - m * a[k][j]
-    return True
+    return _eliminate(D)[2] is None
 
 
 def quadratic_value(D: HermitianMatrix, v) -> Fraction:
@@ -391,9 +385,9 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
     total = None
     for i in range(D.size):
         for j in range(D.size):
-            term = _conj(vv[i]) * (D.entries[i][j] * vv[j])
+            term = vv[i].conjugate() * (D.entries[i][j] * vv[j])
             total = term if total is None else total + term
-    return _real_part(total)
+    return total.real
 
 
 def negative_certificate(D: HermitianMatrix):
@@ -402,50 +396,7 @@ def negative_certificate(D: HermitianMatrix):
     Found by running the LDL* elimination until it breaks and transporting
     the violating direction back through the recorded eliminations.
     """
-
-    def recurse(a, n):
-        if n == 0:
-            return None
-        pivot = _real_part(a[0][0])
-        zero = _zero(D.kind)
-        if pivot < 0:
-            return [_one(D.kind)] + [zero] * (n - 1)
-        if pivot == 0:
-            bad = None
-            for j in range(1, n):
-                if a[j][0]:
-                    bad = j
-                    break
-            if bad is None:
-                w = recurse([row[1:] for row in a[1:]], n - 1)
-                if w is None:
-                    return None
-                return [zero] + w
-            entry = a[bad][0]
-            c = _real_part(a[bad][bad])
-            scale = (c + 1) / (2 * _real_part(entry * _conj(entry)))
-            t = -scale * _conj(entry)
-            v = [zero] * n
-            v[0] = t
-            v[bad] = _one(D.kind)
-            return v
-        inv = Fraction(1) / pivot
-        mults = [a[i][0] * inv for i in range(1, n)]
-        schur = [
-            [a[i][j] - mults[i - 1] * a[0][j] for j in range(1, n)]
-            for i in range(1, n)
-        ]
-        w = recurse(schur, n - 1)
-        if w is None:
-            return None
-        head = None
-        for m, wi in zip(mults, w):
-            term = _conj(m) * wi
-            head = term if head is None else head + term
-        return [-head] + w
-
-    v = recurse([list(row) for row in D.entries], D.size)
-    return None if v is None else tuple(v)
+    return _eliminate(D)[2]
 
 
 def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:

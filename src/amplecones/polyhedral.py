@@ -5,8 +5,9 @@ preserved) and by its facet description, which the double description
 method computes once, at construction, over the integers.  Every question
 is answered from that description with integer dot products: closed and
 interior membership from facet signs, pointedness from its rank, and the
-extreme rays of an intersection from facet incidence.  Intersections are
-supported up to ambient dimension 4.
+extreme rays of an intersection from double description of the two facet
+descriptions, whose adjacency test keeps exactly the extreme rays.
+Intersections are supported up to ambient dimension 4.
 """
 
 from __future__ import annotations
@@ -163,17 +164,6 @@ def _extreme_rays(normals, dim: int):
     return lin, [r["v"] for r in rays]
 
 
-def _prune_redundant(rays, normals, dim: int):
-    """Drop duplicate rays and rays that are not extreme in the pointed cone
-    {x : <a, x> >= 0 for all a}: a ray is extreme iff the normals tight at it
-    have rank dim - 1."""
-    kept = []
-    for r in rays:
-        if r not in kept and _rank(a for a in normals if _dot(a, r) == 0) == dim - 1:
-            kept.append(r)
-    return kept
-
-
 class PolyhedralCone:
     """Finitely many rational generator rays in a fixed-dimension space.
 
@@ -287,7 +277,6 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
         normals.extend(cone._facets)
     lin, rays = _extreme_rays(normals, a.dim)
     assert not lin, "intersection of pointed cones cannot contain a line"
-    rays = _prune_redundant(rays, normals, a.dim)
     if not rays:
         return None
     return PolyhedralCone(a.dim, sorted(rays))

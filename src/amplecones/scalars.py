@@ -239,140 +239,48 @@ class QuadIrrational:
         return f"{self.a}{sign}{tail}"
 
 
-class GaussianRational:
-    """Elements re + im*i of Q(i)."""
+class _RationalAlgebra:
+    """Value semantics shared by the rational algebras Q(i) and H(Q).
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0) -> None:
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, _RationalLike):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _RationalLike):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-class RationalQuaternion:
-    """Hamilton quaternions w + x*i + y*j + z*k over Q.
-
-    Multiplication is associative but not commutative; conjugation negates
-    the vector part and the reduced norm w^2 + x^2 + y^2 + z^2 vanishes only
-    at zero, so every nonzero element is invertible.
+    An element is the tuple of its ``Fraction`` coefficients on a basis whose
+    first vector is 1: conjugation negates every other coefficient and the
+    norm is the sum of their squares.  A subclass supplies its coefficient
+    names, the product ``_product(a, b)`` of two coefficient tuples, and
+    ``__str__``.  Plain integers and rationals embed as real elements;
+    elements of two different algebras never mix.
     """
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, w, x=0, y=0, z=0) -> None:
-        object.__setattr__(self, "w", Fraction(w))
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
-        object.__setattr__(self, "z", Fraction(z))
+    def __init__(self, *coeffs) -> None:
+        object.__setattr__(self, "_coeffs", tuple(Fraction(c) for c in coeffs))
+
+    @classmethod
+    def _make(cls, coeffs: tuple):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_coeffs", coeffs)
+        return obj
 
     def __setattr__(self, name, value):
-        raise AttributeError("RationalQuaternion is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalQuaternion):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
             return other
         if isinstance(other, _RationalLike):
-            return RationalQuaternion(other)
+            zeros = (Fraction(0),) * (len(self._coeffs) - 1)
+            return self._make((Fraction(other),) + zeros)
         return None
+
+    @property
+    def real(self) -> Fraction:
+        return self._coeffs[0]
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalQuaternion(
-            self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z
-        )
+        return self._make(tuple(a + b for a, b in zip(self._coeffs, o._coeffs)))
 
     __radd__ = __add__
 
@@ -380,38 +288,42 @@ class RationalQuaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalQuaternion(
-            self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z
-        )
+        return self._make(tuple(a - b for a, b in zip(self._coeffs, o._coeffs)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self):
+        return self._make(tuple(-c for c in self._coeffs))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = o.w, o.x, o.y, o.z
-        return RationalQuaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
+        return self._make(self._product(self._coeffs, o._coeffs))
 
     def __rmul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self
+        return self._make(self._product(o._coeffs, self._coeffs))
 
-    def inverse(self) -> "RationalQuaternion":
+    def conjugate(self):
+        first, *rest = self._coeffs
+        return self._make((first,) + tuple(-c for c in rest))
+
+    def norm(self) -> Fraction:
+        """Sum of the squared coefficients; zero only at zero."""
+        return sum(c * c for c in self._coeffs)
+
+    def inverse(self):
         n = self.norm()
         if n == 0:
-            raise ZeroDivisionError("division by zero quaternion")
-        c = self.conjugate()
-        return RationalQuaternion(c.w / n, c.x / n, c.y / n, c.z / n)
+            raise ZeroDivisionError(f"division by zero {type(self).__name__}")
+        return self._make(tuple(c / n for c in self.conjugate()._coeffs))
 
     def __truediv__(self, other):
         """Right division: self * other^{-1}."""
@@ -426,44 +338,79 @@ class RationalQuaternion:
             return NotImplemented
         return o * self.inverse()
 
-    def __neg__(self):
-        return RationalQuaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def conjugate(self) -> "RationalQuaternion":
-        return RationalQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> Fraction:
-        """Reduced norm w^2 + x^2 + y^2 + z^2."""
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
     def __bool__(self):
-        return bool(self.w or self.x or self.y or self.z)
+        return any(self._coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, RationalQuaternion):
-            return (
-                self.w == other.w
-                and self.x == other.x
-                and self.y == other.y
-                and self.z == other.z
-            )
+        if isinstance(other, type(self)):
+            return self._coeffs == other._coeffs
         if isinstance(other, _RationalLike):
-            return self.x == 0 and self.y == 0 and self.z == 0 and self.w == other
+            return not any(self._coeffs[1:]) and self._coeffs[0] == other
         return NotImplemented
 
     def __hash__(self):
-        if self.x == 0 and self.y == 0 and self.z == 0:
-            return hash(self.w)
-        return hash((self.w, self.x, self.y, self.z))
+        if any(self._coeffs[1:]):
+            return hash(self._coeffs)
+        return hash(self._coeffs[0])
 
     def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._coeffs))})"
+
+
+class GaussianRational(_RationalAlgebra):
+    """Elements re + im*i of Q(i)."""
+
+    __slots__ = ()
+
+    def __init__(self, re, im=0) -> None:
+        super().__init__(re, im)
+
+    re = property(lambda self: self._coeffs[0])
+    im = property(lambda self: self._coeffs[1])
+
+    @staticmethod
+    def _product(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+class RationalQuaternion(_RationalAlgebra):
+    """Hamilton quaternions w + x*i + y*j + z*k over Q.
+
+    Multiplication is associative but not commutative; conjugation negates
+    the vector part and the reduced norm w^2 + x^2 + y^2 + z^2 vanishes only
+    at zero, so every nonzero element is invertible.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, w, x=0, y=0, z=0) -> None:
+        super().__init__(w, x, y, z)
+
+    w = property(lambda self: self._coeffs[0])
+    x = property(lambda self: self._coeffs[1])
+    y = property(lambda self: self._coeffs[2])
+    z = property(lambda self: self._coeffs[3])
+
+    @staticmethod
+    def _product(p, q):
+        a, b, c, d = p
+        e, f, g, h = q
         return (
-            f"RationalQuaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
         )
 
     def __str__(self):
         parts = []
-        for coeff, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
+        for coeff, unit in zip(self._coeffs, ("", "i", "j", "k")):
             if coeff == 0:
                 continue
             sign = "+" if coeff > 0 and parts else ""

@@ -11,6 +11,7 @@ from amplecones import (
     InvalidInput,
     LorentzBlock,
     LorentzVector,
+    NotPositiveDefinite,
     PDBlock,
     RationalQuaternion,
     ScalarKind,
@@ -140,8 +141,6 @@ class TestLdlWitness:
                 assert all(p > 0 for p in delta)
 
     def test_rejects_indefinite(self):
-        from amplecones import NotPositiveDefinite
-
         with pytest.raises(NotPositiveDefinite):
             ldl_witness(HermitianMatrix(R, [[1, 2], [2, 1]]))
 
@@ -229,6 +228,55 @@ class TestSelfDuality:
         assert is_positive_semidefinite(HermitianMatrix(R, [[0, 0], [0, 1]]))
         assert is_positive_semidefinite(HermitianMatrix.diagonal(R, [0, 0, 2]))
         assert not is_positive_semidefinite(HermitianMatrix(R, [[0, 0], [0, -1]]))
+
+    def test_certificate_after_skipped_zero_row(self):
+        # the second pivot is zero with a zero row and is skipped; the
+        # third fails, and its vector is carried back through the first
+        units = {R: 1, C: GaussianRational(0, 1), H: j_unit}
+        for kind, u in units.items():
+            x = HermitianMatrix(kind, [[1, u, 0], [u.conjugate(), 1, 0], [0, 0, -1]])
+            assert not is_positive_semidefinite(x)
+            v = negative_certificate(x)
+            assert quadratic_value(x, v) < 0
+            # a leading zero row is skipped; the zero pivot after it has a
+            # nonzero row
+            y = HermitianMatrix(kind, [[0, 0, 0], [0, 0, u], [0, u.conjugate(), 2]])
+            assert not is_positive_semidefinite(y)
+            v = negative_certificate(y)
+            assert quadratic_value(y, v) < 0
+            assert v[0] == 0
+
+    def test_readers_agree_random(self):
+        rng = random.Random(59)
+        for kind in MATRIX_KINDS:
+            singular = 0
+            for trial in range(60):
+                size = rng.randint(1, 4)
+                if trial % 3 == 0:
+                    x = random_hermitian_matrix(rng, kind, size)
+                else:
+                    x = random_pd_matrix(rng, kind, size)
+                if trial % 3 == 2:
+                    # zero one row and column: singular but still PSD
+                    k = rng.randrange(size)
+                    rows = [list(row) for row in x.entries]
+                    for i in range(size):
+                        rows[k][i] = rows[i][k] = 0
+                    x = HermitianMatrix(kind, rows)
+                    singular += 1
+                    assert is_positive_semidefinite(x)
+                    assert not is_positive_definite(x)
+                v = negative_certificate(x)
+                assert (v is None) == is_positive_semidefinite(x)
+                if v is not None:
+                    assert quadratic_value(x, v) < 0
+                try:
+                    ldl_witness(x)
+                    raised = False
+                except NotPositiveDefinite:
+                    raised = True
+                assert raised == (not is_positive_definite(x))
+            assert singular == 20
 
 
 class TestLorentz:

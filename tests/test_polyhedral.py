@@ -161,7 +161,8 @@ class TestIntersection:
 
     @staticmethod
     def _cross_validate(dim, pairs, points, seed):
-        # DD output must agree with direct feasibility on sampled points
+        # DD output must agree with direct feasibility on sampled points,
+        # and every output ray must be extreme: outside the cone of the others
         rng = random.Random(seed)
 
         def random_cone():
@@ -184,6 +185,8 @@ class TestIntersection:
             if inter is not None:
                 for ray in inter.rays:
                     assert poly_member(a, ray) and poly_member(b, ray)
+                    others = [r for r in inter.rays if r != ray]
+                    assert not caratheodory_member(others, ray, dim)
             for _ in range(points):
                 p = tuple(
                     [1]

@@ -173,6 +173,40 @@ class TestGaussianRational:
         i = GaussianRational(0, 1)
         assert i * i == -1
 
+    def test_rationals_embed(self):
+        assert GaussianRational(3) == 3
+        assert GaussianRational(re=3, im=0) == Fraction(3)
+        assert GaussianRational(3, 1) != 3
+        half = Fraction(1, 2)
+        assert hash(GaussianRational(half)) == hash(half)
+        assert {GaussianRational(half): "x"}[half] == "x"
+
+    def test_immutable(self):
+        x = GaussianRational(1, 2)
+        with pytest.raises(AttributeError):
+            x.re = 5
+        with pytest.raises(AttributeError):
+            x.other = 5
+        assert x == GaussianRational(1, 2)
+
+    def test_does_not_mix_with_quaternions(self):
+        with pytest.raises(TypeError):
+            GaussianRational(1) + RationalQuaternion(1)
+        with pytest.raises(TypeError):
+            RationalQuaternion(1) * GaussianRational(1)
+        assert GaussianRational(1) != RationalQuaternion(1)
+
+    def test_rational_left_operands(self):
+        x = GaussianRational(Fraction(3, 2), -2)
+        assert 1 - x == GaussianRational(Fraction(-1, 2), 2)
+        assert 1 / x == x.inverse() == GaussianRational(Fraction(6, 25), Fraction(8, 25))
+        assert 2 * x == x * 2 == x + x
+
+    def test_repr_and_str(self):
+        x = GaussianRational(Fraction(3, 2), Fraction(-5, 7))
+        assert repr(x) == "GaussianRational(Fraction(3, 2), Fraction(-5, 7))"
+        assert str(x) == "3/2-5/7i"
+
 
 class TestRationalQuaternion:
     def test_division_ring_sampled(self):
@@ -228,6 +262,45 @@ class TestRationalQuaternion:
         assert i * j == k
         assert j * i == -k
         assert i * i == -1
+
+    def test_rationals_embed(self):
+        assert RationalQuaternion(3) == 3
+        assert RationalQuaternion(w=3, z=0) == Fraction(3)
+        assert RationalQuaternion(3, 0, 0, 1) != 3
+        half = Fraction(1, 2)
+        assert hash(RationalQuaternion(half)) == hash(half)
+
+    def test_immutable(self):
+        x = RationalQuaternion(1, 2, 3, 4)
+        for name in ("w", "x", "y", "z", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 5)
+        assert x == RationalQuaternion(1, 2, 3, 4)
+
+    def test_rational_left_operands(self):
+        x = RationalQuaternion(1, -1, 2, 0)
+        assert 1 - x == RationalQuaternion(0, 1, -2, 0)
+        assert 1 / x == x.inverse() == RationalQuaternion(
+            Fraction(1, 6), Fraction(1, 6), Fraction(-1, 3), 0
+        )
+
+    def test_right_division(self):
+        i = RationalQuaternion(0, 1, 0, 0)
+        x = RationalQuaternion(1, 2, 3, 4)
+        y = RationalQuaternion(0, 1, 1, 0)
+        assert x / y == x * y.inverse()
+        assert x / y != y.inverse() * x
+        assert (x / y) * y == x
+        assert x / 2 == RationalQuaternion(Fraction(1, 2), 1, Fraction(3, 2), 2)
+        assert i / i == 1
+
+    def test_repr_and_str(self):
+        x = RationalQuaternion(Fraction(1, 2), -2, 0, Fraction(3, 4))
+        assert repr(x) == (
+            "RationalQuaternion(Fraction(1, 2), Fraction(-2, 1), "
+            "Fraction(0, 1), Fraction(3, 4))"
+        )
+        assert str(x) == "1/2-2i+3/4k"
 
 
 class TestTotalPositivity:

@@ -26,6 +26,7 @@ from .scalars import is_squarefree, squarefree_part
 _DEFAULT_SEED = 0
 _DEFAULT_SAMPLES = 500
 _DEFAULT_MAX_WORD = 12
+_MAX_K_RANGE = 64
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -202,13 +203,14 @@ def render_svg(pi: PolyhedralCone, g: reduction.GroupAction2D, k_range: int) -> 
     """Picture of the quadratic cone with pi shaded and its translates
     g^k pi for |k| <= k_range; deterministic bytes for fixed inputs.
 
-    One <path> wedge per translate (2*k_range + 1 in total) plus two
-    boundary <line> elements along the float slopes +-sqrt(a/b).
+    One <path> wedge per translate (2*k_range + 1 in total, 0 <= k_range
+    <= 64) plus two boundary <line> elements along the float slopes
+    +-sqrt(a/b).
     """
     if pi.dim != 2:
         raise UnsupportedDimension("rendering draws planar cones only")
-    if k_range < 0:
-        raise AmpleconesError("--k-range must be nonnegative")
+    if not 0 <= k_range <= _MAX_K_RANGE:
+        raise AmpleconesError(f"--k-range must be between 0 and {_MAX_K_RANGE}, got {k_range}")
     width = height = 420.0
     origin_x, origin_y = 30.0, height / 2.0
     radius = 360.0
@@ -230,9 +232,12 @@ def render_svg(pi: PolyhedralCone, g: reduction.GroupAction2D, k_range: int) -> 
             f'x2="{fmt(x)}" y2="{fmt(y)}" stroke="#333333" stroke-width="1.5"/>'
         )
     wedges = []
-    for k in range(-k_range, k_range + 1):
-        rays = [g.ray_image(r, k) for r in pi.rays]
-        pts = [to_screen(r) for r in rays]
+    orbits = [reduction._orbit(r, g, k_range) for r in pi.rays]
+    for k, rays in zip(range(-k_range, k_range + 1), zip(*orbits)):
+        # a common shift by a power of two keeps huge integer directions
+        # within float range; smaller ones are drawn unshifted
+        shifts = [max(0, max(map(abs, r)).bit_length() - 1023) for r in rays]
+        pts = [to_screen((r[0] >> s, r[1] >> s)) for r, s in zip(rays, shifts)]
         fill = "#e05a33" if k == 0 else ("#7a9ec9" if k % 2 else "#b8cde3")
         path = (
             f'M {fmt(origin_x)},{fmt(origin_y)} '

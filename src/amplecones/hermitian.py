@@ -265,9 +265,6 @@ class HermitianMatrix:
     def to_algebra(self) -> AlgebraMatrix:
         return AlgebraMatrix(self.kind, self.entries)
 
-    def diagonal_values(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i].real for i in range(self.size))
-
     def __eq__(self, other):
         if isinstance(other, HermitianMatrix):
             return (

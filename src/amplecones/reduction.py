@@ -6,11 +6,15 @@ convention on the boundary), location of points inside translates of a
 candidate cone under an infinite-cyclic group action on a quadratic cone,
 and a sampling verifier for the two fundamental-domain axioms: translates
 cover the open cone, and distinct translates have disjoint interiors.
+
+Both domain questions read one translate table, the candidate's extreme
+rays pushed through g^k by integer matrix-vector products.  The generator
+has det g > 0, so it moves every interior ray the same way and both
+questions are signs of 2 x 2 integer cross products.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +28,8 @@ from .errors import (
     ShapeMismatch,
     format_point,
 )
-from .polyhedral import PolyhedralCone, cone_intersection, poly_member, primitive_vector
+from .polyhedral import PolyhedralCone, primitive_vector
+from .polyhedral import cone_intersection  # noqa: F401 (bench/tracing.py patches it)
 
 
 @dataclass(frozen=True)
@@ -140,19 +145,6 @@ def _fraction_matrix(rows):
     return tuple(out)
 
 
-def _scale_to_int_matrix(rows):
-    lcm = 1
-    for row in rows:
-        for c in row:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [[int(c * lcm) for c in row] for row in rows]
-    g = 0
-    for row in ints:
-        for c in row:
-            g = math.gcd(g, c)
-    return tuple(tuple(c // g for c in row) for row in ints)
-
-
 def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
@@ -162,9 +154,10 @@ class GroupAction2D:
     {a*x1^2 - b*x2^2 > 0, x1 > 0}.
 
     The generator must preserve the form a*x1^2 - b*x2^2 up to a positive
-    scalar and map the x1 > 0 sheet to itself.  Internally a primitive
-    integer scaling of the generator (and of its inverse) is kept, which is
-    all that ray computations need.
+    scalar, map the x1 > 0 sheet to itself and have det > 0, so that it
+    keeps the orientation of rays.  Internally a primitive integer scaling
+    of the generator and its adjugate (a positive multiple of the inverse)
+    are kept, which is all that ray computations need.
     """
 
     __slots__ = ("generator", "a", "b", "_fwd", "_bwd")
@@ -187,13 +180,11 @@ class GroupAction2D:
             raise InvalidInput("generator does not preserve the quadratic cone")
         if g11 <= 0:
             raise InvalidInput("generator swaps the two sheets of the cone")
-        fwd = _scale_to_int_matrix(rows)
-        d = fwd[0][0] * fwd[1][1] - fwd[0][1] * fwd[1][0]
-        sign = 1 if d > 0 else -1
-        bwd = (
-            (sign * fwd[1][1], -sign * fwd[0][1]),
-            (-sign * fwd[1][0], sign * fwd[0][0]),
-        )
+        if det < 0:
+            raise InvalidInput("generator reverses orientation (det < 0)")
+        f = primitive_vector(rows[0] + rows[1])
+        fwd = ((f[0], f[1]), (f[2], f[3]))
+        bwd = ((f[3], -f[1]), (-f[2], f[0]))
         object.__setattr__(self, "generator", rows)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -279,28 +270,62 @@ class DomainReport:
         }
 
 
-def _upper_boundary_ray(pi: PolyhedralCone, action: GroupAction2D):
-    """The generator of pi that the action carries the other generator onto,
-    if pi is of the form cone{R, g(R)}; None otherwise.
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
-    Points on that ray belong to the next translate, making the located
-    index a well-defined, shift-equivariant function.
+
+def _between(u, v):
+    u, v = primitive_vector(u), primitive_vector(v)
+    return list(primitive_vector((u[0] + v[0], u[1] + v[1])))
+
+
+def _orbit(v, action: GroupAction2D, max_word: int) -> list:
+    """Positive integer multiples of g^k v for k = -max_word..max_word."""
+    up, down = [v], [v]
+    for _ in range(max_word):
+        up.append(_mat_vec(action._fwd, up[-1]))
+        down.append(_mat_vec(action._bwd, down[-1]))
+    return down[:0:-1] + up
+
+
+def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
+    """(rows, open_low, open_high): rows maps k = -max_word..max_word, in
+    that order, to (g^k low, g^k high) for the extreme rays of pi in slope
+    order (closed-cone rays have x1 > 0).  If pi is cone{R, g(R)}, the side
+    that g carries the other onto is open (flag 1), so the located index is
+    a well-defined, shift-equivariant function.
     """
-    if len(pi.rays) != 2:
-        return None
-    u, v = pi.rays
-    if action.ray_image(u, 1) == v:
-        return v
-    if action.ray_image(v, 1) == u:
-        return u
+    if pi.dim != 2:
+        raise ShapeMismatch("translate location works in the plane")
+    for ray in pi.rays:
+        if not action.closed_member(ray):
+            raise PreconditionViolated(f"generator {ray} of pi is outside the closed cone")
+    rays = sorted(pi.rays, key=lambda r: Fraction(r[1], r[0]))
+    low, high = rays[0], rays[-1]
+    open_low = open_high = 0
+    if len(rays) == 2:  # both rays have x1 > 0, so collinear means equal rays
+        open_low = int(_cross(_mat_vec(action._fwd, high), low) == 0)
+        open_high = int(_cross(_mat_vec(action._fwd, low), high) == 0)
+    rows = zip(_orbit(low, action, max_word), _orbit(high, action, max_word))
+    return dict(zip(range(-max_word, max_word + 1), rows)), open_low, open_high
+
+
+def _direction(p, action: GroupAction2D):
+    """The positive integer direction of a rational point of the open cone."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    if not action.open_member((x, y)):
+        raise NotInCone(f"point {format_point((x, y))} is outside the open cone")
+    return x.numerator * y.denominator, y.numerator * x.denominator
+
+
+def _locate(p, table):
+    """The first k from -max_word up with the integer direction p in g^k pi,
+    or None.  On an open side a cross product must be >= 1, that is > 0."""
+    rows, open_low, open_high = table
+    for k, (low, high) in rows.items():
+        if _cross(low, p) >= open_low and _cross(p, high) >= open_high:
+            return k
     return None
-
-
-def _on_ray(v, ray) -> bool:
-    pivot = next(i for i, c in enumerate(ray) if c)
-    if v[pivot] * ray[pivot] <= 0:
-        return False
-    return all(v[i] * ray[pivot] == ray[i] * v[pivot] for i in range(len(ray)))
 
 
 def translate_locate(
@@ -313,25 +338,15 @@ def translate_locate(
 
     Cells are half open: a point on the shared ray of pi and g(pi) is
     assigned to the translate on whose lower boundary it sits, so locating
-    commutes with the group action.
+    commutes with the action.  The rays of pi must lie in the closed cone.
     """
     p = (Fraction(p[0]), Fraction(p[1]))
-    if not action.open_member(p):
-        raise NotInCone(f"point {format_point(p)} is outside the open cone")
-    if pi.dim != 2:
-        raise ShapeMismatch("translate location works in the plane")
-    upper = _upper_boundary_ray(pi, action)
-    v = primitive_vector(p)
-    q = action.ray_image(v, max_word)  # g^(-k) p for k = -max_word
-    for k in range(-max_word, max_word + 1):
-        if poly_member(pi, q, interior=False) and (
-            upper is None or not _on_ray(q, upper)
-        ):
-            return k
-        q = action.ray_image(q, -1)
-    raise NotFundamental(
-        f"translates g^k pi with |k| <= {max_word} miss the point {format_point(p)}"
-    )
+    k = _locate(_direction(p, action), _translates(pi, action, max_word))
+    if k is None:
+        raise NotFundamental(
+            f"translates g^k pi with |k| <= {max_word} miss the point {format_point(p)}"
+        )
+    return k
 
 
 def verify_fundamental_domain(
@@ -343,20 +358,25 @@ def verify_fundamental_domain(
 ) -> DomainReport:
     """Check both fundamental-domain axioms at desk scale.
 
-    Covering: every one of ``samples`` seeded rational points of the open
-    cone lies in some translate g^k pi with |k| <= max_word.  Disjointness:
-    for 1 <= |k| <= max_word the interiors of pi and g^k pi do not meet
-    (tested exactly through cone intersection).  The report is a
-    deterministic function of (pi, action, samples, max_word, seed); each
-    sample's verdict is independent of the others.
+    Covering: pi and g(pi) leave no gap (exact; a gap is the first uncovered
+    witness), and each of ``samples`` seeded rational points of the open
+    cone lies in some g^k pi with |k| <= max_word.  Disjointness: for
+    1 <= |k| <= max_word the interiors of pi and g^k pi do not meet (exact,
+    from the slope order of the table).  The report is a deterministic
+    function of (pi, action, samples, max_word, seed); each sample's
+    verdict is independent of the others.
     """
     if samples < 1 or max_word < 1:
         raise InvalidInput("samples and max_word must be positive")
-    for ray in pi.rays:
-        if not action.closed_member(ray):
-            raise PreconditionViolated(
-                f"generator {ray} of pi is outside the closed cone"
-            )
+    table = _translates(pi, action, max_word)
+    rows = table[0]
+    (low, high), (g_low, g_high) = rows[0], rows[1]
+    witnesses = []
+    # g moves every ray the same way, so a gap between pi and g(pi) is
+    # never closed by another translate
+    for a, b in ((high, g_low), (g_high, low)):
+        if _cross(a, b) > 0:
+            witnesses.append({"kind": "uncovered", "point": _between(a, b)})
     rng = random.Random(seed)
     # the form is proportional to A*x1^2 - B*x2^2 with integer A, B
     A = action.a.numerator * action.b.denominator
@@ -367,46 +387,26 @@ def verify_fundamental_domain(
         n2, d2 = rng.randint(-60, 60), rng.randint(1, 20)
         x, y = n1 * d2, n2 * d1
         if A * x * x > B * y * y:
-            points.append((Fraction(n1, d1), Fraction(n2, d2), (x, y)))
-
-    witnesses = []
-    covering_ok = True
+            points.append((Fraction(n1, d1), Fraction(n2, d2)))
     words_used = 0
-    for x1, x2, direction in points:
-        try:
-            k = translate_locate(direction, pi, action, max_word=max_word)
-        except NotFundamental:
-            covering_ok = False
-            witnesses.append(
-                {
-                    "kind": "uncovered",
-                    "point": [_fraction_json(x1), _fraction_json(x2)],
-                }
-            )
-            continue
-        words_used = max(words_used, abs(k))
-
-    disjoint_ok = True
+    for point in points:
+        k = _locate(_direction(point, action), table)  # the route of translate_locate
+        if k is not None:
+            words_used = max(words_used, abs(k))
+        else:
+            point = [_fraction_json(c) for c in point]
+            witnesses.append({"kind": "uncovered", "point": point})
     for k in [k for step in range(1, max_word + 1) for k in (step, -step)]:
-        translate = action.translate_cone(pi, k)
-        overlap = cone_intersection(pi, translate)
-        if overlap is None or len(overlap.rays) < 2:
-            continue  # meets in at most a ray: interiors stay disjoint
-        disjoint_ok = False
-        interior_point = tuple(
-            sum(r[i] for r in overlap.rays) for i in range(2)
-        )
-        witnesses.append(
-            {
-                "kind": "overlap",
-                "k": k,
-                "point": [int(c) for c in primitive_vector(interior_point)],
-            }
-        )
+        low_k, high_k = rows[k]
+        lo = low_k if _cross(low, low_k) > 0 else low
+        hi = high_k if _cross(high_k, high) > 0 else high
+        if _cross(lo, hi) > 0:  # more than a ray in common: the interiors meet
+            witnesses.append({"kind": "overlap", "k": k, "point": _between(lo, hi)})
 
+    kinds = {w["kind"] for w in witnesses}
     return DomainReport(
-        covering_ok=covering_ok,
-        disjoint_ok=disjoint_ok,
+        covering_ok="uncovered" not in kinds,
+        disjoint_ok="overlap" not in kinds,
         witnesses=tuple(witnesses),
         words_used=words_used,
     )

@@ -90,7 +90,12 @@ class QuadIrrational:
         raise AttributeError("QuadIrrational is immutable")
 
     def _wrap(self, a, b) -> "QuadIrrational":
-        return QuadIrrational(self.d, a, b)
+        # results share self.d, which the public constructor checked
+        obj = object.__new__(QuadIrrational)
+        object.__setattr__(obj, "d", self.d)
+        object.__setattr__(obj, "a", Fraction(a))
+        object.__setattr__(obj, "b", Fraction(b))
+        return obj
 
     def _coerce(self, other):
         if isinstance(other, QuadIrrational):

@@ -19,10 +19,18 @@ from amplecones import (
     AlgebraMatrix,
     GaussianRational,
     HermitianMatrix,
+    NotFundamental,
+    NotInCone,
+    PreconditionViolated,
     RationalQuaternion,
     ScalarKind,
+    ShapeMismatch,
     SimpleFactor,
+    cone_intersection,
+    poly_member,
+    primitive_vector,
 )
+from amplecones.errors import format_point
 
 MATRIX_KINDS = (ScalarKind.REAL, ScalarKind.COMPLEX, ScalarKind.QUATERNION)
 
@@ -266,6 +274,99 @@ def caratheodory_member(rays, v, dim: int) -> bool:
                         return True
                 break
     return False
+
+
+# --- reference translate location and domain verification ------------------
+
+def _reference_upper_ray(pi, action):
+    """The ray of a two-ray pi that the action carries the other ray onto."""
+    if len(pi.rays) != 2:
+        return None
+    u, v = pi.rays
+    if action.ray_image(u, 1) == v:
+        return v
+    if action.ray_image(v, 1) == u:
+        return u
+    return None
+
+
+def _on_ray(v, ray) -> bool:
+    pivot = next(i for i, c in enumerate(ray) if c)
+    if v[pivot] * ray[pivot] <= 0:
+        return False
+    return all(v[i] * ray[pivot] == ray[i] * v[pivot] for i in range(len(ray)))
+
+
+def reference_translate_locate(p, pi, action, max_word: int = 24) -> int:
+    """translate_locate by a linear scan: walk q = g^(-k) p from
+    k = -max_word upward and test q against pi's facets with poly_member,
+    leaving out the upper boundary ray of a cone{R, g(R)}."""
+    p = (Fraction(p[0]), Fraction(p[1]))
+    if not action.open_member(p):
+        raise NotInCone(f"point {format_point(p)} is outside the open cone")
+    if pi.dim != 2:
+        raise ShapeMismatch("translate location works in the plane")
+    upper = _reference_upper_ray(pi, action)
+    q = action.ray_image(primitive_vector(p), max_word)
+    for k in range(-max_word, max_word + 1):
+        if poly_member(pi, q) and (upper is None or not _on_ray(q, upper)):
+            return k
+        q = action.ray_image(q, -1)
+    raise NotFundamental(
+        f"translates g^k pi with |k| <= {max_word} miss the point {format_point(p)}"
+    )
+
+
+def _fraction_json(f: Fraction):
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def reference_verify(pi, action, samples: int, max_word: int, seed: int) -> dict:
+    """The JSON report of verify_fundamental_domain from the same seeded
+    samples, located by the linear scan, and with disjointness decided by
+    double description of pi and each translate g^k pi.  No exact gap
+    test: covering is sampled only."""
+    for ray in pi.rays:
+        if not action.closed_member(ray):
+            raise PreconditionViolated(
+                f"generator {ray} of pi is outside the closed cone"
+            )
+    rng = random.Random(seed)
+    A = action.a.numerator * action.b.denominator
+    B = action.b.numerator * action.a.denominator
+    points = []
+    while len(points) < samples:
+        n1, d1 = rng.randint(1, 60), rng.randint(1, 20)
+        n2, d2 = rng.randint(-60, 60), rng.randint(1, 20)
+        x, y = n1 * d2, n2 * d1
+        if A * x * x > B * y * y:
+            points.append((Fraction(n1, d1), Fraction(n2, d2), (x, y)))
+    witnesses = []
+    words_used = 0
+    for x1, x2, direction in points:
+        try:
+            k = reference_translate_locate(direction, pi, action, max_word)
+        except NotFundamental:
+            witnesses.append(
+                {"kind": "uncovered", "point": [_fraction_json(x1), _fraction_json(x2)]}
+            )
+            continue
+        words_used = max(words_used, abs(k))
+    covering_ok = not witnesses
+    for k in [k for step in range(1, max_word + 1) for k in (step, -step)]:
+        overlap = cone_intersection(pi, action.translate_cone(pi, k))
+        if overlap is None or len(overlap.rays) < 2:
+            continue
+        point = tuple(sum(r[i] for r in overlap.rays) for i in range(2))
+        witnesses.append(
+            {"kind": "overlap", "k": k, "point": list(primitive_vector(point))}
+        )
+    return {
+        "covering_ok": covering_ok,
+        "disjoint_ok": not any(w["kind"] == "overlap" for w in witnesses),
+        "witnesses": witnesses,
+        "words_used": words_used,
+    }
 
 
 # --- random abelian-variety models ----------------------------------------------

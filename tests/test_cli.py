@@ -121,6 +121,27 @@ class TestExitCodes:
     def test_ray_outside_cone_is_two(self, capsys):
         assert main(["funddomain", "--d", "2", "--ray", "1,1"]) == 2
 
+    def test_orientation_reversing_generator_is_two(self, capsys):
+        # form- and sheet-preserving, but det = -1: a reflection of rays
+        assert main(["verify", "--d", "2", "--pi", "1,0;3,2", "--g", "3,-4,2,-3"]) == 2
+        assert "det < 0" in capsys.readouterr().err
+
+    def test_scalar_generator_is_one(self, tmp_path):
+        # det > 0 is accepted; every translate then overlaps pi
+        out = tmp_path / "report.json"
+        argv = ["verify", "--d", "2", "--pi", "1,0;3,2", "--g", "1,0,0,1", "--max-word", "2"]
+        assert main(argv + ["--output", str(out)]) == 1
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert [w["k"] for w in payload["witnesses"] if w["kind"] == "overlap"] == [1, -1, 2, -2]
+
+    def test_gap_between_translates_is_one(self, tmp_path):
+        # g(1, 0) = (3, 2) lies strictly above the candidate's upper ray
+        out = tmp_path / "report.json"
+        assert main(["verify", "--d", "2", "--pi", "1,0;3000001,2000000", "--output", str(out)]) == 1
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["covering_ok"] is False and payload["disjoint_ok"] is True
+        assert payload["witnesses"] == [{"kind": "uncovered", "point": [1500002, 1000001]}]
+
     def test_pi_outside_closed_cone_is_two(self, capsys):
         assert main(["verify", "--d", "2", "--pi", "1,0;1,1"]) == 2
         assert "closed cone" in capsys.readouterr().err
@@ -138,6 +159,22 @@ class TestRender:
         text = out.read_text(encoding="utf-8")
         assert text.count("<path") == 1
         assert text.count("<line") == 2
+
+    def test_huge_coordinates_are_drawn(self, tmp_path):
+        # the squared unit of Z[sqrt(1000003)] has 1663-bit entries, beyond
+        # float range
+        out = tmp_path / "fig.svg"
+        argv = ["render", "--d", "1000003", "--ray", "1001,0", "--k-range", "1"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").count("<path") == 3
+
+    def test_k_range_is_bounded(self, tmp_path, capsys):
+        out = tmp_path / "fig.svg"
+        assert main(["render", "--d", "2", "--k-range", "500", "--output", str(out)]) == 2
+        assert "--k-range must be between 0 and 64" in capsys.readouterr().err
+        assert main(["render", "--d", "2", "--k-range", "-1"]) == 2
+        assert main(["render", "--d", "2", "--k-range", "64", "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").count("<path") == 129
 
     def test_non_planar_cone_rejected(self):
         _, action = real_mult_fundamental_domain(2, (1, 0))

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 from fractions import Fraction
@@ -18,11 +19,18 @@ from amplecones import (
     UnimodularMatrix,
     minkowski_reduce,
     poly_member,
+    primitive_vector,
     real_mult_fundamental_domain,
     translate_locate,
     verify_fundamental_domain,
 )
-from support import form_lex_key, random_pd_form, sl2z_word_minimum
+from support import (
+    form_lex_key,
+    random_pd_form,
+    reference_translate_locate,
+    reference_verify,
+    sl2z_word_minimum,
+)
 
 
 def as_triple(form: IntegralForm):
@@ -99,6 +107,9 @@ class TestGroupAction2D:
             GroupAction2D([[-3, -4], [-2, -3]], 1, 2)  # swaps the sheets
         with pytest.raises(InvalidInput):
             GroupAction2D([[3, 4], [2, 3]], 1, -2)
+        with pytest.raises(InvalidInput, match="det < 0"):
+            # preserves the form and the sheet, but reflects rays
+            GroupAction2D([[3, -4], [2, -3]], 1, 2)
 
     def test_apply_and_ray_image(self):
         _, action = d2_setup()
@@ -236,6 +247,118 @@ class TestVerifyFundamentalDomain:
     def test_report_invariant(self):
         with pytest.raises(InvalidInput):
             DomainReport(covering_ok=False, disjoint_ok=True, witnesses=())
+
+    def test_gap_between_translates_is_an_exact_witness(self):
+        # g(1, 0) = (3, 2) lies above the upper ray, so no sample finds the
+        # gap, but the table does
+        _, action = d2_setup()
+        narrow = PolyhedralCone(2, [(1, 0), (3000001, 2000000)])
+        report = verify_fundamental_domain(narrow, action, samples=200, max_word=12, seed=0)
+        assert not report.covering_ok and report.disjoint_ok
+        assert report.witnesses == ({"kind": "uncovered", "point": [1500002, 1000001]},)
+        # under the inverse generator the gap faces the lower ray:
+        # g^(-1)(3000001, 2000000) = (1000003, -2)
+        inverse = GroupAction2D([[3, -4], [-2, 3]], 1, 2)
+        report = verify_fundamental_domain(narrow, inverse, samples=200, max_word=12, seed=0)
+        assert report.witnesses == ({"kind": "uncovered", "point": [500002, -1]},)
+
+    def test_scalar_generator_overlaps_every_translate(self):
+        pi, _ = d2_setup()
+        report = verify_fundamental_domain(pi, GroupAction2D([[1, 0], [0, 1]], 1, 2),
+                                           samples=20, max_word=3, seed=0)
+        assert not report.covering_ok and not report.disjoint_ok
+        overlaps = [w for w in report.witnesses if w["kind"] == "overlap"]
+        assert [w["k"] for w in overlaps] == [1, -1, 2, -2, 3, -3]
+        assert all(w["point"] == [2, 1] for w in overlaps)
+
+
+SMALL_SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30)
+SHAPES = ("fundamental", "overlapping", "gapped", "reversed", "redundant", "single")
+
+
+def _random_open_ray(rng, d):
+    while True:
+        ray = (rng.randint(1, 12), rng.randint(-4, 4))
+        if ray[0] ** 2 > d * ray[1] ** 2:
+            return ray
+
+
+def _random_candidate(rng, shape):
+    """A candidate cone built from g^a R and g^b R, its action (the squared
+    unit or its inverse) and a max_word."""
+    d = rng.choice(SMALL_SQUAREFREE)
+    ray = _random_open_ray(rng, d)
+    _, action = real_mult_fundamental_domain(d, ray)
+    if rng.random() < 0.5:
+        (p, dq), (q, _) = action.generator
+        action = GroupAction2D([[p, -dq], [-q, p]], 1, d)
+    a = rng.randint(-2, 2)
+    lo, hi = action.ray_image(ray, a), action.ray_image(ray, a + 1)
+    middle = primitive_vector((lo[0] + hi[0], lo[1] + hi[1]))
+    rays = {
+        "fundamental": [lo, hi],
+        "overlapping": [lo, action.ray_image(ray, a + 2)],
+        "gapped": rng.choice([[lo, middle], [middle, hi]]),
+        "reversed": [hi, lo],
+        "redundant": rng.sample([lo, middle, hi], 3),
+        "single": [lo],
+    }[shape]
+    return PolyhedralCone(2, rays), action, rng.choice((1, 2, 5, 12))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compare the exception type and message
+        return type(exc), str(exc)
+
+
+def _gap_witness(pi, action):
+    """The uncovered witness between pi and g(pi), from their slope
+    intervals, or None when they touch or overlap."""
+    slope = lambda r: Fraction(r[1], r[0])  # noqa: E731
+    lo, hi = min(pi.rays, key=slope), max(pi.rays, key=slope)
+    g_lo, g_hi = action.ray_image(lo), action.ray_image(hi)
+    for a, b in ((hi, g_lo), (g_hi, lo)):
+        if slope(b) > slope(a):
+            point = primitive_vector((a[0] + b[0], a[1] + b[1]))
+            return {"kind": "uncovered", "point": list(point)}
+    return None
+
+
+class TestTranslateTable:
+    """translate_locate and verify_fundamental_domain against the reference
+    scan and double-description loop of tests/support.py; the only allowed
+    difference is the exact gap witness."""
+
+    def test_matches_reference_scan(self):
+        rng = random.Random(2014)
+        gaps = collections.Counter()
+        for index in range(1020):
+            shape = SHAPES[index % len(SHAPES)]
+            pi, action, max_word = _random_candidate(rng, shape)
+            d = action.b
+            points = [
+                _random_open_ray(rng, d),
+                (Fraction(rng.randint(1, 40), rng.randint(1, 7)),
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 7))),
+                action.ray_image(rng.choice(pi.rays), rng.randint(-3, 3)),
+                (1, 1),
+            ]
+            for p in points:
+                ours = _outcome(lambda: translate_locate(p, pi, action, max_word=max_word))
+                theirs = _outcome(lambda: reference_translate_locate(p, pi, action, max_word))
+                assert ours == theirs, (shape, pi, action.generator, max_word, p)
+            seed = rng.randrange(1000)
+            report = verify_fundamental_domain(pi, action, samples=4, max_word=max_word, seed=seed)
+            expected = reference_verify(pi, action, samples=4, max_word=max_word, seed=seed)
+            gap = _gap_witness(pi, action)
+            if gap is not None:
+                gaps[shape] += 1
+                expected["covering_ok"] = False
+                expected["witnesses"].insert(0, gap)
+            assert report.to_json_dict() == expected, (shape, pi, action.generator, max_word, seed)
+        assert gaps == {"gapped": 170, "single": 170}
 
 
 class TestRealMultIntegration:

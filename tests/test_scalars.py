@@ -148,6 +148,22 @@ class TestQuadIrrational:
         with pytest.raises(InvalidInput):
             QuadIrrational(12, 1, 1)
 
+    def test_results_do_not_recheck_the_radicand(self, monkeypatch):
+        # only the public constructor factors d; arithmetic results reuse it
+        from amplecones import scalars
+
+        calls = []
+        original = scalars.squarefree_part
+        monkeypatch.setattr(
+            scalars, "squarefree_part", lambda n: calls.append(n) or original(n)
+        )
+        x = QuadIrrational(10**12 + 39, Fraction(1, 2), 3)
+        assert calls == [10**12 + 39]
+        y = (x * x + 1 - x) / (x ** 3) - 2
+        assert (-y).conjugate().d == 10**12 + 39
+        assert y * y.inverse() == 1
+        assert calls == [10**12 + 39]
+
 
 class TestGaussianRational:
     def test_field_axioms_sampled(self):

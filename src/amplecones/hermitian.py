@@ -73,6 +73,8 @@ def hermitian_dimension(kind: ScalarKind, r: int) -> int:
 
 def _coerce_entry(kind: ScalarKind, value):
     if kind is ScalarKind.REAL:
+        if type(value) is Fraction:
+            return value  # immutable, so no copy is needed
         if isinstance(value, _RationalLike):
             return Fraction(value)
     elif kind is ScalarKind.COMPLEX:
@@ -88,6 +90,22 @@ def _coerce_entry(kind: ScalarKind, value):
     else:
         raise Unsupported("octonion entries are not supported")
     raise ShapeMismatch(f"entry {value!r} does not belong to scalar kind {kind.value}")
+
+
+def _trusted(cls, kind: ScalarKind, entries):
+    """An AlgebraMatrix or HermitianMatrix of ``kind`` from a tuple of entry
+    tuples that are already scalars of that kind, with no validation.
+
+    Only results of the library's own exact arithmetic come through here:
+    their entries have the right kind by construction, and a result that is
+    self-adjoint in exact arithmetic (M* D M, L diag L*) is so entry for
+    entry.  The public constructors keep full validation.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "kind", kind)
+    object.__setattr__(obj, "size", len(entries))
+    object.__setattr__(obj, "entries", entries)
+    return obj
 
 
 def _zero(kind: ScalarKind):
@@ -158,8 +176,8 @@ class AlgebraMatrix:
                 for k in range(1, n):
                     acc = acc + a[i][k] * b[k][j]
                 row.append(acc)
-            rows.append(row)
-        return AlgebraMatrix(self.kind, rows)
+            rows.append(tuple(row))
+        return _trusted(AlgebraMatrix, self.kind, tuple(rows))
 
     def __add__(self, other):
         if isinstance(other, HermitianMatrix):
@@ -167,25 +185,28 @@ class AlgebraMatrix:
         if not isinstance(other, AlgebraMatrix):
             return NotImplemented
         self._require_compatible(other)
-        return AlgebraMatrix(
+        return _trusted(
+            AlgebraMatrix,
             self.kind,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ],
+            tuple(
+                tuple(a + b for a, b in zip(row, other_row))
+                for row, other_row in zip(self.entries, other.entries)
+            ),
         )
 
     def __neg__(self):
-        return AlgebraMatrix(
-            self.kind, [[-v for v in row] for row in self.entries]
+        return _trusted(
+            AlgebraMatrix,
+            self.kind,
+            tuple(tuple(-v for v in row) for row in self.entries),
         )
 
     def star(self) -> "AlgebraMatrix":
         """Conjugate transpose."""
-        n = self.size
-        return AlgebraMatrix(
+        return _trusted(
+            AlgebraMatrix,
             self.kind,
-            [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)],
+            tuple(tuple(v.conjugate() for v in col) for col in zip(*self.entries)),
         )
 
     def is_invertible(self) -> bool:
@@ -241,9 +262,11 @@ class HermitianMatrix:
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         m = AlgebraMatrix(kind, rows)
+        real = kind is ScalarKind.REAL  # see trace_inner_product
         for i in range(m.size):
             for j in range(i, m.size):
-                if m.entries[i][j] != m.entries[j][i].conjugate():
+                other = m.entries[j][i]
+                if m.entries[i][j] != (other if real else other.conjugate()):
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
@@ -263,7 +286,7 @@ class HermitianMatrix:
         return cls(kind, AlgebraMatrix.diagonal(kind, values).entries)
 
     def to_algebra(self) -> AlgebraMatrix:
-        return AlgebraMatrix(self.kind, self.entries)
+        return _trusted(AlgebraMatrix, self.kind, self.entries)
 
     def __eq__(self, other):
         if isinstance(other, HermitianMatrix):
@@ -297,10 +320,13 @@ def _require_same_space(x, y):
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     """Real part of Tr(x y*): the pairing making each matrix cone self-dual."""
     _require_same_space(x, y)
+    # conjugation and the real part are the identity on R, where a
+    # Fraction's conjugate() and real would each allocate a new Fraction
+    real = x.kind is ScalarKind.REAL
     total = Fraction(0)
-    for i in range(x.size):
-        for j in range(x.size):
-            total += (x.entries[i][j] * y.entries[i][j].conjugate()).real
+    for row, other in zip(x.entries, y.entries):
+        for a, b in zip(row, other):
+            total += a * b if real else (a * b.conjugate()).real
     return total
 
 
@@ -366,7 +392,7 @@ def ldl_witness(D: HermitianMatrix):
     lower, delta, v = _eliminate(D)
     if v is not None or not all(delta):
         raise NotPositiveDefinite("matrix has a non-positive pivot")
-    return AlgebraMatrix(D.kind, lower), delta
+    return _trusted(AlgebraMatrix, D.kind, tuple(map(tuple, lower))), delta
 
 
 def is_positive_semidefinite(D: HermitianMatrix) -> bool:
@@ -403,7 +429,7 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
     if not M.is_invertible():
         raise SingularMatrix("action matrix is singular")
     result = M.star() * D.to_algebra() * M
-    return HermitianMatrix(D.kind, result.entries)
+    return _trusted(HermitianMatrix, D.kind, result.entries)
 
 
 class LorentzVector:

@@ -9,6 +9,11 @@ Four scalar families, all with arbitrary-precision integer backbones:
 * :class:`GaussianRational` -- elements of Q(i);
 * :class:`RationalQuaternion` -- the rational Hamilton quaternions.
 
+The last two store a tuple of integer numerators over one positive common
+denominator, in lowest terms, and do their arithmetic on those integers;
+results come from a private trusted constructor, and a ``Fraction`` is built
+only where a coefficient is read out.
+
 On top of these sit continued fractions of square roots, fundamental units of
 the orders Z[sqrt(d)], total positivity, and the unit-group rank formula
 r1 + r2 - 1.
@@ -247,119 +252,175 @@ class QuadIrrational:
 class _RationalAlgebra:
     """Value semantics shared by the rational algebras Q(i) and H(Q).
 
-    An element is the tuple of its ``Fraction`` coefficients on a basis whose
-    first vector is 1: conjugation negates every other coefficient and the
-    norm is the sum of their squares.  A subclass supplies its coefficient
-    names, the product ``_product(a, b)`` of two coefficient tuples, and
-    ``__str__``.  Plain integers and rationals embed as real elements;
-    elements of two different algebras never mix.
+    An element is stored as a tuple ``_num`` of Python integers over one
+    positive common denominator ``_den``, kept in lowest terms (the gcd of
+    the denominator and every numerator is 1), so that equal values have
+    identical state.  The coefficients are taken on a basis whose first
+    vector is 1: conjugation negates every other coefficient and the norm is
+    the sum of their squares.  Arithmetic works on the integers alone and
+    reduces each result with one ``math.gcd``; a ``Fraction`` is built only
+    where a coefficient leaves the class (``real``, ``norm``, the named
+    coefficient properties, ``repr``/``str`` and ``hash``).  A subclass
+    supplies its coefficient names, the product ``_product(a, b)`` of two
+    numerator tuples, and ``__str__``.  Plain integers and rationals embed as
+    real elements; elements of two different algebras never mix.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, *coeffs) -> None:
-        object.__setattr__(self, "_coeffs", tuple(Fraction(c) for c in coeffs))
+        nums, dens = zip(*[Fraction(c).as_integer_ratio() for c in coeffs])
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators and the denominator stay coprime
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = tuple([n * (den // d) for n, d in zip(nums, dens)])
+        object.__setattr__(self, "_num", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _make(cls, coeffs: tuple):
+    def _make(cls, num: tuple, den: int):
+        """Trusted constructor: ``num``/``den`` already in lowest terms."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "_coeffs", coeffs)
+        object.__setattr__(obj, "_num", num)
+        object.__setattr__(obj, "_den", den)
         return obj
+
+    @classmethod
+    def _reduce(cls, num: tuple, den: int):
+        """The element num/den for integers num and den > 0."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        return cls._make(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        """(numerators, denominator) of an operand, or None if it is foreign."""
         if isinstance(other, type(self)):
-            return other
+            return other._num, other._den
         if isinstance(other, _RationalLike):
-            zeros = (Fraction(0),) * (len(self._coeffs) - 1)
-            return self._make((Fraction(other),) + zeros)
+            zeros = (0,) * (len(self._num) - 1)
+            return (other.numerator,) + zeros, other.denominator
         return None
+
+    def _fraction(self, index: int) -> Fraction:
+        return Fraction(self._num[index], self._den)
+
+    def _fractions(self) -> tuple:
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     @property
     def real(self) -> Fraction:
-        return self._coeffs[0]
+        return self._fraction(0)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._make(tuple(a + b for a, b in zip(self._coeffs, o._coeffs)))
+        num, den = o
+        if den == self._den:
+            return self._reduce(tuple(a + b for a, b in zip(self._num, num)), den)
+        return self._reduce(
+            tuple(a * den + b * self._den for a, b in zip(self._num, num)),
+            self._den * den,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._make(tuple(a - b for a, b in zip(self._coeffs, o._coeffs)))
+        num, den = o
+        if den == self._den:
+            return self._reduce(tuple(a - b for a, b in zip(self._num, num)), den)
+        return self._reduce(
+            tuple(a * den - b * self._den for a, b in zip(self._num, num)),
+            self._den * den,
+        )
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return self._make(*o) - self
 
     def __neg__(self):
-        return self._make(tuple(-c for c in self._coeffs))
+        return self._make(tuple(-c for c in self._num), self._den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._make(self._product(self._coeffs, o._coeffs))
+        num, den = o
+        return self._reduce(self._product(self._num, num), self._den * den)
 
     def __rmul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._make(self._product(o._coeffs, self._coeffs))
+        num, den = o
+        return self._reduce(self._product(num, self._num), den * self._den)
 
     def conjugate(self):
-        first, *rest = self._coeffs
-        return self._make((first,) + tuple(-c for c in rest))
+        first, *rest = self._num
+        return self._make((first,) + tuple(-c for c in rest), self._den)
 
     def norm(self) -> Fraction:
         """Sum of the squared coefficients; zero only at zero."""
-        return sum(c * c for c in self._coeffs)
+        return Fraction(sum(c * c for c in self._num), self._den * self._den)
 
-    def inverse(self):
-        n = self.norm()
+    def _inverse(self, num: tuple, den: int):
+        # (num/den)^{-1} = conj(num) * den / |num|^2
+        n = sum(c * c for c in num)
         if n == 0:
             raise ZeroDivisionError(f"division by zero {type(self).__name__}")
-        return self._make(tuple(c / n for c in self.conjugate()._coeffs))
+        first, *rest = num
+        return (first * den,) + tuple(-c * den for c in rest), n
+
+    def inverse(self):
+        return self._reduce(*self._inverse(self._num, self._den))
 
     def __truediv__(self, other):
         """Right division: self * other^{-1}."""
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        num, den = self._inverse(*o)
+        return self._reduce(self._product(self._num, num), self._den * den)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        num, den = self._inverse(self._num, self._den)
+        return self._reduce(self._product(o[0], num), o[1] * den)
 
     def __bool__(self):
-        return any(self._coeffs)
+        return any(self._num)
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, _RationalLike):
-            return not any(self._coeffs[1:]) and self._coeffs[0] == other
+            return (
+                not any(self._num[1:])
+                and self._num[0] == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if any(self._coeffs[1:]):
-            return hash(self._coeffs)
-        return hash(self._coeffs[0])
+        if any(self._num[1:]):
+            return hash(self._fractions())
+        return hash(self.real)
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._coeffs))})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._fractions()))})"
 
 
 class GaussianRational(_RationalAlgebra):
@@ -370,8 +431,8 @@ class GaussianRational(_RationalAlgebra):
     def __init__(self, re, im=0) -> None:
         super().__init__(re, im)
 
-    re = property(lambda self: self._coeffs[0])
-    im = property(lambda self: self._coeffs[1])
+    re = property(lambda self: self._fraction(0))
+    im = property(lambda self: self._fraction(1))
 
     @staticmethod
     def _product(a, b):
@@ -397,10 +458,10 @@ class RationalQuaternion(_RationalAlgebra):
     def __init__(self, w, x=0, y=0, z=0) -> None:
         super().__init__(w, x, y, z)
 
-    w = property(lambda self: self._coeffs[0])
-    x = property(lambda self: self._coeffs[1])
-    y = property(lambda self: self._coeffs[2])
-    z = property(lambda self: self._coeffs[3])
+    w = property(lambda self: self._fraction(0))
+    x = property(lambda self: self._fraction(1))
+    y = property(lambda self: self._fraction(2))
+    z = property(lambda self: self._fraction(3))
 
     @staticmethod
     def _product(p, q):
@@ -415,7 +476,7 @@ class RationalQuaternion(_RationalAlgebra):
 
     def __str__(self):
         parts = []
-        for coeff, unit in zip(self._coeffs, ("", "i", "j", "k")):
+        for coeff, unit in zip(self._fractions(), ("", "i", "j", "k")):
             if coeff == 0:
                 continue
             sign = "+" if coeff > 0 and parts else ""

@@ -58,6 +58,55 @@ def conj_scalar(value):
     return value if isinstance(value, Fraction) else value.conjugate()
 
 
+# --- reference rational algebras -------------------------------------------------
+#
+# Elements of Q(i) and H(Q) as plain tuples of Fractions on the units
+# 1, i (, j, k), multiplied through the table of unit products rather than a
+# closed formula, so the library's integer-over-denominator arithmetic is
+# checked against an independent route.
+
+_UNIT_PRODUCTS = {  # (r, s) -> (sign, t) with e_r e_s = sign * e_t
+    (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+    (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+    (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+    (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+}
+
+
+def ref_embed(value, width: int) -> tuple:
+    return (Fraction(value),) + (Fraction(0),) * (width - 1)
+
+
+def ref_add(p, q) -> tuple:
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def ref_sub(p, q) -> tuple:
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def ref_mul(p, q) -> tuple:
+    out = [Fraction(0)] * len(p)
+    for r, a in enumerate(p):
+        for s, b in enumerate(q):
+            sign, t = _UNIT_PRODUCTS[r, s]
+            out[t] += sign * a * b
+    return tuple(out)
+
+
+def ref_conj(p) -> tuple:
+    return (p[0],) + tuple(-c for c in p[1:])
+
+
+def ref_norm(p) -> Fraction:
+    return sum((c * c for c in p), Fraction(0))
+
+
+def ref_inverse(p) -> tuple:
+    n = ref_norm(p)
+    return tuple(c / n for c in ref_conj(p))
+
+
 # --- random matrices ----------------------------------------------------------
 
 def random_algebra_matrix(

@@ -63,6 +63,64 @@ class TestConstruction:
             AlgebraMatrix(ScalarKind.OCTONION, [[1]])
 
 
+class TestInternalResults:
+    """Results of the library's own arithmetic skip validation; each must be
+    exactly what the validating constructor builds from the same rows."""
+
+    @staticmethod
+    def _check(result, cls, kind):
+        assert type(result) is cls and result.kind is kind
+        assert type(result.entries) is tuple
+        assert all(type(row) is tuple for row in result.entries)
+        rebuilt = cls(kind, result.entries)  # full validation
+        assert rebuilt == result and rebuilt.entries == result.entries
+        assert hash(rebuilt) == hash(result)
+        for name in ("kind", "size", "entries"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+
+    def test_results_match_validating_constructor(self):
+        rng = random.Random(67)
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3, 4):
+                for _ in range(6):
+                    m1 = random_invertible_matrix(rng, kind, size)
+                    m2 = random_invertible_matrix(rng, kind, size)
+                    d = random_pd_matrix(rng, kind, size)
+                    x = random_hermitian_matrix(rng, kind, size)
+                    self._check(act(m1, d), HermitianMatrix, kind)
+                    self._check(act(m2, x), HermitianMatrix, kind)
+                    for product in (m1 * m2, m1 * d, m1 + m2, m1 + x, -m1, m1.star()):
+                        self._check(product, AlgebraMatrix, kind)
+                    self._check(d.to_algebra(), AlgebraMatrix, kind)
+                    self._check(ldl_witness(d)[0], AlgebraMatrix, kind)
+
+    def test_public_constructor_still_validates(self):
+        rng = random.Random(71)
+        wrong = {R: GaussianRational(1), C: RationalQuaternion(1), H: GaussianRational(1)}
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3, 4):
+                good = act(
+                    random_invertible_matrix(rng, kind, size),
+                    random_pd_matrix(rng, kind, size),
+                )
+                i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+                if i != j:
+                    bad = [list(row) for row in good.entries]
+                    bad[i][j] = bad[i][j] + 1
+                    with pytest.raises(InvalidInput):
+                        HermitianMatrix(kind, bad)
+                if kind is not R:
+                    bad = [list(row) for row in good.entries]
+                    bad[i][i] = bad[i][i] + kind.imaginary_units[0]
+                    with pytest.raises(InvalidInput):
+                        HermitianMatrix(kind, bad)
+                bad = [list(row) for row in good.entries]
+                bad[i][j] = wrong[kind]
+                with pytest.raises(ShapeMismatch):
+                    HermitianMatrix(kind, bad)
+
+
 class TestTraceInnerProduct:
     def test_examples(self):
         eye = HermitianMatrix.identity(R, 2)

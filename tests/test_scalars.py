@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,16 @@ from amplecones import (
     is_squarefree,
     is_totally_positive,
 )
-from support import pell_scan
+from support import (
+    pell_scan,
+    ref_add,
+    ref_conj,
+    ref_embed,
+    ref_inverse,
+    ref_mul,
+    ref_norm,
+    ref_sub,
+)
 
 
 class TestContinuedFraction:
@@ -317,6 +327,106 @@ class TestRationalQuaternion:
             "Fraction(0, 1), Fraction(3, 4))"
         )
         assert str(x) == "1/2-2i+3/4k"
+
+
+ALGEBRAS = [
+    (GaussianRational, ("re", "im")),
+    (RationalQuaternion, ("w", "x", "y", "z")),
+]
+
+
+def _random_coeff(rng: random.Random) -> Fraction:
+    shape = rng.randrange(5)
+    if shape == 0:
+        return Fraction(0)
+    if shape == 1:
+        return Fraction(rng.randint(-(2**200), 2**200), rng.randint(1, 2**200))
+    if shape == 2:
+        return Fraction(rng.randint(-9, 9))
+    return Fraction(rng.randint(-30, 30), rng.choice((2, 3, 4, 6, 7, 12, 35)))
+
+
+def _random_rational(rng: random.Random):
+    """An int or a Fraction operand."""
+    c = _random_coeff(rng)
+    return c.numerator if c.denominator == 1 and rng.random() < 0.5 else c
+
+
+class TestIntegerRepresentation:
+    """Q(i) and H(Q) store integers over one denominator; every operation
+    must agree with plain Fraction-tuple arithmetic and leave its result in
+    the one canonical (lowest-terms) state of its value."""
+
+    @staticmethod
+    def _check(cls, names, value, expected):
+        assert type(value) is cls
+        coeffs = tuple(getattr(value, name) for name in names)
+        assert coeffs == expected
+        assert all(type(c) is Fraction for c in coeffs)
+        twin = cls(*expected)  # the same value by the public constructor
+        assert value == twin
+        assert (value._num, value._den) == (twin._num, twin._den)
+        assert value._den > 0 and math.gcd(value._den, *value._num) == 1
+        assert repr(value) == repr(twin) and str(value) == str(twin)
+        assert hash(value) == hash(twin)
+
+    @pytest.mark.parametrize("cls,names", ALGEBRAS, ids=["C", "H"])
+    def test_matches_fraction_tuple_reference(self, cls, names):
+        rng = random.Random(4099 + len(names))
+        width = len(names)
+        zero = (Fraction(0),) * width
+        for step in range(200):
+            p = tuple(_random_coeff(rng) for _ in range(width))
+            q = tuple(_random_coeff(rng) for _ in range(width))
+            if step % 25 == 0:
+                q = zero
+            r = _random_rational(rng)
+            x, y, rr = cls(*p), cls(*q), ref_embed(r, width)
+            cases = [
+                (x, p),
+                (x + y, ref_add(p, q)),
+                (x - y, ref_sub(p, q)),
+                (x * y, ref_mul(p, q)),
+                (y * x, ref_mul(q, p)),
+                (x + r, ref_add(p, rr)),
+                (r + x, ref_add(rr, p)),
+                (x - r, ref_sub(p, rr)),
+                (r - x, ref_sub(rr, p)),
+                (x * r, ref_mul(p, rr)),
+                (r * x, ref_mul(rr, p)),
+                (-x, tuple(-c for c in p)),
+                (x.conjugate(), ref_conj(p)),
+                ((x + y) - y, p),
+            ]
+            if any(q):
+                cases += [
+                    (x / y, ref_mul(p, ref_inverse(q))),
+                    (r / y, ref_mul(rr, ref_inverse(q))),
+                    (y.inverse(), ref_inverse(q)),
+                    ((x * y) / y, p),
+                ]
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+                with pytest.raises(ZeroDivisionError):
+                    r / y
+                with pytest.raises(ZeroDivisionError):
+                    y.inverse()
+            if r:
+                cases.append((x / r, ref_mul(p, ref_inverse(rr))))
+            for value, expected in cases:
+                self._check(cls, names, value, expected)
+
+            assert x.norm() == ref_norm(p) and type(x.norm()) is Fraction
+            assert x.real == p[0] and type(x.real) is Fraction
+            assert bool(x) is any(p)
+            f, real = Fraction(r), cls(r)
+            assert real == r and r == real and real == f
+            assert hash(real) == hash(r) == hash(f)
+            if r:  # same numerator, another denominator
+                assert real != Fraction(f.numerator, 2 * f.denominator + 1)
+            assert (x == p[0]) is not any(p[1:])
+            assert (x == r) is (x == cls(r)) is (p == rr)
 
 
 class TestTotalPositivity:

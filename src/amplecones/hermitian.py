@@ -262,11 +262,9 @@ class HermitianMatrix:
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         m = AlgebraMatrix(kind, rows)
-        real = kind is ScalarKind.REAL  # see trace_inner_product
         for i in range(m.size):
             for j in range(i, m.size):
-                other = m.entries[j][i]
-                if m.entries[i][j] != (other if real else other.conjugate()):
+                if m.entries[i][j] != m.entries[j][i].conjugate():
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )

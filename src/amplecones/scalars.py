@@ -322,8 +322,6 @@ class _RationalAlgebra:
         if o is None:
             return NotImplemented
         num, den = o
-        if den == self._den:
-            return self._reduce(tuple(a + b for a, b in zip(self._num, num)), den)
         return self._reduce(
             tuple(a * den + b * self._den for a, b in zip(self._num, num)),
             self._den * den,
@@ -336,8 +334,6 @@ class _RationalAlgebra:
         if o is None:
             return NotImplemented
         num, den = o
-        if den == self._den:
-            return self._reduce(tuple(a - b for a, b in zip(self._num, num)), den)
         return self._reduce(
             tuple(a * den - b * self._den for a, b in zip(self._num, num)),
             self._den * den,

@@ -19,14 +19,15 @@ from fractions import Fraction
 
 from . import abelian, reduction
 from .errors import AmpleconesError, UnsupportedDimension
-from .hermitian import LorentzBlock, PDBlock
 from .polyhedral import PolyhedralCone
 from .scalars import is_squarefree, squarefree_part
 
 _DEFAULT_SEED = 0
 _DEFAULT_SAMPLES = 500
 _DEFAULT_MAX_WORD = 12
-_MAX_K_RANGE = 64
+# bound on --k-range and --max-word: the translate table has 2 * bound + 1
+# rows whose integers grow linearly in bits, so its size is quadratic in it
+_MAX_WORD = 64
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -89,20 +90,11 @@ def _cmd_picard(args) -> int:
 
 def _cmd_amplecone(args) -> int:
     spec = abelian.ample_cone(_load_model(args.model))
-    blocks = []
-    for b in spec.blocks:
-        if isinstance(b, PDBlock):
-            blocks.append(
-                {
-                    "type": "pd",
-                    "kind": b.kind.value,
-                    "size": b.size,
-                    "dim": b.dimension,
-                }
-            )
-        else:
-            assert isinstance(b, LorentzBlock)
-            blocks.append({"type": "lorentz", "n": b.n, "dim": b.dimension})
+    # abelian.ample_cone builds PD blocks only
+    blocks = [
+        {"type": "pd", "kind": b.kind.value, "size": b.size, "dim": b.dimension}
+        for b in spec.blocks
+    ]
     _emit_json({"dimension": spec.dimension, "blocks": blocks}, args.output)
     return 0
 
@@ -153,6 +145,11 @@ def _require_squarefree_d(d: int) -> None:
         raise AmpleconesError(f"--d must be a squarefree integer >= 2, got {d}")
 
 
+def _require_max_word(max_word: int) -> None:
+    if not 1 <= max_word <= _MAX_WORD:
+        raise AmpleconesError(f"--max-word must be between 1 and {_MAX_WORD}, got {max_word}")
+
+
 def _funddomain_pieces(args):
     _require_squarefree_d(args.d)
     ray = _parse_vector(args.ray)
@@ -162,6 +159,7 @@ def _funddomain_pieces(args):
 
 
 def _cmd_funddomain(args) -> int:
+    _require_max_word(args.max_word)
     pi, action = _funddomain_pieces(args)
     report = reduction.verify_fundamental_domain(
         pi, action, samples=args.samples, max_word=args.max_word, seed=args.seed
@@ -176,6 +174,7 @@ def _cmd_funddomain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_max_word(args.max_word)
     _require_squarefree_d(args.d)
     rays = _parse_rays(args.pi)
     if not rays:
@@ -209,8 +208,8 @@ def render_svg(pi: PolyhedralCone, g: reduction.GroupAction2D, k_range: int) -> 
     """
     if pi.dim != 2:
         raise UnsupportedDimension("rendering draws planar cones only")
-    if not 0 <= k_range <= _MAX_K_RANGE:
-        raise AmpleconesError(f"--k-range must be between 0 and {_MAX_K_RANGE}, got {k_range}")
+    if not 0 <= k_range <= _MAX_WORD:
+        raise AmpleconesError(f"--k-range must be between 0 and {_MAX_WORD}, got {k_range}")
     width = height = 420.0
     origin_x, origin_y = 30.0, height / 2.0
     radius = 360.0

@@ -43,52 +43,45 @@ class ScalarKind(enum.Enum):
 
     @property
     def imaginary_units(self):
-        if self is ScalarKind.REAL:
-            return ()
-        if self is ScalarKind.COMPLEX:
-            return (GaussianRational(0, 1),)
-        if self is ScalarKind.QUATERNION:
-            return (
-                RationalQuaternion(0, 1, 0, 0),
-                RationalQuaternion(0, 0, 1, 0),
-                RationalQuaternion(0, 0, 0, 1),
-            )
+        cls, width = _scalar_class(self), _KINDS[self][1]
+        return tuple(
+            cls(*[int(i == j) for j in range(width)]) for i in range(1, width)
+        )
+
+
+# the scalar class of each kind and its dimension over R; octonion
+# arithmetic is not provided, so that kind has no class
+_KINDS = {
+    ScalarKind.REAL: (Fraction, 1),
+    ScalarKind.COMPLEX: (GaussianRational, 2),
+    ScalarKind.QUATERNION: (RationalQuaternion, 4),
+    ScalarKind.OCTONION: (None, 8),
+}
+
+
+def _scalar_class(kind: ScalarKind):
+    cls = _KINDS[kind][0]
+    if cls is None:
         raise Unsupported("octonion arithmetic is not provided")
+    return cls
 
 
 def hermitian_dimension(kind: ScalarKind, r: int) -> int:
-    """Real dimension of the space of r x r self-adjoint matrices over kind."""
+    """Real dimension of the space of r x r self-adjoint matrices over kind:
+    r real diagonal entries and one scalar per pair above the diagonal."""
     if r < 1:
         raise InvalidInput(f"matrix size must be positive, got {r}")
-    if kind is ScalarKind.REAL:
-        return r * (r + 1) // 2
-    if kind is ScalarKind.COMPLEX:
-        return r * r
-    if kind is ScalarKind.QUATERNION:
-        return r * (2 * r - 1)
-    if r != 3:
+    if kind is ScalarKind.OCTONION and r != 3:
         raise Unsupported("the exceptional cone exists only in size 3")
-    return 27
+    return r + _KINDS[kind][1] * r * (r - 1) // 2
 
 
 def _coerce_entry(kind: ScalarKind, value):
-    if kind is ScalarKind.REAL:
-        if type(value) is Fraction:
-            return value  # immutable, so no copy is needed
-        if isinstance(value, _RationalLike):
-            return Fraction(value)
-    elif kind is ScalarKind.COMPLEX:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, _RationalLike):
-            return GaussianRational(value)
-    elif kind is ScalarKind.QUATERNION:
-        if isinstance(value, RationalQuaternion):
-            return value
-        if isinstance(value, _RationalLike):
-            return RationalQuaternion(value)
-    else:
-        raise Unsupported("octonion entries are not supported")
+    cls = _scalar_class(kind)
+    if isinstance(value, cls):
+        return value  # immutable, so no copy is needed
+    if isinstance(value, _RationalLike):
+        return cls(value)
     raise ShapeMismatch(f"entry {value!r} does not belong to scalar kind {kind.value}")
 
 
@@ -227,7 +220,10 @@ class AlgebraMatrix:
                 if not a[i][col]:
                     continue
                 factor = a[i][col] * inv
-                a[i] = [a[i][j] - factor * a[col][j] for j in range(n)]
+                # columns up to col are never read again
+                row, pivot = a[i], a[col]
+                for j in range(col + 1, n):
+                    row[j] = row[j] - factor * pivot[j]
         return True
 
     def __eq__(self, other):
@@ -575,8 +571,6 @@ def hermitian_basis(kind: ScalarKind, r: int) -> list[HermitianMatrix]:
     unit u the skew combinations u(E_ij - E_ji); the count always equals
     hermitian_dimension(kind, r).
     """
-    if kind is ScalarKind.OCTONION:
-        raise Unsupported("no basis is provided for the exceptional block")
     zero, one = _zero(kind), _one(kind)
     basis = []
 

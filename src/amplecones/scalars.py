@@ -9,10 +9,13 @@ Four scalar families, all with arbitrary-precision integer backbones:
 * :class:`GaussianRational` -- elements of Q(i);
 * :class:`RationalQuaternion` -- the rational Hamilton quaternions.
 
-The last two store a tuple of integer numerators over one positive common
-denominator, in lowest terms, and do their arithmetic on those integers;
-results come from a private trusted constructor, and a ``Fraction`` is built
-only where a coefficient is read out.
+The last three share one base class, ``_RationalAlgebra``: each stores a
+tuple of integer numerators over one positive common denominator, in lowest
+terms, and does its arithmetic on those integers; results come from a
+private trusted constructor, and a ``Fraction`` is built only where a
+coefficient is read out.  Each class supplies its product; the norm and the
+inverse read one hook, the norm form, which is the sum of squares by default
+and the indefinite a^2 - d*b^2 for Q(sqrt(d)).
 
 On top of these sit continued fractions of square roots, fundamental units of
 the orders Z[sqrt(d)], total positivity, and the unit-group rank formula
@@ -76,194 +79,25 @@ def _check_order_input(d: int) -> None:
         raise InvalidInput(f"{d} is not squarefree")
 
 
-class QuadIrrational:
-    """a + b*sqrt(d) with rational a, b and a fixed squarefree d >= 2.
-
-    Values with different d never mix; combining them raises ``InvalidInput``
-    rather than coercing.  Plain integers and rationals embed as b = 0.
-    """
-
-    __slots__ = ("d", "a", "b")
-
-    def __init__(self, d: int, a, b) -> None:
-        _check_order_input(d)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadIrrational is immutable")
-
-    def _wrap(self, a, b) -> "QuadIrrational":
-        # results share self.d, which the public constructor checked
-        obj = object.__new__(QuadIrrational)
-        object.__setattr__(obj, "d", self.d)
-        object.__setattr__(obj, "a", Fraction(a))
-        object.__setattr__(obj, "b", Fraction(b))
-        return obj
-
-    def _coerce(self, other):
-        if isinstance(other, QuadIrrational):
-            if other.d != self.d:
-                raise InvalidInput(
-                    f"cannot mix sqrt({self.d}) and sqrt({other.d}) values"
-                )
-            return other
-        if isinstance(other, _RationalLike):
-            return self._wrap(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadIrrational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic irrational")
-        return self._wrap(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __neg__(self):
-        return self._wrap(-self.a, -self.b)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self._wrap(1, 0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def conjugate(self) -> "QuadIrrational":
-        """The Galois conjugate a - b*sqrt(d)."""
-        return self._wrap(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - d*b^2."""
-        return self.a * self.a - self.d * self.b * self.b
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
-    def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against d*b^2
-        lhs, rhs = a * a, self.d * b * b
-        if lhs == rhs:
-            return 0
-        bigger_is_rational = lhs > rhs
-        return (1 if bigger_is_rational else -1) * (1 if a > 0 else -1)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __eq__(self, other):
-        if isinstance(other, QuadIrrational):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, _RationalLike):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.d, self.a, self.b))
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __repr__(self):
-        return f"QuadIrrational({self.d}, {self.a!r}, {self.b!r})"
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        b = self.b
-        root = f"√{self.d}"
-        if b == 1:
-            tail = root
-        elif b == -1:
-            tail = f"-{root}"
-        elif b.denominator == 1:
-            tail = f"{b}{root}"
-        else:
-            tail = f"({b}){root}"
-        if self.a == 0:
-            return tail
-        sign = "+" if b > 0 else ""
-        return f"{self.a}{sign}{tail}"
-
-
 class _RationalAlgebra:
-    """Value semantics shared by the rational algebras Q(i) and H(Q).
+    """Value semantics shared by Q(sqrt(d)), Q(i) and H(Q).
 
     An element is stored as a tuple ``_num`` of Python integers over one
     positive common denominator ``_den``, kept in lowest terms (the gcd of
     the denominator and every numerator is 1), so that equal values have
     identical state.  The coefficients are taken on a basis whose first
-    vector is 1: conjugation negates every other coefficient and the norm is
-    the sum of their squares.  Arithmetic works on the integers alone and
-    reduces each result with one ``math.gcd``; a ``Fraction`` is built only
-    where a coefficient leaves the class (``real``, ``norm``, the named
-    coefficient properties, ``repr``/``str`` and ``hash``).  A subclass
-    supplies its coefficient names, the product ``_product(a, b)`` of two
-    numerator tuples, and ``__str__``.  Plain integers and rationals embed as
-    real elements; elements of two different algebras never mix.
+    vector is 1: conjugation negates every other coefficient, and the norm is
+    the quadratic form ``_norm_form`` of the numerators over ``_den``
+    squared, by default the sum of their squares.  Arithmetic works on the
+    integers alone and reduces each result with one ``math.gcd``; a
+    ``Fraction`` is built only where a coefficient leaves the class
+    (``norm``, the named coefficient properties, ``repr``/``str`` and
+    ``hash``).  A subclass supplies its coefficient names, the product
+    ``_product(a, b)`` of two numerator tuples, and ``__str__``; one with
+    per-instance state (the radicand of Q(sqrt(d))) extends ``_make`` to
+    copy it into every result and ``_same_algebra`` to compare it.  Plain
+    integers and rationals embed as the first coefficient; elements of two
+    different algebras never mix.
     """
 
     __slots__ = ("_num", "_den")
@@ -278,22 +112,23 @@ class _RationalAlgebra:
         object.__setattr__(self, "_num", nums)
         object.__setattr__(self, "_den", den)
 
-    @classmethod
-    def _make(cls, num: tuple, den: int):
-        """Trusted constructor: ``num``/``den`` already in lowest terms."""
-        obj = object.__new__(cls)
+    def _make(self, num: tuple, den: int):
+        """Trusted constructor of an element of self's algebra: ``num``/``den``
+        already in lowest terms."""
+        obj = object.__new__(type(self))
         object.__setattr__(obj, "_num", num)
         object.__setattr__(obj, "_den", den)
         return obj
 
-    @classmethod
-    def _reduce(cls, num: tuple, den: int):
-        """The element num/den for integers num and den > 0."""
+    def _reduce(self, num: tuple, den: int):
+        """The element num/den for integers num and den != 0."""
         g = math.gcd(den, *num)
+        if den < 0:  # an indefinite norm form can make den negative
+            g = -g
         if g != 1:
             num = tuple(c // g for c in num)
             den //= g
-        return cls._make(num, den)
+        return self._make(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -307,15 +142,15 @@ class _RationalAlgebra:
             return (other.numerator,) + zeros, other.denominator
         return None
 
+    def _same_algebra(self, other) -> bool:
+        """Whether ``other``, of self's class, lies in the same algebra."""
+        return True
+
     def _fraction(self, index: int) -> Fraction:
         return Fraction(self._num[index], self._den)
 
     def _fractions(self) -> tuple:
         return tuple(Fraction(n, self._den) for n in self._num)
-
-    @property
-    def real(self) -> Fraction:
-        return self._fraction(0)
 
     def __add__(self, other):
         o = self._parts(other)
@@ -366,13 +201,17 @@ class _RationalAlgebra:
         first, *rest = self._num
         return self._make((first,) + tuple(-c for c in rest), self._den)
 
+    @staticmethod
+    def _norm_form(num: tuple) -> int:
+        return sum(c * c for c in num)
+
     def norm(self) -> Fraction:
-        """Sum of the squared coefficients; zero only at zero."""
-        return Fraction(sum(c * c for c in self._num), self._den * self._den)
+        """The element times its conjugate, a rational number."""
+        return Fraction(self._norm_form(self._num), self._den * self._den)
 
     def _inverse(self, num: tuple, den: int):
-        # (num/den)^{-1} = conj(num) * den / |num|^2
-        n = sum(c * c for c in num)
+        # (num/den)^{-1} = conj(num) * den / N(num); N may be negative
+        n = self._norm_form(num)
         if n == 0:
             raise ZeroDivisionError(f"division by zero {type(self).__name__}")
         first, *rest = num
@@ -401,7 +240,11 @@ class _RationalAlgebra:
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return self._num == other._num and self._den == other._den
+            return (
+                self._num == other._num
+                and self._den == other._den
+                and self._same_algebra(other)
+            )
         if isinstance(other, _RationalLike):
             return (
                 not any(self._num[1:])
@@ -413,10 +256,107 @@ class _RationalAlgebra:
     def __hash__(self):
         if any(self._num[1:]):
             return hash(self._fractions())
-        return hash(self.real)
+        return hash(self._fraction(0))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._fractions()))})"
+
+
+class QuadIrrational(_RationalAlgebra):
+    """a + b*sqrt(d) with rational a, b and a fixed squarefree d >= 2.
+
+    Values with different d never mix; combining them raises ``InvalidInput``
+    rather than coercing.  Plain integers and rationals embed as b = 0.  The
+    norm a^2 - d*b^2 is indefinite, so it is negative on elements such as
+    1 + sqrt(2).
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int, a, b) -> None:
+        _check_order_input(d)
+        object.__setattr__(self, "d", d)
+        super().__init__(a, b)
+
+    def _make(self, num: tuple, den: int):
+        # results share self.d, which the public constructor checked
+        obj = super()._make(num, den)
+        object.__setattr__(obj, "d", self.d)
+        return obj
+
+    def _parts(self, other):
+        if isinstance(other, QuadIrrational) and other.d != self.d:
+            raise InvalidInput(f"cannot mix sqrt({self.d}) and sqrt({other.d}) values")
+        return super()._parts(other)
+
+    def _same_algebra(self, other) -> bool:
+        return other.d == self.d
+
+    a = property(lambda self: self._fraction(0))
+    b = property(lambda self: self._fraction(1))
+
+    def _product(self, p, q):
+        return (p[0] * q[0] + self.d * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def _norm_form(self, num: tuple) -> int:
+        a, b = num
+        return a * a - self.d * b * b
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = self._make((1, 0), 1)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def trace(self) -> Fraction:
+        return 2 * self.a
+
+    def sign(self) -> int:
+        """Exact sign of the real number a + b*sqrt(d)."""
+        a, b = self._num  # over a positive denominator
+        sign_a, sign_b = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sign_a == sign_b or not sign_b:
+            return sign_a
+        if not sign_a:
+            return sign_b
+        # opposite signs: a^2 = d*b^2 is impossible for a non-square d
+        return sign_a if a * a > self.d * b * b else sign_b
+
+    def is_rational(self) -> bool:
+        return not self._num[1]
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.d)
+
+    def __repr__(self):
+        return f"QuadIrrational({self.d}, {self.a!r}, {self.b!r})"
+
+    def __str__(self):
+        if self.is_rational():
+            return str(self.a)
+        b = self.b
+        root = f"√{self.d}"
+        if b == 1:
+            tail = root
+        elif b == -1:
+            tail = f"-{root}"
+        elif b.denominator == 1:
+            tail = f"{b}{root}"
+        else:
+            tail = f"({b}){root}"
+        if self.a == 0:
+            return tail
+        sign = "+" if b > 0 else ""
+        return f"{self.a}{sign}{tail}"
 
 
 class GaussianRational(_RationalAlgebra):
@@ -427,7 +367,7 @@ class GaussianRational(_RationalAlgebra):
     def __init__(self, re, im=0) -> None:
         super().__init__(re, im)
 
-    re = property(lambda self: self._fraction(0))
+    re = real = property(lambda self: self._fraction(0))
     im = property(lambda self: self._fraction(1))
 
     @staticmethod
@@ -454,7 +394,7 @@ class RationalQuaternion(_RationalAlgebra):
     def __init__(self, w, x=0, y=0, z=0) -> None:
         super().__init__(w, x, y, z)
 
-    w = property(lambda self: self._fraction(0))
+    w = real = property(lambda self: self._fraction(0))
     x = property(lambda self: self._fraction(1))
     y = property(lambda self: self._fraction(2))
     z = property(lambda self: self._fraction(3))

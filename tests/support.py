@@ -62,8 +62,10 @@ def conj_scalar(value):
 #
 # Elements of Q(i) and H(Q) as plain tuples of Fractions on the units
 # 1, i (, j, k), multiplied through the table of unit products rather than a
-# closed formula, so the library's integer-over-denominator arithmetic is
-# checked against an independent route.
+# closed formula, and elements a + b*sqrt(d) of Q(sqrt(d)) as Fraction pairs
+# multiplied by expanding powers of sqrt(d), so the library's
+# integer-over-denominator arithmetic is checked against an independent
+# route.  The norm is read off p * conj(p), never off a closed norm form.
 
 _UNIT_PRODUCTS = {  # (r, s) -> (sign, t) with e_r e_s = sign * e_t
     (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
@@ -94,16 +96,30 @@ def ref_mul(p, q) -> tuple:
     return tuple(out)
 
 
+def ref_quad_mul(d: int):
+    """The product of Q(sqrt(d)) on pairs (a, b) = a + b*sqrt(d)."""
+
+    def mul(p, q) -> tuple:
+        out = [Fraction(0), Fraction(0)]
+        for r, a in enumerate(p):
+            for s, b in enumerate(q):
+                # sqrt(d)^(r + s) = d^((r + s) // 2) * sqrt(d)^((r + s) % 2)
+                out[(r + s) % 2] += d ** ((r + s) // 2) * a * b
+        return tuple(out)
+
+    return mul
+
+
 def ref_conj(p) -> tuple:
     return (p[0],) + tuple(-c for c in p[1:])
 
 
-def ref_norm(p) -> Fraction:
-    return sum((c * c for c in p), Fraction(0))
+def ref_norm(p, mul=ref_mul) -> Fraction:
+    return mul(p, ref_conj(p))[0]
 
 
-def ref_inverse(p) -> tuple:
-    n = ref_norm(p)
+def ref_inverse(p, mul=ref_mul) -> tuple:
+    n = ref_norm(p, mul)
     return tuple(c / n for c in ref_conj(p))
 
 

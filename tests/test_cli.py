@@ -142,6 +142,15 @@ class TestExitCodes:
         assert payload["covering_ok"] is False and payload["disjoint_ok"] is True
         assert payload["witnesses"] == [{"kind": "uncovered", "point": [1500002, 1000001]}]
 
+    def test_max_word_is_bounded(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        for command in (["funddomain", "--d", "2"], ["verify", "--d", "2", "--pi", "1,0;3,2"]):
+            for bad in ("65", "0"):
+                assert main(command + ["--max-word", bad]) == 2
+                assert f"--max-word must be between 1 and 64, got {bad}" in capsys.readouterr().err
+            argv = command + ["--max-word", "64", "--samples", "20", "--output", str(out)]
+            assert main(argv) == 0
+
     def test_pi_outside_closed_cone_is_two(self, capsys):
         assert main(["verify", "--d", "2", "--pi", "1,0;1,1"]) == 2
         assert "closed cone" in capsys.readouterr().err

@@ -407,6 +407,24 @@ class TestDimensions:
             assert hermitian_dimension(R, r) == r * (r + 1) // 2
             assert hermitian_dimension(C, r) == r * r
             assert hermitian_dimension(H, r) == r * (2 * r - 1)
+        assert hermitian_dimension(ScalarKind.OCTONION, 3) == 27
+        with pytest.raises(Unsupported):
+            hermitian_dimension(ScalarKind.OCTONION, 2)
+        with pytest.raises(InvalidInput):
+            hermitian_dimension(R, 0)
+
+    def test_imaginary_units(self):
+        assert R.imaginary_units == ()
+        assert C.imaginary_units == (GaussianRational(0, 1),)
+        assert H.imaginary_units == (
+            RationalQuaternion(0, 1, 0, 0),
+            RationalQuaternion(0, 0, 1, 0),
+            RationalQuaternion(0, 0, 0, 1),
+        )
+        with pytest.raises(Unsupported):
+            ScalarKind.OCTONION.imaginary_units
+        with pytest.raises(Unsupported):
+            hermitian_basis(ScalarKind.OCTONION, 3)
 
     def test_basis_enumeration(self):
         for kind in MATRIX_KINDS:

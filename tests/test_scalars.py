@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from support import (
     ref_inverse,
     ref_mul,
     ref_norm,
+    ref_quad_mul,
     ref_sub,
 )
 
@@ -146,6 +148,45 @@ class TestQuadIrrational:
             QuadIrrational(2, 1, 1) + QuadIrrational(3, 1, 1)
         with pytest.raises(InvalidInput):
             QuadIrrational(2, 1, 1) * QuadIrrational(5, 0, 1)
+        # the same coefficients over another radicand are another value
+        x, y = QuadIrrational(2, 1, 1), QuadIrrational(3, 1, 1)
+        assert x != y and not x == y
+        assert QuadIrrational(2, 1, 0) != QuadIrrational(3, 1, 0)
+        for op in (
+            lambda: x + y,
+            lambda: x - y,
+            lambda: x * y,
+            lambda: x / y,
+            lambda: y * x,
+        ):
+            with pytest.raises(InvalidInput):
+                op()
+
+    def test_negative_norm_inverse_is_canonical(self):
+        # N(1 + sqrt(2)) = -1 and N(1 + 3 sqrt(2)) = -17 reach the
+        # denominator with their sign
+        x, y = QuadIrrational(2, 1, 1), QuadIrrational(2, 1, 3)
+        assert x.norm() == -1 and y.norm() == -17
+        quotients = [
+            (x.inverse(), QuadIrrational(2, -1, 1)),
+            (1 / x, QuadIrrational(2, -1, 1)),
+            (QuadIrrational(2, 3, 5) / x, QuadIrrational(2, 7, -2)),
+            (x / y, QuadIrrational(2, Fraction(5, 17), Fraction(2, 17))),
+            (y.inverse(), QuadIrrational(2, Fraction(-1, 17), Fraction(3, 17))),
+        ]
+        for value, expected in quotients:
+            assert value._den > 0 and math.gcd(value._den, *value._num) == 1
+            assert (value._num, value._den) == (expected._num, expected._den)
+        assert x * x.inverse() == 1 and y * y.inverse() == 1
+        assert (x / y) * y == x
+
+    def test_rationals_embed(self):
+        for d in (2, 10**12 + 39):
+            for r in (0, 3, -7, Fraction(-5, 12)):
+                assert QuadIrrational(d, r, 0) == r
+                assert hash(QuadIrrational(d, r, 0)) == hash(r)
+        # a + b*sqrt(d) is real, so no property may read a off as its real part
+        assert not hasattr(QuadIrrational(2, 1, 1), "real")
 
     def test_sign(self):
         assert QuadIrrational(2, 1, 1).sign() == 1
@@ -329,9 +370,13 @@ class TestRationalQuaternion:
         assert str(x) == "1/2-2i+3/4k"
 
 
+D_LARGE = 10**12 + 39
+
 ALGEBRAS = [
-    (GaussianRational, ("re", "im")),
-    (RationalQuaternion, ("w", "x", "y", "z")),
+    (GaussianRational, ("re", "im"), ref_mul),
+    (RationalQuaternion, ("w", "x", "y", "z"), ref_mul),
+    (partial(QuadIrrational, 2), ("a", "b"), ref_quad_mul(2)),
+    (partial(QuadIrrational, D_LARGE), ("a", "b"), ref_quad_mul(D_LARGE)),
 ]
 
 
@@ -353,26 +398,36 @@ def _random_rational(rng: random.Random):
 
 
 class TestIntegerRepresentation:
-    """Q(i) and H(Q) store integers over one denominator; every operation
-    must agree with plain Fraction-tuple arithmetic and leave its result in
-    the one canonical (lowest-terms) state of its value."""
+    """Q(sqrt(d)), Q(i) and H(Q) store integers over one denominator; every
+    operation must agree with plain Fraction-tuple arithmetic and leave its
+    result in the one canonical (lowest-terms) state of its value."""
 
     @staticmethod
-    def _check(cls, names, value, expected):
-        assert type(value) is cls
+    def _check(make, names, value, expected):
+        twin = make(*expected)  # the same value by the public constructor
+        assert type(value) is type(twin)
         coeffs = tuple(getattr(value, name) for name in names)
         assert coeffs == expected
         assert all(type(c) is Fraction for c in coeffs)
-        twin = cls(*expected)  # the same value by the public constructor
         assert value == twin
+        assert getattr(value, "d", None) == getattr(twin, "d", None)
         assert (value._num, value._den) == (twin._num, twin._den)
         assert value._den > 0 and math.gcd(value._den, *value._num) == 1
         assert repr(value) == repr(twin) and str(value) == str(twin)
         assert hash(value) == hash(twin)
 
-    @pytest.mark.parametrize("cls,names", ALGEBRAS, ids=["C", "H"])
-    def test_matches_fraction_tuple_reference(self, cls, names):
-        rng = random.Random(4099 + len(names))
+    @pytest.mark.parametrize(
+        "make,names,mul", ALGEBRAS, ids=["C", "H", "Q(sqrt2)", "Q(sqrt(10^12+39))"]
+    )
+    def test_matches_fraction_tuple_reference(self, make, names, mul, monkeypatch):
+        from amplecones import scalars
+
+        # QuadIrrational's public constructor factors d by trial division
+        # (0.1 s for 10**12 + 39); each twin still runs the rest of it
+        check = lru_cache(maxsize=None)(scalars._check_order_input)
+        monkeypatch.setattr(scalars, "_check_order_input", check)
+        # C and H keep their seeds; each radicand d adds its own
+        rng = random.Random(4099 + len(names) + getattr(make, "args", (0,))[0])
         width = len(names)
         zero = (Fraction(0),) * width
         for step in range(200):
@@ -381,28 +436,28 @@ class TestIntegerRepresentation:
             if step % 25 == 0:
                 q = zero
             r = _random_rational(rng)
-            x, y, rr = cls(*p), cls(*q), ref_embed(r, width)
+            x, y, rr = make(*p), make(*q), ref_embed(r, width)
             cases = [
                 (x, p),
                 (x + y, ref_add(p, q)),
                 (x - y, ref_sub(p, q)),
-                (x * y, ref_mul(p, q)),
-                (y * x, ref_mul(q, p)),
+                (x * y, mul(p, q)),
+                (y * x, mul(q, p)),
                 (x + r, ref_add(p, rr)),
                 (r + x, ref_add(rr, p)),
                 (x - r, ref_sub(p, rr)),
                 (r - x, ref_sub(rr, p)),
-                (x * r, ref_mul(p, rr)),
-                (r * x, ref_mul(rr, p)),
+                (x * r, mul(p, rr)),
+                (r * x, mul(rr, p)),
                 (-x, tuple(-c for c in p)),
                 (x.conjugate(), ref_conj(p)),
                 ((x + y) - y, p),
             ]
             if any(q):
                 cases += [
-                    (x / y, ref_mul(p, ref_inverse(q))),
-                    (r / y, ref_mul(rr, ref_inverse(q))),
-                    (y.inverse(), ref_inverse(q)),
+                    (x / y, mul(p, ref_inverse(q, mul))),
+                    (r / y, mul(rr, ref_inverse(q, mul))),
+                    (y.inverse(), ref_inverse(q, mul)),
                     ((x * y) / y, p),
                 ]
             else:
@@ -413,20 +468,21 @@ class TestIntegerRepresentation:
                 with pytest.raises(ZeroDivisionError):
                     y.inverse()
             if r:
-                cases.append((x / r, ref_mul(p, ref_inverse(rr))))
+                cases.append((x / r, mul(p, ref_inverse(rr, mul))))
             for value, expected in cases:
-                self._check(cls, names, value, expected)
+                self._check(make, names, value, expected)
 
-            assert x.norm() == ref_norm(p) and type(x.norm()) is Fraction
-            assert x.real == p[0] and type(x.real) is Fraction
+            assert x.norm() == ref_norm(p, mul) and type(x.norm()) is Fraction
+            if not isinstance(x, QuadIrrational):
+                assert x.real == p[0] and type(x.real) is Fraction
             assert bool(x) is any(p)
-            f, real = Fraction(r), cls(r)
+            f, real = Fraction(r), make(*rr)
             assert real == r and r == real and real == f
             assert hash(real) == hash(r) == hash(f)
             if r:  # same numerator, another denominator
                 assert real != Fraction(f.numerator, 2 * f.denominator + 1)
             assert (x == p[0]) is not any(p[1:])
-            assert (x == r) is (x == cls(r)) is (p == rr)
+            assert (x == r) is (x == real) is (p == rr)
 
 
 class TestTotalPositivity:

@@ -39,7 +39,17 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", output)
+    try:
+        text = json.dumps(payload, indent=2, ensure_ascii=False)
+    except ValueError:
+        # the only ValueError json.dumps can raise on these payloads is the
+        # interpreter's bound on int-to-text conversion, which stays as set
+        limit = sys.get_int_max_str_digits()
+        raise AmpleconesError(
+            f"the report holds an integer of more than {limit} digits, "
+            "Python's limit for printing integers; use a smaller --d"
+        ) from None
+    _emit(text + "\n", output)
 
 
 def _parse_fraction(text: str) -> Fraction:

@@ -157,10 +157,12 @@ class GroupAction2D:
     scalar, map the x1 > 0 sheet to itself and have det > 0, so that it
     keeps the orientation of rays.  Internally a primitive integer scaling
     of the generator and its adjugate (a positive multiple of the inverse)
-    are kept, which is all that ray computations need.
+    are kept, which is all that ray computations need, and the integer pair
+    (A, B) = (a, b) * den(a) * den(b), so that an integer direction (x, y)
+    with x > 0 lies in the open cone exactly when A*x^2 > B*y^2.
     """
 
-    __slots__ = ("generator", "a", "b", "_fwd", "_bwd")
+    __slots__ = ("generator", "a", "b", "_fwd", "_bwd", "_form")
 
     def __init__(self, generator, a, b) -> None:
         a, b = Fraction(a), Fraction(b)
@@ -190,6 +192,9 @@ class GroupAction2D:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_fwd", fwd)
         object.__setattr__(self, "_bwd", bwd)
+        object.__setattr__(self, "_form", (
+            a.numerator * b.denominator, b.numerator * a.denominator
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupAction2D is immutable")
@@ -313,9 +318,11 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
 def _direction(p, action: GroupAction2D):
     """The positive integer direction of a rational point of the open cone."""
     x, y = Fraction(p[0]), Fraction(p[1])
-    if not action.open_member((x, y)):
+    u, v = x.numerator * y.denominator, y.numerator * x.denominator
+    A, B = action._form
+    if u <= 0 or A * u * u <= B * v * v:
         raise NotInCone(f"point {format_point((x, y))} is outside the open cone")
-    return x.numerator * y.denominator, y.numerator * x.denominator
+    return u, v
 
 
 def _locate(p, table):
@@ -365,6 +372,13 @@ def verify_fundamental_domain(
     from the slope order of the table).  The report is a deterministic
     function of (pi, action, samples, max_word, seed); each sample's
     verdict is independent of the others.
+
+    A sample is the point (n1/d1, n2/d2) with n1 in 1..60, n2 in -60..60
+    and d1, d2 in 1..20, drawn from random.Random(seed).getrandbits
+    exactly as randint draws them, and redrawn while it lies outside the
+    open cone.  The smallest nonzero slope is 1/1200, so when
+    b/a >= 1200^2 (d > 1,440,000 for real multiplication) every sample lies
+    on the ray (1, 0).
     """
     if samples < 1 or max_word < 1:
         raise InvalidInput("samples and max_word must be positive")
@@ -377,24 +391,32 @@ def verify_fundamental_domain(
     for a, b in ((high, g_low), (g_high, low)):
         if _cross(a, b) > 0:
             witnesses.append({"kind": "uncovered", "point": _between(a, b)})
-    rng = random.Random(seed)
-    # the form is proportional to A*x1^2 - B*x2^2 with integer A, B
-    A = action.a.numerator * action.b.denominator
-    B = action.b.numerator * action.a.denominator
-    points = []
-    while len(points) < samples:
-        n1, d1 = rng.randint(1, 60), rng.randint(1, 20)
-        n2, d2 = rng.randint(-60, 60), rng.randint(1, 20)
-        x, y = n1 * d2, n2 * d1
-        if A * x * x > B * y * y:
-            points.append((Fraction(n1, d1), Fraction(n2, d2)))
+    getrandbits = random.Random(seed).getrandbits
+
+    def draw(low, n, k):
+        # randint(low, low + n - 1) of CPython, with k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
+
+    A, B = action._form
     words_used = 0
-    for point in points:
-        k = _locate(_direction(point, action), table)  # the route of translate_locate
+    accepted = 0
+    while accepted < samples:
+        n1, d1 = draw(1, 60, 6), draw(1, 20, 5)
+        n2, d2 = draw(-60, 121, 7), draw(1, 20, 5)
+        # (x, y) is (n1/d1, n2/d2) scaled by d1*d2 > 0, and x >= 1, so this
+        # test is open-cone membership and (x, y) its integer direction
+        x, y = n1 * d2, n2 * d1
+        if A * x * x <= B * y * y:
+            continue
+        accepted += 1
+        k = _locate((x, y), table)  # the route of translate_locate
         if k is not None:
             words_used = max(words_used, abs(k))
         else:
-            point = [_fraction_json(c) for c in point]
+            point = [_fraction_json(Fraction(n1, d1)), _fraction_json(Fraction(n2, d2))]
             witnesses.append({"kind": "uncovered", "point": point})
     for k in [k for step in range(1, max_word + 1) for k in (step, -step)]:
         low_k, high_k = rows[k]

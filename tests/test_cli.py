@@ -155,6 +155,15 @@ class TestExitCodes:
         assert main(["verify", "--d", "2", "--pi", "1,0;1,1"]) == 2
         assert "closed cone" in capsys.readouterr().err
 
+    def test_oversized_report_is_two(self, capsys):
+        # the squared unit of Z[sqrt(100000007)] prints to more than 4300 digits
+        limit = sys.get_int_max_str_digits()
+        assert main(["funddomain", "--d", "100000007", "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"more than {limit} digits" in err and "smaller --d" in err
+        assert "set_int_max_str_digits" not in err
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestRender:
     def test_wedge_and_line_counts(self, tmp_path):

@@ -154,6 +154,18 @@ class TestTranslateLocate:
         with pytest.raises(NotInCone):
             translate_locate((-1, 0), pi, action)
 
+    def test_boundary_point_is_not_in_cone(self):
+        # b/a = 9/4 puts rational points on the boundary slope 2/3; the
+        # integer test A*x^2 > B*y^2 must reject them like open_member
+        a, b = Fraction(1, 2), Fraction(9, 8)
+        action = GroupAction2D([[5, 6], [Fraction(8, 3), 5]], a, b)
+        pi = PolyhedralCone(2, [(1, 0), action.ray_image((1, 0))])
+        for p in ((3, 2), (Fraction(3, 2), 1), (3, -2)):
+            assert action.form_value(p) == 0
+            with pytest.raises(NotInCone, match=r"outside the open cone"):
+                translate_locate(p, pi, action)
+        assert translate_locate((2, 1), pi, action) == 0
+
     def test_bound_exhaustion(self):
         pi, action = d2_setup()
         far = action.apply((1, Fraction(1, 3)), 9)
@@ -262,6 +274,29 @@ class TestVerifyFundamentalDomain:
         report = verify_fundamental_domain(narrow, inverse, samples=200, max_word=12, seed=0)
         assert report.witnesses == ({"kind": "uncovered", "point": [500002, -1]},)
 
+    def test_samples_in_draw_order(self):
+        # every sample off the ray (1, 0) is an uncovered witness, so the
+        # report lists the seeded points in the order they were drawn; the
+        # literal pins the sample stream of seed 0
+        _, action = d2_setup()
+        ray = PolyhedralCone(2, [(1, 0)])
+        report = verify_fundamental_domain(ray, action, samples=8, max_word=12, seed=0)
+        assert report.to_json_dict() == {
+            "covering_ok": False,
+            "disjoint_ok": True,
+            "witnesses": [
+                {"kind": "uncovered", "point": [2, 1]},  # the gap below g(1, 0)
+                {"kind": "uncovered", "point": ["55/13", "37/14"]},
+                {"kind": "uncovered", "point": ["13/5", "1/12"]},
+                {"kind": "uncovered", "point": ["38/7", "4/5"]},
+                {"kind": "uncovered", "point": ["40/9", "28/9"]},
+                {"kind": "uncovered", "point": ["40/7", "5/8"]},
+                {"kind": "uncovered", "point": ["52/5", "7/3"]},
+                {"kind": "uncovered", "point": ["29/3", "-50/11"]},
+            ],
+            "words_used": 0,  # the eighth sample lies on the ray
+        }
+
     def test_scalar_generator_overlaps_every_translate(self):
         pi, _ = d2_setup()
         report = verify_fundamental_domain(pi, GroupAction2D([[1, 0], [0, 1]], 1, 2),
@@ -359,6 +394,27 @@ class TestTranslateTable:
                 expected["witnesses"].insert(0, gap)
             assert report.to_json_dict() == expected, (shape, pi, action.generator, max_word, seed)
         assert gaps == {"gapped": 170, "single": 170}
+
+
+    @pytest.mark.parametrize("d,max_word", [(2, 12), (7, 12), (1000003, 3)])
+    def test_matches_reference_verify_with_many_samples(self, d, max_word):
+        # the reference scan is slow on the large units of d = 1000003,
+        # hence its smaller max_word
+        pi, action = real_mult_fundamental_domain(d, (1, 0))
+        candidates = {
+            "fundamental": pi,
+            "overlapping": PolyhedralCone(2, [pi.rays[0], action.ray_image(pi.rays[1], 1)]),
+            "single": PolyhedralCone(2, [pi.rays[0]]),
+        }
+        for shape, cand in candidates.items():
+            gap = _gap_witness(cand, action)
+            for seed in range(5):
+                report = verify_fundamental_domain(cand, action, samples=100, max_word=max_word, seed=seed)
+                expected = reference_verify(cand, action, samples=100, max_word=max_word, seed=seed)
+                if gap is not None:
+                    expected["covering_ok"] = False
+                    expected["witnesses"].insert(0, gap)
+                assert report.to_json_dict() == expected, (shape, seed)
 
 
 class TestRealMultIntegration:

@@ -38,7 +38,7 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
+def _emit_json(payload: dict, output: str | None, hint: str = "") -> None:
     try:
         text = json.dumps(payload, indent=2, ensure_ascii=False)
     except ValueError:
@@ -46,8 +46,8 @@ def _emit_json(payload: dict, output: str | None) -> None:
         # interpreter's bound on int-to-text conversion, which stays as set
         limit = sys.get_int_max_str_digits()
         raise AmpleconesError(
-            f"the report holds an integer of more than {limit} digits, "
-            "Python's limit for printing integers; use a smaller --d"
+            f"cannot print the report: it holds an integer of more than {limit} "
+            f"digits, Python's limit for printing integers{hint}"
         ) from None
     _emit(text + "\n", output)
 
@@ -179,7 +179,8 @@ def _cmd_funddomain(args) -> int:
         "g": action.generator_json(),
         "report": report.to_json_dict(),
     }
-    _emit_json(payload, args.output)
+    # the generator, and so both rays of pi, grow with the fundamental unit
+    _emit_json(payload, args.output, hint="; use a smaller --d")
     return 0 if report.ok else 1
 
 

@@ -204,7 +204,11 @@ class GroupAction2D:
         return self.a * x1 * x1 - self.b * x2 * x2
 
     def open_member(self, v) -> bool:
-        return Fraction(v[0]) > 0 and self.form_value(v) > 0
+        x, y = Fraction(v[0]), Fraction(v[1])
+        # the integer direction of (x, y), which has the sign of x
+        u, w = x.numerator * y.denominator, y.numerator * x.denominator
+        A, B = self._form
+        return u > 0 and A * u * u > B * w * w
 
     def closed_member(self, v) -> bool:
         return Fraction(v[0]) >= 0 and self.form_value(v) >= 0
@@ -318,11 +322,9 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
 def _direction(p, action: GroupAction2D):
     """The positive integer direction of a rational point of the open cone."""
     x, y = Fraction(p[0]), Fraction(p[1])
-    u, v = x.numerator * y.denominator, y.numerator * x.denominator
-    A, B = action._form
-    if u <= 0 or A * u * u <= B * v * v:
+    if not action.open_member((x, y)):
         raise NotInCone(f"point {format_point((x, y))} is outside the open cone")
-    return u, v
+    return x.numerator * y.denominator, y.numerator * x.denominator
 
 
 def _locate(p, table):
@@ -393,19 +395,26 @@ def verify_fundamental_domain(
             witnesses.append({"kind": "uncovered", "point": _between(a, b)})
     getrandbits = random.Random(seed).getrandbits
 
-    def draw(low, n, k):
-        # randint(low, low + n - 1) of CPython, with k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return low + r
+    def sampler(low, high):
+        # randint(low, high) of CPython: n.bit_length() bits, redrawn while >= n
+        n = high - low + 1
+        k = n.bit_length()
 
+        def draw():
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return low + r
+
+        return draw
+
+    numerator, signed_numerator, denominator = sampler(1, 60), sampler(-60, 60), sampler(1, 20)
     A, B = action._form
     words_used = 0
     accepted = 0
     while accepted < samples:
-        n1, d1 = draw(1, 60, 6), draw(1, 20, 5)
-        n2, d2 = draw(-60, 121, 7), draw(1, 20, 5)
+        n1, d1 = numerator(), denominator()
+        n2, d2 = signed_numerator(), denominator()
         # (x, y) is (n1/d1, n2/d2) scaled by d1*d2 > 0, and x >= 1, so this
         # test is open-cone membership and (x, y) its integer direction
         x, y = n1 * d2, n2 * d1

@@ -155,6 +155,10 @@ class TestExitCodes:
         assert main(["verify", "--d", "2", "--pi", "1,0;1,1"]) == 2
         assert "closed cone" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="Python before 3.10.7 prints integers of any length",
+    )
     def test_oversized_report_is_two(self, capsys):
         # the squared unit of Z[sqrt(100000007)] prints to more than 4300 digits
         limit = sys.get_int_max_str_digits()
@@ -163,6 +167,10 @@ class TestExitCodes:
         assert f"more than {limit} digits" in err and "smaller --d" in err
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
+        # here the long integer is the gap witness of a user-given --pi
+        assert main(["verify", "--d", "100000007", "--pi", "1,0;100000,1"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot print the report" in err and "--d" not in err
 
 
 class TestRender:

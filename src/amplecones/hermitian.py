@@ -13,6 +13,13 @@ one pass.  The scalars of all three kinds expose ``real`` and
 invertible matrices act by D -> M* D M.  Direct sums of these cones and of
 Lorentz cones are described by :class:`ConeSpec`.
 
+Matrix products, the action and the trace pairing share one integer kernel
+with no per-kind branch either: each operand matrix is read once as integer
+coefficient tuples over one common denominator (the lcm of its entries'
+denominators), each output entry is an integer sum of tuple products, and it
+is reduced to lowest terms once.  The action M* D M is fused, with no
+intermediate matrix reduced, and computes the upper triangle only.
+
 The 27-dimensional exceptional cone is representable as a block tag only;
 every arithmetic operation on it raises :class:`~amplecones.errors.Unsupported`.
 """
@@ -20,8 +27,11 @@ every arithmetic operation on it raises :class:`~amplecones.errors.Unsupported`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, mul
+from typing import Callable, NamedTuple
 
 from .errors import (
     InvalidInput,
@@ -43,27 +53,60 @@ class ScalarKind(enum.Enum):
 
     @property
     def imaginary_units(self):
-        cls, width = _scalar_class(self), _KINDS[self][1]
+        cls, width = _kind(self)[:2]
         return tuple(
             cls(*[int(i == j) for j in range(width)]) for i in range(1, width)
         )
 
 
-# the scalar class of each kind and its dimension over R; octonion
-# arithmetic is not provided, so that kind has no class
+class _Kind(NamedTuple):
+    """What the matrix code needs to know about one scalar kind.
+
+    ``split`` reads an entry as (integer coefficient tuple, positive
+    denominator), ``product`` multiplies two coefficient tuples, and
+    ``build`` turns an integer tuple over a positive denominator back into
+    an entry in lowest terms.  Conjugation negates every coefficient but the
+    first, and Re(a b*) is the dot product of the coefficient tuples.
+    """
+
+    cls: type | None
+    width: int  # dimension over R
+    zero: object = None
+    one: object = None
+    split: Callable | None = None
+    product: Callable | None = None
+    build: Callable | None = None
+
+
+def _algebra_kind(cls, width: int) -> _Kind:
+    zero = cls(0)
+    return _Kind(
+        cls, width, zero, cls(1), attrgetter("_num", "_den"), cls._product, zero._reduce
+    )
+
+
+# octonion arithmetic is not provided, so that kind has no class
 _KINDS = {
-    ScalarKind.REAL: (Fraction, 1),
-    ScalarKind.COMPLEX: (GaussianRational, 2),
-    ScalarKind.QUATERNION: (RationalQuaternion, 4),
-    ScalarKind.OCTONION: (None, 8),
+    ScalarKind.REAL: _Kind(
+        Fraction,
+        1,
+        Fraction(0),
+        Fraction(1),
+        lambda x: ((x.numerator,), x.denominator),
+        lambda p, q: (p[0] * q[0],),
+        lambda num, den: Fraction(num[0], den),
+    ),
+    ScalarKind.COMPLEX: _algebra_kind(GaussianRational, 2),
+    ScalarKind.QUATERNION: _algebra_kind(RationalQuaternion, 4),
+    ScalarKind.OCTONION: _Kind(None, 8),
 }
 
 
-def _scalar_class(kind: ScalarKind):
-    cls = _KINDS[kind][0]
-    if cls is None:
+def _kind(kind: ScalarKind) -> _Kind:
+    ops = _KINDS[kind]
+    if ops.cls is None:
         raise Unsupported("octonion arithmetic is not provided")
-    return cls
+    return ops
 
 
 def hermitian_dimension(kind: ScalarKind, r: int) -> int:
@@ -73,11 +116,11 @@ def hermitian_dimension(kind: ScalarKind, r: int) -> int:
         raise InvalidInput(f"matrix size must be positive, got {r}")
     if kind is ScalarKind.OCTONION and r != 3:
         raise Unsupported("the exceptional cone exists only in size 3")
-    return r + _KINDS[kind][1] * r * (r - 1) // 2
+    return r + _KINDS[kind].width * r * (r - 1) // 2
 
 
 def _coerce_entry(kind: ScalarKind, value):
-    cls = _scalar_class(kind)
+    cls = _kind(kind).cls
     if isinstance(value, cls):
         return value  # immutable, so no copy is needed
     if isinstance(value, _RationalLike):
@@ -102,11 +145,44 @@ def _trusted(cls, kind: ScalarKind, entries):
 
 
 def _zero(kind: ScalarKind):
-    return _coerce_entry(kind, 0)
+    return _kind(kind).zero
 
 
 def _one(kind: ScalarKind):
-    return _coerce_entry(kind, 1)
+    return _kind(kind).one
+
+
+def _integer_rows(ops: _Kind, entries):
+    """The rows of ``entries`` as integer coefficient tuples over one
+    positive denominator, the lcm of the entries' denominators."""
+    rows = [list(map(ops.split, row)) for row in entries]
+    den = math.lcm(*[d for row in rows for _, d in row])
+    return [
+        [num if d == den else tuple([c * (den // d) for c in num]) for num, d in row]
+        for row in rows
+    ], den
+
+
+def _conjugate(num: tuple) -> tuple:
+    return (num[0],) + tuple([-c for c in num[1:]])
+
+
+def _dot(product, row, col) -> tuple:
+    """The integer coefficient tuple of sum_k row[k] col[k]."""
+    return tuple(map(sum, zip(*map(product, row, col))))
+
+
+def _product_rows(product, a, b):
+    cols = list(zip(*b))
+    return [[_dot(product, row, col) for col in cols] for row in a]
+
+
+def _pairing(x, y) -> int:
+    """Sum of Re(a b*) over paired entries of two integer coefficient
+    matrices: the dot product of all their coefficients."""
+    return sum(
+        sum(map(mul, p, q)) for rx, ry in zip(x, y) for p, q in zip(rx, ry)
+    )
 
 
 class AlgebraMatrix:
@@ -159,18 +235,18 @@ class AlgebraMatrix:
         if not isinstance(other, AlgebraMatrix):
             return NotImplemented
         self._require_compatible(other)
-        n = self.size
-        a, b = self.entries, other.entries
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = a[i][0] * b[0][j]
-                for k in range(1, n):
-                    acc = acc + a[i][k] * b[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return _trusted(AlgebraMatrix, self.kind, tuple(rows))
+        ops = _KINDS[self.kind]
+        a, da = _integer_rows(ops, self.entries)
+        b, db = _integer_rows(ops, other.entries)
+        den, build = da * db, ops.build
+        return _trusted(
+            AlgebraMatrix,
+            self.kind,
+            tuple(
+                tuple([build(num, den) for num in row])
+                for row in _product_rows(ops.product, a, b)
+            ),
+        )
 
     def __add__(self, other):
         if isinstance(other, HermitianMatrix):
@@ -273,7 +349,7 @@ class HermitianMatrix:
 
     @classmethod
     def identity(cls, kind: ScalarKind, n: int) -> "HermitianMatrix":
-        return cls(kind, AlgebraMatrix.identity(kind, n).entries)
+        return _trusted(cls, kind, AlgebraMatrix.identity(kind, n).entries)
 
     @classmethod
     def diagonal(cls, kind: ScalarKind, values) -> "HermitianMatrix":
@@ -314,14 +390,10 @@ def _require_same_space(x, y):
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     """Real part of Tr(x y*): the pairing making each matrix cone self-dual."""
     _require_same_space(x, y)
-    # conjugation and the real part are the identity on R, where a
-    # Fraction's conjugate() and real would each allocate a new Fraction
-    real = x.kind is ScalarKind.REAL
-    total = Fraction(0)
-    for row, other in zip(x.entries, y.entries):
-        for a, b in zip(row, other):
-            total += a * b if real else (a * b.conjugate()).real
-    return total
+    ops = _KINDS[x.kind]
+    a, da = _integer_rows(ops, x.entries)
+    b, db = _integer_rows(ops, y.entries)
+    return Fraction(_pairing(a, b), da * db)
 
 
 def _eliminate(D: HermitianMatrix):
@@ -398,13 +470,13 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
     """The (automatically real) value v* D v for a coordinate vector v."""
     if len(v) != D.size:
         raise ShapeMismatch("vector length does not match matrix size")
-    vv = [_coerce_entry(D.kind, c) for c in v]
-    total = None
-    for i in range(D.size):
-        for j in range(D.size):
-            term = vv[i].conjugate() * (D.entries[i][j] * vv[j])
-            total = term if total is None else total + term
-    return total.real
+    ops = _KINDS[D.kind]
+    (vv,), v_den = _integer_rows(ops, [[_coerce_entry(D.kind, c) for c in v]])
+    d, d_den = _integer_rows(ops, D.entries)
+    # v* D v = sum_i Re(v_i* w_i) for w = D v, and Re(v_i* w_i) = Re(w_i v_i*)
+    # even over H, so it is the pairing of w and v as one-row matrices
+    w = [_dot(ops.product, row, vv) for row in d]
+    return Fraction(_pairing([w], [vv]), d_den * v_den * v_den)
 
 
 def negative_certificate(D: HermitianMatrix):
@@ -422,8 +494,25 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
         raise ShapeMismatch("matrix and Hermitian operand are incompatible")
     if not M.is_invertible():
         raise SingularMatrix("action matrix is singular")
-    result = M.star() * D.to_algebra() * M
-    return _trusted(HermitianMatrix, D.kind, result.entries)
+    ops = _KINDS[D.kind]
+    m, m_den = _integer_rows(ops, M.entries)
+    d, d_den = _integer_rows(ops, D.entries)
+    product, build = ops.product, ops.build
+    den = m_den * d_den * m_den
+    # column j of D M, and row i of M* (the conjugated column i of M)
+    dm_cols = list(zip(*_product_rows(product, d, m)))
+    m_star = [list(map(_conjugate, col)) for col in zip(*m)]
+    n = D.size
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            num = _dot(product, m_star[i], dm_cols[j])
+            rows[i][j] = build(num, den)
+            if j != i:
+                # M* D M is self-adjoint, so entry (j, i) is exactly the
+                # conjugate of entry (i, j)
+                rows[j][i] = build(_conjugate(num), den)
+    return _trusted(HermitianMatrix, D.kind, tuple(map(tuple, rows)))
 
 
 class LorentzVector:

@@ -123,6 +123,37 @@ def ref_inverse(p, mul=ref_mul) -> tuple:
     return tuple(c / n for c in ref_conj(p))
 
 
+def wide_fraction(rng: random.Random) -> Fraction:
+    """Zero a quarter of the time; otherwise a numerator of up to 200 bits
+    or a small one, over a denominator of mixed size, up to 2**67 + 1."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    bound = 2**200 if rng.random() < 0.3 else 9
+    den = rng.choice([1, 2, 3, 7, 2**67 + 1, rng.randint(1, 50)])
+    return Fraction(rng.randint(-bound, bound), den)
+
+
+def wide_scalar(rng: random.Random, kind: ScalarKind):
+    if kind is ScalarKind.REAL:
+        return wide_fraction(rng)
+    cls = GaussianRational if kind is ScalarKind.COMPLEX else RationalQuaternion
+    width = 2 if kind is ScalarKind.COMPLEX else 4
+    return cls(*[wide_fraction(rng) for _ in range(width)])
+
+
+def rebuild_scalar(value):
+    """The public constructor's build of a scalar's value."""
+    return type(value)(*_scalar_components(value))
+
+
+def scalar_state(value) -> tuple:
+    """The stored integers of a scalar: (numerator, denominator) of a
+    Fraction, (_num, _den) of the other kinds."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    return value._num, value._den
+
+
 # --- random matrices ----------------------------------------------------------
 
 def random_algebra_matrix(
@@ -162,6 +193,74 @@ def random_hermitian_matrix(
             rows[i][j] = v
             rows[j][i] = conj_scalar(v)
     return HermitianMatrix(kind, rows)
+
+
+def wide_algebra_matrix(rng: random.Random, kind: ScalarKind, size: int) -> AlgebraMatrix:
+    return AlgebraMatrix(
+        kind, [[wide_scalar(rng, kind) for _ in range(size)] for _ in range(size)]
+    )
+
+
+def wide_hermitian_matrix(rng: random.Random, kind: ScalarKind, size: int) -> HermitianMatrix:
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = wide_fraction(rng)
+        for j in range(i + 1, size):
+            rows[i][j] = wide_scalar(rng, kind)
+            rows[j][i] = conj_scalar(rows[i][j])
+    return HermitianMatrix(kind, rows)
+
+
+# --- scalar-by-scalar matrix references -----------------------------------------
+#
+# Matrix products, the action and the trace pairing computed one scalar
+# operation at a time on entry rows, every intermediate reduced by the scalar
+# classes, as the reference for the library's integer-coefficient kernel.
+
+def ref_matrix_product(a, b) -> tuple:
+    n = len(a)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_star(a) -> tuple:
+    return tuple(tuple(conj_scalar(v) for v in col) for col in zip(*a))
+
+
+def ref_act(m, d) -> tuple:
+    """The entry rows of M* D M."""
+    return ref_matrix_product(ref_matrix_product(ref_star(m), d), m)
+
+
+def _real_part(value) -> Fraction:
+    return value if isinstance(value, Fraction) else value.real
+
+
+def ref_trace_pairing(x, y) -> Fraction:
+    """Re Tr(x y*) of two entry-row matrices."""
+    total = Fraction(0)
+    for row, other in zip(x, y):
+        for a, b in zip(row, other):
+            total += _real_part(a * conj_scalar(b))
+    return total
+
+
+def ref_quadratic_value(d, v) -> Fraction:
+    """The real part of v* D v."""
+    total = None
+    for i in range(len(v)):
+        for j in range(len(v)):
+            term = conj_scalar(v[i]) * (d[i][j] * v[j])
+            total = term if total is None else total + term
+    return _real_part(total)
 
 
 def rank_one_plus_shift(v, kind: ScalarKind, shift: Fraction) -> HermitianMatrix:

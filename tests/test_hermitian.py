@@ -30,6 +30,7 @@ from amplecones import (
     quadratic_value,
     trace_inner_product,
 )
+from amplecones.hermitian import _one, _zero
 from support import (
     MATRIX_KINDS,
     flatten_hermitian,
@@ -38,6 +39,15 @@ from support import (
     random_pd_matrix,
     rank_one_plus_shift,
     rational_rank,
+    rebuild_scalar,
+    ref_act,
+    ref_matrix_product,
+    ref_quadratic_value,
+    ref_trace_pairing,
+    scalar_state,
+    wide_algebra_matrix,
+    wide_hermitian_matrix,
+    wide_scalar,
 )
 
 R, C, H = ScalarKind.REAL, ScalarKind.COMPLEX, ScalarKind.QUATERNION
@@ -61,6 +71,18 @@ class TestConstruction:
     def test_octonion_entries_rejected(self):
         with pytest.raises(Unsupported):
             AlgebraMatrix(ScalarKind.OCTONION, [[1]])
+        for constant in (_zero, _one):
+            with pytest.raises(Unsupported):
+                constant(ScalarKind.OCTONION)
+
+    def test_constants_are_shared(self):
+        for kind in MATRIX_KINDS:
+            assert _zero(kind) is _zero(kind) and _one(kind) is _one(kind)
+            assert _zero(kind) == 0 and _one(kind) == 1
+            identity = HermitianMatrix.identity(kind, 3)
+            assert identity == HermitianMatrix(
+                kind, [[int(i == j) for j in range(3)] for i in range(3)]
+            )
 
 
 class TestInternalResults:
@@ -119,6 +141,48 @@ class TestInternalResults:
                 bad[i][j] = wrong[kind]
                 with pytest.raises(ShapeMismatch):
                     HermitianMatrix(kind, bad)
+
+
+class TestIntegerKernel:
+    """Products, the action and the pairing run on integer coefficients over
+    one denominator per operand; each result must equal the scalar-by-scalar
+    reference in value and in stored state."""
+
+    @staticmethod
+    def _check_entry(got, want):
+        for other in (want, rebuild_scalar(want)):
+            assert type(got) is type(other)
+            assert repr(got) == repr(other) and hash(got) == hash(other)
+            assert scalar_state(got) == scalar_state(other)
+
+    def _check_rows(self, result, want):
+        assert len(result.entries) == len(want)
+        for row, want_row in zip(result.entries, want):
+            assert len(row) == len(want_row)
+            for got, value in zip(row, want_row):
+                self._check_entry(got, value)
+
+    def test_matches_scalar_reference(self):
+        rng = random.Random(79)
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3, 4):
+                for _ in range(5):
+                    a = wide_algebra_matrix(rng, kind, size)
+                    b = wide_algebra_matrix(rng, kind, size)
+                    d = wide_hermitian_matrix(rng, kind, size)
+                    x = wide_hermitian_matrix(rng, kind, size)
+                    v = [wide_scalar(rng, kind) for _ in range(size)]
+                    self._check_rows(a * b, ref_matrix_product(a.entries, b.entries))
+                    self._check_rows(a * d, ref_matrix_product(a.entries, d.entries))
+                    while not a.is_invertible():
+                        a = wide_algebra_matrix(rng, kind, size)
+                    image = act(a, d)
+                    self._check_rows(image, ref_act(a.entries, d.entries))
+                    assert HermitianMatrix(kind, image.entries) == image
+                    self._check_entry(
+                        trace_inner_product(d, x), ref_trace_pairing(d.entries, x.entries)
+                    )
+                    self._check_entry(quadratic_value(d, v), ref_quadratic_value(d.entries, v))
 
 
 class TestTraceInnerProduct:

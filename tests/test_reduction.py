@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -186,6 +187,16 @@ class TestTranslateLocate:
                 call()
             messages.append(str(caught.value))
         assert all("Fraction(" not in m and "1/2" in m for m in messages), messages
+
+    def test_error_message_for_point_past_int_string_limit(self):
+        # 10**5000 has more digits than str() accepts under the default limit
+        x = 10**5000
+        p = (x, math.isqrt(x * x // 2) - 1)
+        with pytest.raises(NotFundamental) as caught:
+            translate_locate(p, *real_mult_fundamental_domain(2, (1, 0)), max_word=12)
+        message = str(caught.value)
+        assert f"<{x.bit_length()}-bit integer>" in message
+        assert "set_int_max_str_digits" not in message
 
     def test_consistency_and_equivariance(self):
         pi, action = d2_setup()

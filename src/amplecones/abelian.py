@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, NotInCone, ShapeMismatch
+from .errors import InvalidInput, NotInCone, ShapeMismatch, format_point
 from .hermitian import (
     AlgebraMatrix,
     ConeSpec,
@@ -265,7 +265,7 @@ def real_mult_fundamental_domain(
     generator = [[p, d * q], [q, p]]
     action = GroupAction2D(generator, 1, d)
     if not action.open_member(ray):
-        raise NotInCone(f"ray {tuple(ray)} is outside the open cone x1^2 > {d} x2^2")
+        raise NotInCone(f"ray {format_point(ray)} is outside the open cone x1^2 > {d} x2^2")
     base = primitive_vector(ray)
     pi = PolyhedralCone(2, [base, action.ray_image(base, 1)])
     return pi, action

@@ -55,8 +55,12 @@ def _emit_json(payload: dict, output: str | None, hint: str = "") -> None:
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise AmpleconesError(f"cannot parse rational {text!r}: {exc}") from None
+    except ValueError:
+        raise AmpleconesError(
+            f"cannot parse rational {text!r}: not a rational number such as 3/4 or 1.5"
+        ) from None
+    except ZeroDivisionError:
+        raise AmpleconesError(f"cannot parse rational {text!r}: zero denominator") from None
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -125,7 +129,9 @@ def _sqrt_text(n: int) -> str:
 
 
 def _cmd_surface(args) -> int:
-    data = abelian.surface_nef_data(args.a, args.b)
+    # parsed here rather than by an argparse type=, which would let the
+    # AmpleconesError escape as a traceback
+    data = abelian.surface_nef_data(_parse_fraction(args.a), _parse_fraction(args.b))
     if data.rational_polyhedral:
         rays = [list(r) for r in data.rays]
     else:
@@ -303,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_amplecone)
 
     p = sub.add_parser("surface", help="boundary rays for the form diag(a, -b)")
-    p.add_argument("--a", type=_parse_fraction, required=True)
-    p.add_argument("--b", type=_parse_fraction, required=True)
+    p.add_argument("--a", required=True, help="rational like 3/4")
+    p.add_argument("--b", required=True, help="rational like 3/4")
     add_output(p)
     p.set_defaults(func=_cmd_surface)
 

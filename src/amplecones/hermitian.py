@@ -1,24 +1,29 @@
 """Symmetric and Hermitian matrix cones over R, C, and H, with exact verdicts.
 
 The open cone of positive-definite matrices in each Hermitian space is
-homogeneous and self-dual for the pairing Re Tr(x y*).  Every verdict on it
-comes from one exact LDL* elimination (all pivots are rational because
-Hermitian diagonals are): it skips a zero pivot whose row is zero and stops
-at the first negative pivot, or zero pivot with a nonzero row, carrying a
-violating vector back through its multipliers.  Definiteness,
-semidefiniteness, the witness D = L diag(delta) L* (a constructive
-homogeneity certificate) and the negative certificate are all read off that
-one pass.  The scalars of all three kinds expose ``real`` and
-``conjugate()``, so the elimination has no per-kind branches.  The
-invertible matrices act by D -> M* D M.  Direct sums of these cones and of
-Lorentz cones are described by :class:`ConeSpec`.
+homogeneous and self-dual for the pairing Re Tr(x y*).  The invertible
+matrices act on it by D -> M* D M.  Direct sums of these cones and of Lorentz
+cones are described by :class:`ConeSpec`.
 
-Matrix products, the action and the trace pairing share one integer kernel
-with no per-kind branch either: each operand matrix is read once as integer
-coefficient tuples over one common denominator (the lcm of its entries'
-denominators), each output entry is an integer sum of tuple products, and it
-is reduced to lowest terms once.  The action M* D M is fused, with no
-intermediate matrix reduced, and computes the upper triangle only.
+All matrix arithmetic runs on integers, with no per-kind branch.  Each matrix
+is read once as integer coefficient tuples over one common denominator (the
+lcm of its entries' denominators), and it keeps those rows: products and the
+action store the rows of their result directly.  Matrix products, the action
+and the trace pairing compute each output entry as an integer sum of tuple
+products and reduce it to lowest terms once.  The action M* D M is fused,
+with no intermediate matrix reduced, and computes the upper triangle only.
+
+Every verdict on the cone comes from one fraction-free LDL* elimination on
+those rows.  Each pivot of a Hermitian Schur complement is real, so it is
+central even in H, and the update S_ij <- p S_ij - S_ik S_kj scales the
+complement by p > 0 and keeps every pivot sign.  The elimination skips a
+zero pivot whose row is zero and stops at the first negative pivot, or zero
+pivot with a nonzero row.  Definiteness and semidefiniteness read only the
+pivot signs.  The witness D = L diag(delta) L* (a constructive homogeneity
+certificate) and the negative certificate, a violating vector carried back
+through the multipliers, are built as scalars once, from the recorded
+integer steps.  Invertibility is a fraction-free elimination on the same
+rows.
 
 The 27-dimensional exceptional cone is representable as a block tag only;
 every arithmetic operation on it raises :class:`~amplecones.errors.Unsupported`.
@@ -128,19 +133,21 @@ def _coerce_entry(kind: ScalarKind, value):
     raise ShapeMismatch(f"entry {value!r} does not belong to scalar kind {kind.value}")
 
 
-def _trusted(cls, kind: ScalarKind, entries):
+def _trusted(cls, kind: ScalarKind, entries, rows=None):
     """An AlgebraMatrix or HermitianMatrix of ``kind`` from a tuple of entry
     tuples that are already scalars of that kind, with no validation.
 
     Only results of the library's own exact arithmetic come through here:
     their entries have the right kind by construction, and a result that is
     self-adjoint in exact arithmetic (M* D M, L diag L*) is so entry for
-    entry.  The public constructors keep full validation.
+    entry.  ``rows``, when given, must be what :func:`_integer_rows` reads
+    off ``entries``.  The public constructors keep full validation.
     """
     obj = object.__new__(cls)
     object.__setattr__(obj, "kind", kind)
     object.__setattr__(obj, "size", len(entries))
     object.__setattr__(obj, "entries", entries)
+    object.__setattr__(obj, "_rows", rows)
     return obj
 
 
@@ -161,6 +168,33 @@ def _integer_rows(ops: _Kind, entries):
         [num if d == den else tuple([c * (den // d) for c in num]) for num, d in row]
         for row in rows
     ], den
+
+
+def _rows_of(m):
+    """The integer rows of a matrix's entries and their denominator, as
+    :func:`_integer_rows` reads them; computed on first use and kept in the
+    matrix.  Callers never mutate them."""
+    rows = m._rows
+    if rows is None:
+        rows = _integer_rows(_KINDS[m.kind], m.entries)
+        object.__setattr__(m, "_rows", rows)
+    return rows
+
+
+def _from_integers(cls, kind: ScalarKind, nums, den: int):
+    """The trusted matrix of entries nums[i][j] / den, keeping its rows.
+
+    Dividing every coefficient and ``den`` by their common gcd g leaves the
+    rows over den / g, which is the lcm of the reduced entries'
+    denominators: exactly what :func:`_integer_rows` would read.
+    """
+    g = math.gcd(den, *[c for row in nums for num in row for c in num])
+    if g != 1:
+        nums = [[tuple([c // g for c in num]) for num in row] for row in nums]
+        den //= g
+    build = _KINDS[kind].build
+    entries = tuple(tuple([build(num, den) for num in row]) for row in nums)
+    return _trusted(cls, kind, entries, (nums, den))
 
 
 def _conjugate(num: tuple) -> tuple:
@@ -188,7 +222,8 @@ def _pairing(x, y) -> int:
 class AlgebraMatrix:
     """Square matrix over one scalar kind, with no symmetry constraint."""
 
-    __slots__ = ("kind", "size", "entries")
+    # _rows: the integer rows of the entries, filled on first use (_rows_of)
+    __slots__ = ("kind", "size", "entries", "_rows")
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         rows = [list(r) for r in rows]
@@ -201,6 +236,7 @@ class AlgebraMatrix:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraMatrix is immutable")
@@ -230,22 +266,14 @@ class AlgebraMatrix:
             )
 
     def __mul__(self, other):
-        if isinstance(other, HermitianMatrix):
-            other = other.to_algebra()
-        if not isinstance(other, AlgebraMatrix):
+        if not isinstance(other, (AlgebraMatrix, HermitianMatrix)):
             return NotImplemented
         self._require_compatible(other)
-        ops = _KINDS[self.kind]
-        a, da = _integer_rows(ops, self.entries)
-        b, db = _integer_rows(ops, other.entries)
-        den, build = da * db, ops.build
-        return _trusted(
-            AlgebraMatrix,
-            self.kind,
-            tuple(
-                tuple([build(num, den) for num in row])
-                for row in _product_rows(ops.product, a, b)
-            ),
+        a, da = _rows_of(self)
+        b, db = _rows_of(other)
+        product = _KINDS[self.kind].product
+        return _from_integers(
+            AlgebraMatrix, self.kind, _product_rows(product, a, b), da * db
         )
 
     def __add__(self, other):
@@ -279,27 +307,42 @@ class AlgebraMatrix:
         )
 
     def is_invertible(self) -> bool:
-        """Exact Gaussian elimination over the (possibly skew) scalar field."""
+        """Fraction-free Gaussian elimination on the integer rows.
+
+        Over the skew field H a row is cleared by a left multiple of the
+        pivot row: row_i <- N(p) row_i - (a_ic p*) row_k.  Since
+        p* = N(p) p^{-1}, this is N(p) (row_i - a_ic p^{-1} row_k), the
+        exact step times a positive integer, so each pivot column has the
+        zero pattern of exact elimination over the scalars, and so does the
+        verdict.  The product order matters: [[1, i], [j, -k]] is singular.
+        Each updated row is divided by the gcd of its coefficients.
+        """
+        product = _KINDS[self.kind].product
+        a = [list(row) for row in _rows_of(self)[0]]
         n = self.size
-        a = [list(row) for row in self.entries]
         for col in range(n):
-            pivot_row = None
-            for i in range(col, n):
-                if a[i][col]:
-                    pivot_row = i
-                    break
+            pivot_row = next((i for i in range(col, n) if any(a[i][col])), None)
             if pivot_row is None:
                 return False
             a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv = 1 / a[col][col]
+            pivot = a[col]
+            p = pivot[col]
+            norm = sum([c * c for c in p])
+            p_star = _conjugate(p)
             for i in range(col + 1, n):
-                if not a[i][col]:
+                row = a[i]
+                if not any(row[col]):
                     continue
-                factor = a[i][col] * inv
+                factor = product(row[col], p_star)
                 # columns up to col are never read again
-                row, pivot = a[i], a[col]
-                for j in range(col + 1, n):
-                    row[j] = row[j] - factor * pivot[j]
+                new = [
+                    tuple([norm * x - y for x, y in zip(row[j], product(factor, pivot[j]))])
+                    for j in range(col + 1, n)
+                ]
+                g = math.gcd(*[c for num in new for c in num])
+                if g > 1:
+                    new = [tuple([c // g for c in num]) for num in new]
+                row[col + 1 :] = new
         return True
 
     def __eq__(self, other):
@@ -330,7 +373,7 @@ class HermitianMatrix:
     particular diagonal entries have vanishing imaginary or vector part.
     """
 
-    __slots__ = ("kind", "size", "entries")
+    __slots__ = ("kind", "size", "entries", "_rows")
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         m = AlgebraMatrix(kind, rows)
@@ -343,6 +386,7 @@ class HermitianMatrix:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "size", m.size)
         object.__setattr__(self, "entries", m.entries)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -356,7 +400,7 @@ class HermitianMatrix:
         return cls(kind, AlgebraMatrix.diagonal(kind, values).entries)
 
     def to_algebra(self) -> AlgebraMatrix:
-        return _trusted(AlgebraMatrix, self.kind, self.entries)
+        return _trusted(AlgebraMatrix, self.kind, self.entries, self._rows)
 
     def __eq__(self, other):
         if isinstance(other, HermitianMatrix):
@@ -390,80 +434,98 @@ def _require_same_space(x, y):
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     """Real part of Tr(x y*): the pairing making each matrix cone self-dual."""
     _require_same_space(x, y)
-    ops = _KINDS[x.kind]
-    a, da = _integer_rows(ops, x.entries)
-    b, db = _integer_rows(ops, y.entries)
+    a, da = _rows_of(x)
+    b, db = _rows_of(y)
     return Fraction(_pairing(a, b), da * db)
 
 
 def _eliminate(D: HermitianMatrix):
-    """Exact LDL* elimination of D, stopped at the first sign of negativity.
+    """Fraction-free LDL* elimination of D's integer rows, stopped at the
+    first sign of negativity.
 
-    Returns ``(lower, pivots, v)``.  The pivots are the real diagonal values
-    of successive Schur complements, so the elimination stays rational even
-    over the quaternions.  A zero pivot whose row is zero is skipped (its
-    column of ``lower`` stays a unit column).  A negative pivot, or a zero
-    pivot with a nonzero row, gives a local vector w with w* S w < 0 on the
-    current Schur complement S; it is carried back through the recorded
-    multipliers as v = L^{-*} w, so that v* D v = w* S w < 0, and the
-    elimination stops.  ``v`` is None exactly when D is positive
-    semidefinite, and then D = L diag(pivots) L*.
+    S starts as the integer rows of D, and it always equals s times the true
+    Schur complement for a positive rational scale s = s_num / s_den (den at
+    the start, where D = S / den).  A positive pivot p = S_kk updates the
+    trailing block to p S_ij - S_ik S_kj, which is s p times the next
+    complement because p is real, and the block is then divided by the gcd
+    g of its coefficients, so s becomes s p / g.  The gcd division is exact
+    by construction; it keeps the integers about the size of the leading
+    minors, as Bareiss's division by the previous pivot does (Bareiss,
+    Math. Comp. 1968).  Only the upper triangle is stored: S_ik is the
+    conjugate of S_ki.
+
+    Returns ``(steps, failure)``.  ``steps[k]`` is ``(p, row, s_num,
+    s_den)``: the integer pivot, the entries S_kj with j > k (None for a zero
+    pivot whose row is zero, which is skipped), and the scale at that step,
+    so that the true pivot is p s_den / s_num and the multiplier L_ik is
+    S_ik / p.  ``failure`` is None exactly when D is positive semidefinite.
+    Otherwise it is ``(k, bad, s_bb, s_bk, s_num, s_den)`` for the step k
+    that breaks: ``bad`` is None for a negative pivot, and for a zero pivot
+    with a nonzero row it is the first row b with S_bk != 0, with the
+    integers S_bb (real) and S_bk.
     """
+    product = _KINDS[D.kind].product
+    rows, s_num = _rows_of(D)
+    s_den = 1
     n = D.size
-    a = [list(row) for row in D.entries]
-    one, zero = _one(D.kind), _zero(D.kind)
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    pivots = []
+    s = [list(row) for row in rows]  # only entries on or above the diagonal
+    steps = []
     for k in range(n):
-        pivot = a[k][k].real
-        if pivot > 0:
-            pivots.append(pivot)
-            inv = 1 / pivot
+        row = s[k]
+        p = row[k][0]
+        if p > 0:
+            coeffs = []
             for i in range(k + 1, n):
-                m = a[i][k] * inv
-                lower[i][k] = m
-                for j in range(k + 1, n):
-                    a[i][j] = a[i][j] - m * a[k][j]
+                c = _conjugate(row[i])  # S_ik
+                si = s[i]
+                for j in range(i, n):
+                    num = tuple([p * x - y for x, y in zip(si[j], product(c, row[j]))])
+                    si[j] = num
+                    coeffs.extend(num)
+            g = math.gcd(*coeffs) or 1  # 0 when the block is zero
+            if g != 1:
+                for i in range(k + 1, n):
+                    s[i][i:] = [tuple([x // g for x in num]) for num in s[i][i:]]
+            steps.append((p, row[k + 1 :], s_num, s_den))
+            s_num, s_den = s_num * p, s_den * g
             continue
-        if pivot == 0:
-            bad = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if p == 0:
+            bad = next((j for j in range(k + 1, n) if any(row[j])), None)
             if bad is None:
-                pivots.append(pivot)
+                steps.append((p, None, s_num, s_den))
                 continue
-        v = [zero] * n
-        if pivot < 0:
-            v[k] = one
-        else:
-            # a semidefinite matrix with a zero diagonal entry has a zero row;
-            # with w = t e_k + e_bad, w* S w = S_bb - 2 scale |entry|^2 = -1
-            entry = a[bad][k]
-            scale = (a[bad][bad].real + 1) / (2 * (entry * entry.conjugate()).real)
-            v[k] = -scale * entry.conjugate()
-            v[bad] = one
-        for i in reversed(range(k)):
-            v[i] = -sum((lower[j][i].conjugate() * v[j] for j in range(i + 1, n)), zero)
-        return lower, tuple(pivots), tuple(v)
-    return lower, tuple(pivots), None
+            return steps, (k, bad, s[bad][bad][0], _conjugate(row[bad]), s_num, s_den)
+        return steps, (k, None, None, None, s_num, s_den)
+    return steps, None
 
 
 def is_positive_definite(D: HermitianMatrix) -> bool:
     """Membership in the open cone: all pivots of exact LDL* are positive."""
-    _, pivots, v = _eliminate(D)
-    return v is None and all(pivots)
+    steps, failure = _eliminate(D)
+    return failure is None and all(step[0] for step in steps)
 
 
 def ldl_witness(D: HermitianMatrix):
     """Unit lower-triangular L and positive diagonal delta with
     D = L diag(delta) L*, i.e. act(L*, diag(delta)) = D exactly."""
-    lower, delta, v = _eliminate(D)
-    if v is not None or not all(delta):
+    steps, failure = _eliminate(D)
+    if failure is not None or not all(step[0] for step in steps):
         raise NotPositiveDefinite("matrix has a non-positive pivot")
-    return _trusted(AlgebraMatrix, D.kind, tuple(map(tuple, lower))), delta
+    ops = _KINDS[D.kind]
+    build, one, zero = ops.build, ops.one, ops.zero
+    n = D.size
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    delta = []
+    for k, (p, row, s_num, s_den) in enumerate(steps):
+        delta.append(Fraction(p * s_den, s_num))
+        for i, num in enumerate(row, k + 1):
+            lower[i][k] = build(_conjugate(num), p)  # S_ik / p
+    return _trusted(AlgebraMatrix, D.kind, tuple(map(tuple, lower))), tuple(delta)
 
 
 def is_positive_semidefinite(D: HermitianMatrix) -> bool:
     """Membership in the closed cone, with exact zero-pivot handling."""
-    return _eliminate(D)[2] is None
+    return _eliminate(D)[1] is None
 
 
 def quadratic_value(D: HermitianMatrix, v) -> Fraction:
@@ -472,7 +534,7 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
         raise ShapeMismatch("vector length does not match matrix size")
     ops = _KINDS[D.kind]
     (vv,), v_den = _integer_rows(ops, [[_coerce_entry(D.kind, c) for c in v]])
-    d, d_den = _integer_rows(ops, D.entries)
+    d, d_den = _rows_of(D)
     # v* D v = sum_i Re(v_i* w_i) for w = D v, and Re(v_i* w_i) = Re(w_i v_i*)
     # even over H, so it is the pairing of w and v as one-row matrices
     w = [_dot(ops.product, row, vv) for row in d]
@@ -482,10 +544,41 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
 def negative_certificate(D: HermitianMatrix):
     """A vector v with v* D v < 0, or None when D is positive semidefinite.
 
-    Found by running the LDL* elimination until it breaks and transporting
-    the violating direction back through the recorded eliminations.
+    The LDL* elimination runs until it breaks at step k, where a local
+    vector w has w* S w < 0 on the true Schur complement S: w = e_k for a
+    negative pivot, and w = t e_k + e_b for a zero pivot with S_bk != 0,
+    with t = -(S_bb + 1) / (2 |S_bk|^2) conj(S_bk), so that
+    w* S w = S_bb - 2 (S_bb + 1) / 2 = -1.  It is carried back through the
+    multipliers as v = L^{-*} w, so that v* D v = w* S w < 0.  All of it runs
+    on integer tuples over one denominator, and v is built once.
     """
-    return _eliminate(D)[2]
+    steps, failure = _eliminate(D)
+    if failure is None:
+        return None
+    ops = _KINDS[D.kind]
+    product, build = ops.product, ops.build
+    k, bad, s_bb, s_bk, s_num, s_den = failure
+    zero = (0,) * ops.width
+    v = [zero] * D.size  # integer tuples over v_den
+    if bad is None:
+        v[k], v_den = (1,) + zero[1:], 1
+    else:
+        # the integers are s times the true ones, so with s = s_num / s_den,
+        # t = -(S_bb + s) / (2 N(S_bk)) conj(S_bk) on the integer S
+        shift = s_bb * s_den + s_num
+        v_den = 2 * s_den * sum([c * c for c in s_bk])
+        v[k] = tuple([-shift * c for c in _conjugate(s_bk)])
+        v[bad] = (v_den,) + zero[1:]
+    for i in reversed(range(k)):
+        p, row = steps[i][:2]
+        if row is None:
+            continue  # a skipped step leaves a unit column of L, so v_i = 0
+        # v_i = -sum_{j > i} conj(L_ji) v_j, and conj(L_ji) = S_ij / p
+        total = _dot(product, row, v[i + 1 :])
+        v = [tuple([p * c for c in num]) for num in v]
+        v[i] = tuple([-c for c in total])
+        v_den *= p
+    return tuple([build(num, v_den) for num in v])
 
 
 def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
@@ -494,25 +587,23 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
         raise ShapeMismatch("matrix and Hermitian operand are incompatible")
     if not M.is_invertible():
         raise SingularMatrix("action matrix is singular")
-    ops = _KINDS[D.kind]
-    m, m_den = _integer_rows(ops, M.entries)
-    d, d_den = _integer_rows(ops, D.entries)
-    product, build = ops.product, ops.build
-    den = m_den * d_den * m_den
+    m, m_den = _rows_of(M)
+    d, d_den = _rows_of(D)
+    product = _KINDS[D.kind].product
     # column j of D M, and row i of M* (the conjugated column i of M)
     dm_cols = list(zip(*_product_rows(product, d, m)))
     m_star = [list(map(_conjugate, col)) for col in zip(*m)]
     n = D.size
-    rows = [[None] * n for _ in range(n)]
+    nums = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             num = _dot(product, m_star[i], dm_cols[j])
-            rows[i][j] = build(num, den)
+            nums[i][j] = num
             if j != i:
                 # M* D M is self-adjoint, so entry (j, i) is exactly the
                 # conjugate of entry (i, j)
-                rows[j][i] = build(_conjugate(num), den)
-    return _trusted(HermitianMatrix, D.kind, tuple(map(tuple, rows)))
+                nums[j][i] = _conjugate(num)
+    return _from_integers(HermitianMatrix, D.kind, nums, m_den * d_den * m_den)
 
 
 class LorentzVector:

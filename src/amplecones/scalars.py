@@ -43,11 +43,18 @@ def is_perfect_square(n: int) -> bool:
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d)."""
+    """n = s^2 * d with d squarefree; returns (s, d).
+
+    Trial division runs only while p^3 <= m for the cofactor m left by it.
+    Every prime factor of m is then at least p, so m has at most two of
+    them: m is 1, a prime q, a product q r of two distinct primes, or a
+    square q^2, and only the last is a perfect square.  The cost grows with
+    the cube root of n.  n <= 1 gives (1, n).
+    """
     s, d = 1, 1
     p = 2
     m = n
-    while p * p <= m:
+    while p * p * p <= m:
         e = 0
         while m % p == 0:
             m //= p
@@ -57,8 +64,9 @@ def squarefree_part(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= m
-    return s, d
+    if m > 1 and is_perfect_square(m):
+        return s * math.isqrt(m), d
+    return s, d * m
 
 
 def is_squarefree(n: int) -> bool:

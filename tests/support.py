@@ -263,6 +263,122 @@ def ref_quadratic_value(d, v) -> Fraction:
     return _real_part(total)
 
 
+def staged_hermitian(
+    rng: random.Random, kind: ScalarKind, size: int, k: int, head: str
+) -> HermitianMatrix:
+    """A Hermitian matrix whose LDL* reaches step k with a chosen pivot.
+
+    It is L B L* with L unit lower triangular and equal to the identity from
+    row and column k on, so the Schur complement at step k is exactly the
+    trailing block of B.  B is diagonal and positive before k; its trailing
+    block is random Hermitian with its first row changed by ``head``:
+    "negative" (a negative pivot), "zero-row" (a zero row, skipped) or
+    "zero-pivot" (a zero pivot with a nonzero entry after it, when the
+    block has room for one).
+    """
+    tail = random_hermitian_matrix(rng, kind, size - k)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(k):
+        rows[i][i] = Fraction(rng.randint(1, 5))
+    for i, row in enumerate(tail.entries, k):
+        rows[i][k:] = row
+    if head == "negative":
+        rows[k][k] = Fraction(-rng.randint(1, 4))
+    else:
+        for i in range(k, size):
+            rows[k][i] = rows[i][k] = 0
+        if head == "zero-pivot" and k + 1 < size:
+            entry = random_scalar(rng, kind) or 1
+            rows[k][k + 1], rows[k + 1][k] = entry, conj_scalar(entry)
+    zero, one = Fraction(0), Fraction(1)
+    upper = [
+        [
+            one if i == j else (random_scalar(rng, kind) if i < min(j, k) else zero)
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+    # M* B M with M* = L unit lower triangular
+    return HermitianMatrix(kind, ref_act(upper, rows))
+
+
+# --- Fraction-tuple matrix references ---------------------------------------------
+#
+# LDL* and invertibility on matrices of Fraction coefficient tuples, with
+# products from the unit table (ref_mul) and every division done in
+# Fractions, as the reference for the library's fraction-free eliminations.
+
+def scalar_tuple(value) -> tuple:
+    return tuple(_scalar_components(value))
+
+
+def matrix_tuples(matrix) -> list:
+    return [[scalar_tuple(v) for v in row] for row in matrix.entries]
+
+
+def ref_ldl(rows):
+    """Exact LDL* of a Hermitian matrix of Fraction tuples, by the scalar
+    algorithm: a zero pivot whose row is zero is skipped, and the first
+    negative pivot, or zero pivot with a nonzero row, gives a vector
+    v = L^{-*} w with v* D v < 0.
+
+    Returns ``(lower, pivots, v)`` with ``v`` None exactly when the matrix
+    is positive semidefinite; ``lower`` holds the multipliers found so far.
+    """
+    n, width = len(rows), len(rows[0][0])
+    zero, one = ref_embed(0, width), ref_embed(1, width)
+    a = [list(row) for row in rows]
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    pivots = []
+    for k in range(n):
+        pivot = a[k][k][0]
+        bad = next((i for i in range(k + 1, n) if any(a[i][k])), None)
+        if pivot == 0 and bad is None:
+            pivots.append(pivot)  # a zero row: skipped
+            continue
+        if pivot > 0:
+            pivots.append(pivot)
+            for i in range(k + 1, n):
+                m = tuple(c / pivot for c in a[i][k])
+                lower[i][k] = m
+                for j in range(k + 1, n):
+                    a[i][j] = ref_sub(a[i][j], ref_mul(m, a[k][j]))
+            continue
+        v = [zero] * n
+        if pivot < 0:
+            v[k] = one
+        else:
+            # w = t e_k + e_bad with w* S w = S_bb - 2 t-terms = -1
+            entry = a[bad][k]
+            t = (a[bad][bad][0] + 1) / (2 * ref_norm(entry))
+            v[k] = tuple(-t * c for c in ref_conj(entry))
+            v[bad] = one
+        for i in reversed(range(k)):
+            total = zero
+            for j in range(i + 1, n):
+                total = ref_add(total, ref_mul(ref_conj(lower[j][i]), v[j]))
+            v[i] = tuple(-c for c in total)
+        return lower, pivots, v
+    return lower, pivots, None
+
+
+def ref_is_invertible(rows) -> bool:
+    """Gaussian elimination with right division by the pivot (a_ic p^{-1}),
+    over the skew field of Fraction tuples."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if any(a[i][col])), None)
+        if pivot_row is None:
+            return False
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inverse = ref_inverse(a[col][col])
+        for i in range(col + 1, n):
+            factor = ref_mul(a[i][col], inverse)
+            a[i] = [ref_sub(x, ref_mul(factor, y)) for x, y in zip(a[i], a[col])]
+    return True
+
+
 def rank_one_plus_shift(v, kind: ScalarKind, shift: Fraction) -> HermitianMatrix:
     """The positive-definite matrix v v* + shift * I (shift > 0)."""
     n = len(v)

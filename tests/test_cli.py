@@ -120,6 +120,22 @@ class TestExitCodes:
 
     def test_ray_outside_cone_is_two(self, capsys):
         assert main(["funddomain", "--d", "2", "--ray", "1,1"]) == 2
+        assert main(["funddomain", "--d", "5", "--ray", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert "ray (0, 0) is outside" in err and "Fraction" not in err
+
+    @pytest.mark.parametrize("value", ["1/0", "nan", "inf", "x", ""])
+    def test_unparsable_rational_is_two(self, value, capsys):
+        for argv in (
+            ["surface", "--a", value, "--b", "1"],
+            ["surface", "--a", "1", "--b", value],
+            ["verify", "--d", "2", "--pi", "1,0;3,2", "--g", f"{value},0,0,1"],
+        ):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: cannot parse rational") and err.count("\n") == 1
+            assert "Fraction" not in err and "Traceback" not in err
 
     def test_orientation_reversing_generator_is_two(self, capsys):
         # form- and sheet-preserving, but det = -1: a reflection of rays

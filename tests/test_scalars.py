@@ -18,6 +18,7 @@ from amplecones import (
     is_squarefree,
     is_totally_positive,
 )
+from amplecones.scalars import squarefree_part
 from support import (
     pell_scan,
     ref_add,
@@ -29,6 +30,41 @@ from support import (
     ref_quad_mul,
     ref_sub,
 )
+
+
+def naive_squarefree_part(n: int) -> tuple[int, int]:
+    """The largest s with s^2 | n, by scanning every candidate."""
+    s = next(s for s in range(math.isqrt(n), 0, -1) if n % (s * s) == 0)
+    return s, n // (s * s)
+
+
+class TestSquarefreePart:
+    def test_matches_naive_scan(self):
+        for n in range(1, 20001):
+            assert squarefree_part(n) == naive_squarefree_part(n), n
+            assert is_squarefree(n) == (naive_squarefree_part(n)[0] == 1)
+
+    def test_large_prime_cofactors(self):
+        # the cofactor left by trial division up to the cube root is 1, p,
+        # pq or p^2; primes above 10^6 reach it
+        p, q = 1000003, 1000033
+        assert squarefree_part(p * p) == (p, 1)
+        assert squarefree_part(p * q) == (1, p * q)
+        assert squarefree_part(2 * p * p) == (p, 2)
+        assert squarefree_part(p * p * q) == (p, q)
+        assert squarefree_part(4 * 9 * p * q) == (6, p * q)
+        assert is_squarefree(p * q) and not is_squarefree(2 * p * p)
+
+    def test_large_prime(self):
+        assert squarefree_part(10**14 + 31) == (1, 10**14 + 31)
+        assert is_squarefree(10**14 + 31)
+
+    def test_small_and_negative(self):
+        assert squarefree_part(0) == (1, 0)
+        assert squarefree_part(1) == (1, 1)
+        for n in (-1, -4, -12, -(10**14 + 31)):
+            assert squarefree_part(n) == (1, n)
+        assert not is_squarefree(0) and not is_squarefree(-3)
 
 
 class TestContinuedFraction:

@@ -5,13 +5,18 @@ homogeneous and self-dual for the pairing Re Tr(x y*).  The invertible
 matrices act on it by D -> M* D M.  Direct sums of these cones and of Lorentz
 cones are described by :class:`ConeSpec`.
 
-All matrix arithmetic runs on integers, with no per-kind branch.  Each matrix
-is read once as integer coefficient tuples over one common denominator (the
-lcm of its entries' denominators), and it keeps those rows: products and the
-action store the rows of their result directly.  Matrix products, the action
-and the trace pairing compute each output entry as an integer sum of tuple
-products and reduce it to lowest terms once.  The action M* D M is fused,
-with no intermediate matrix reduced, and computes the upper triangle only.
+``AlgebraMatrix`` and ``HermitianMatrix`` share one private base, which
+holds the coercing constructor, immutability, equality by kind and entries,
+hashing, ``repr``, ``identity`` and ``diagonal``.  Products, the action, the
+trace pairing, ``quadratic_value``, the LDL* elimination and invertibility
+run on integers, with no per-kind branch; sums, negation and ``star`` work
+on the scalar entries.  Each matrix is read once as integer coefficient
+tuples over one common denominator (the lcm of its entries' denominators),
+and it keeps those rows: products and the action store the rows of their
+result directly.  Matrix products, the action and the trace pairing compute
+each output entry as an integer sum of tuple products and reduce it to
+lowest terms once.  The action M* D M is fused, with no intermediate matrix
+reduced, and computes the upper triangle only.
 
 Every verdict on the cone comes from one fraction-free LDL* elimination on
 those rows.  Each pivot of a Hermitian Schur complement is real, so it is
@@ -45,9 +50,7 @@ from .errors import (
     SingularMatrix,
     Unsupported,
 )
-from .scalars import GaussianRational, RationalQuaternion
-
-_RationalLike = (int, Fraction)
+from .scalars import GaussianRational, RationalQuaternion, _RationalLike
 
 
 class ScalarKind(enum.Enum):
@@ -143,12 +146,15 @@ def _trusted(cls, kind: ScalarKind, entries, rows=None):
     entry.  ``rows``, when given, must be what :func:`_integer_rows` reads
     off ``entries``.  The public constructors keep full validation.
     """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "kind", kind)
-    object.__setattr__(obj, "size", len(entries))
-    object.__setattr__(obj, "entries", entries)
-    object.__setattr__(obj, "_rows", rows)
-    return obj
+    return _fill(object.__new__(cls), kind, entries, rows)
+
+
+def _fill(m, kind: ScalarKind, entries, rows):
+    object.__setattr__(m, "kind", kind)
+    object.__setattr__(m, "size", len(entries))
+    object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "_rows", rows)
+    return m
 
 
 def _zero(kind: ScalarKind):
@@ -219,8 +225,17 @@ def _pairing(x, y) -> int:
     )
 
 
-class AlgebraMatrix:
-    """Square matrix over one scalar kind, with no symmetry constraint."""
+def _require_same_space(x, y):
+    if x.kind is not y.kind or x.size != y.size:
+        raise ShapeMismatch(
+            f"operands live in different spaces: {x.kind.value}^{x.size} vs "
+            f"{y.kind.value}^{y.size}"
+        )
+
+
+class _Matrix:
+    """An immutable square matrix over one scalar kind, equal to any matrix
+    of either class with the same kind and entries."""
 
     # _rows: the integer rows of the entries, filled on first use (_rows_of)
     __slots__ = ("kind", "size", "entries", "_rows")
@@ -233,21 +248,22 @@ class AlgebraMatrix:
         entries = tuple(
             tuple(_coerce_entry(kind, v) for v in row) for row in rows
         )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_rows", None)
+        _fill(self, kind, entries, None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgebraMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def identity(cls, kind: ScalarKind, n: int) -> "AlgebraMatrix":
+    def identity(cls, kind: ScalarKind, n: int):
         one, zero = _one(kind), _zero(kind)
-        return cls(kind, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise ShapeMismatch("matrix must be square and nonempty")
+        return _trusted(
+            cls, kind, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        )
 
     @classmethod
-    def diagonal(cls, kind: ScalarKind, values) -> "AlgebraMatrix":
+    def diagonal(cls, kind: ScalarKind, values):
         values = list(values)
         zero = _zero(kind)
         return cls(
@@ -258,17 +274,30 @@ class AlgebraMatrix:
             ],
         )
 
-    def _require_compatible(self, other):
-        if self.kind is not other.kind or self.size != other.size:
-            raise ShapeMismatch(
-                f"incompatible matrices: {self.kind.value}^{self.size} vs "
-                f"{other.kind.value}^{other.size}"
-            )
+    def __eq__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return self.kind is other.kind and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.kind, self.entries))
+
+    def __repr__(self):
+        rows = ", ".join(
+            "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
+        )
+        return f"{type(self).__name__}({self.kind.value}, [{rows}])"
+
+
+class AlgebraMatrix(_Matrix):
+    """Square matrix over one scalar kind, with no symmetry constraint."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
-        if not isinstance(other, (AlgebraMatrix, HermitianMatrix)):
+        if not isinstance(other, _Matrix):
             return NotImplemented
-        self._require_compatible(other)
+        _require_same_space(self, other)
         a, da = _rows_of(self)
         b, db = _rows_of(other)
         product = _KINDS[self.kind].product
@@ -277,11 +306,9 @@ class AlgebraMatrix:
         )
 
     def __add__(self, other):
-        if isinstance(other, HermitianMatrix):
-            other = other.to_algebra()
-        if not isinstance(other, AlgebraMatrix):
+        if not isinstance(other, _Matrix):
             return NotImplemented
-        self._require_compatible(other)
+        _require_same_space(self, other)
         return _trusted(
             AlgebraMatrix,
             self.kind,
@@ -345,90 +372,28 @@ class AlgebraMatrix:
                 row[col + 1 :] = new
         return True
 
-    def __eq__(self, other):
-        if isinstance(other, HermitianMatrix):
-            other = other.to_algebra()
-        if not isinstance(other, AlgebraMatrix):
-            return NotImplemented
-        return (
-            self.kind is other.kind
-            and self.size == other.size
-            and self.entries == other.entries
-        )
 
-    def __hash__(self):
-        return hash((self.kind, self.entries))
-
-    def __repr__(self):
-        rows = ", ".join(
-            "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
-        )
-        return f"AlgebraMatrix({self.kind.value}, [{rows}])"
-
-
-class HermitianMatrix:
+class HermitianMatrix(_Matrix):
     """Square matrix equal to its conjugate transpose.
 
     The constructor verifies entries[i][j] == conj(entries[j][i]); in
     particular diagonal entries have vanishing imaginary or vector part.
     """
 
-    __slots__ = ("kind", "size", "entries", "_rows")
+    __slots__ = ()
 
     def __init__(self, kind: ScalarKind, rows) -> None:
-        m = AlgebraMatrix(kind, rows)
-        for i in range(m.size):
-            for j in range(i, m.size):
-                if m.entries[i][j] != m.entries[j][i].conjugate():
+        super().__init__(kind, rows)
+        entries = self.entries
+        for i in range(self.size):
+            for j in range(i, self.size):
+                if entries[i][j] != entries[j][i].conjugate():
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", m.size)
-        object.__setattr__(self, "entries", m.entries)
-        object.__setattr__(self, "_rows", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianMatrix is immutable")
-
-    @classmethod
-    def identity(cls, kind: ScalarKind, n: int) -> "HermitianMatrix":
-        return _trusted(cls, kind, AlgebraMatrix.identity(kind, n).entries)
-
-    @classmethod
-    def diagonal(cls, kind: ScalarKind, values) -> "HermitianMatrix":
-        return cls(kind, AlgebraMatrix.diagonal(kind, values).entries)
 
     def to_algebra(self) -> AlgebraMatrix:
         return _trusted(AlgebraMatrix, self.kind, self.entries, self._rows)
-
-    def __eq__(self, other):
-        if isinstance(other, HermitianMatrix):
-            return (
-                self.kind is other.kind
-                and self.size == other.size
-                and self.entries == other.entries
-            )
-        if isinstance(other, AlgebraMatrix):
-            return self.to_algebra() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.entries))
-
-    def __repr__(self):
-        rows = ", ".join(
-            "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
-        )
-        return f"HermitianMatrix({self.kind.value}, [{rows}])"
-
-
-def _require_same_space(x, y):
-    if x.kind is not y.kind or x.size != y.size:
-        raise ShapeMismatch(
-            f"operands live in different spaces: {x.kind.value}^{x.size} vs "
-            f"{y.kind.value}^{y.size}"
-        )
 
 
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
@@ -583,8 +548,7 @@ def negative_certificate(D: HermitianMatrix):
 
 def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
     """The cone automorphism D -> M* D M for invertible M."""
-    if M.kind is not D.kind or M.size != D.size:
-        raise ShapeMismatch("matrix and Hermitian operand are incompatible")
+    _require_same_space(M, D)
     if not M.is_invertible():
         raise SingularMatrix("action matrix is singular")
     m, m_den = _rows_of(M)
@@ -606,27 +570,17 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
     return _from_integers(HermitianMatrix, D.kind, nums, m_den * d_den * m_den)
 
 
+@dataclass(frozen=True)
 class LorentzVector:
     """A point (x0, ..., xn) of the ambient space of the spherical cone."""
 
-    __slots__ = ("coords",)
+    coords: tuple
 
-    def __init__(self, coords) -> None:
-        coords = tuple(Fraction(c) for c in coords)
+    def __post_init__(self):
+        coords = tuple(Fraction(c) for c in self.coords)
         if len(coords) < 2:
             raise InvalidInput("Lorentz vectors need at least two coordinates")
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LorentzVector is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LorentzVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __repr__(self):
         return f"LorentzVector({list(self.coords)})"
@@ -670,13 +624,14 @@ class LorentzBlock:
         return self.n + 1
 
 
+@dataclass(frozen=True)
 class ConeSpec:
     """Formal direct sum of positive-definite matrix cones and Lorentz cones."""
 
-    __slots__ = ("blocks",)
+    blocks: tuple
 
-    def __init__(self, blocks) -> None:
-        blocks = tuple(blocks)
+    def __post_init__(self):
+        blocks = tuple(self.blocks)
         if not blocks:
             raise InvalidInput("a cone needs at least one block")
         for b in blocks:
@@ -684,20 +639,9 @@ class ConeSpec:
                 raise InvalidInput(f"unknown block descriptor {b!r}")
         object.__setattr__(self, "blocks", blocks)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ConeSpec is immutable")
-
     @property
     def dimension(self) -> int:
         return sum(b.dimension for b in self.blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, ConeSpec):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
 
     def __repr__(self):
         return f"ConeSpec({list(self.blocks)})"

@@ -145,6 +145,14 @@ def _fraction_matrix(rows):
     return tuple(out)
 
 
+def _integer_direction(v):
+    """The integer direction (u, w) of a rational point (x, y): a positive
+    multiple of it, so u has the sign of x and a*x^2 - b*y^2 the sign of
+    A*u^2 - B*w^2."""
+    x, y = Fraction(v[0]), Fraction(v[1])
+    return x.numerator * y.denominator, y.numerator * x.denominator
+
+
 def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
@@ -204,14 +212,14 @@ class GroupAction2D:
         return self.a * x1 * x1 - self.b * x2 * x2
 
     def open_member(self, v) -> bool:
-        x, y = Fraction(v[0]), Fraction(v[1])
-        # the integer direction of (x, y), which has the sign of x
-        u, w = x.numerator * y.denominator, y.numerator * x.denominator
+        u, w = _integer_direction(v)
         A, B = self._form
         return u > 0 and A * u * u > B * w * w
 
     def closed_member(self, v) -> bool:
-        return Fraction(v[0]) >= 0 and self.form_value(v) >= 0
+        u, w = _integer_direction(v)
+        A, B = self._form
+        return u >= 0 and A * u * u >= B * w * w
 
     def apply(self, v, k: int = 1):
         """g^k applied to a rational vector, exactly."""
@@ -321,10 +329,9 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
 
 def _direction(p, action: GroupAction2D):
     """The positive integer direction of a rational point of the open cone."""
-    x, y = Fraction(p[0]), Fraction(p[1])
-    if not action.open_member((x, y)):
-        raise NotInCone(f"point {format_point((x, y))} is outside the open cone")
-    return x.numerator * y.denominator, y.numerator * x.denominator
+    if not action.open_member(p):
+        raise NotInCone(f"point {format_point(p)} is outside the open cone")
+    return _integer_direction(p)
 
 
 def _locate(p, table):

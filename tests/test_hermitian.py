@@ -93,6 +93,99 @@ class TestConstruction:
             )
 
 
+    def test_identity_needs_a_positive_size(self):
+        for cls in (AlgebraMatrix, HermitianMatrix):
+            assert type(cls.identity(R, 2)) is cls
+            for n in (0, -1):
+                with pytest.raises(ShapeMismatch):
+                    cls.identity(R, n)
+            with pytest.raises(ShapeMismatch):
+                cls.diagonal(C, [])
+            with pytest.raises(Unsupported):
+                cls.identity(ScalarKind.OCTONION, 3)
+
+
+class TestValueSemantics:
+    """Equality, hashing, repr and immutability of the matrix and cone
+    value types."""
+
+    def test_matrix_classes_compare_by_entries(self):
+        rng = random.Random(89)
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3):
+                h = random_hermitian_matrix(rng, kind, size)
+                a = AlgebraMatrix(kind, h.entries)
+                assert a == h and h == a
+                assert not (a != h) and not (h != a)
+                assert hash(a) == hash(h)
+                assert h.to_algebra() == h and len({a, h}) == 1
+
+    def test_kind_size_and_type_separate_matrices(self):
+        for cls in (AlgebraMatrix, HermitianMatrix):
+            eye = cls.identity(R, 2)
+            assert eye != cls.identity(C, 2) and eye != cls.identity(H, 2)
+            assert eye != cls.identity(R, 3) and eye != cls.diagonal(R, [1, 2])
+            assert eye != AlgebraMatrix.identity(R, 3)
+            assert eye != HermitianMatrix.identity(C, 2)
+            one = cls(R, [[1]])
+            assert (one == 1) is False and (one == [[1]]) is False
+            assert one != 1
+
+    def test_repr_bytes(self):
+        third = Fraction(1, 3)
+        cases = [
+            (AlgebraMatrix(R, [[1, Fraction(1, 2)], [0, -3]]),
+             "AlgebraMatrix(R, [[1, 1/2], [0, -3]])"),
+            (HermitianMatrix(
+                C, [[2, GaussianRational(1, -third)], [GaussianRational(1, third), 0]]
+            ), "HermitianMatrix(C, [[2, 1-1/3i], [1+1/3i, 0]])"),
+            (AlgebraMatrix(H, [[RationalQuaternion(1, 2, Fraction(-3, 4), 0)]]),
+             "AlgebraMatrix(H, [[1+2i-3/4j]])"),
+            (HermitianMatrix.identity(H, 2), "HermitianMatrix(H, [[1, 0], [0, 1]])"),
+            (LorentzVector([1, Fraction(-1, 2), 0]),
+             "LorentzVector([Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1)])"),
+            (ConeSpec([PDBlock(C, 2), LorentzBlock(3)]),
+             "ConeSpec([PDBlock(kind=<ScalarKind.COMPLEX: 'C'>, size=2), "
+             "LorentzBlock(n=3)])"),
+        ]
+        for value, text in cases:
+            assert repr(value) == text
+
+    def test_immutable(self):
+        values = {
+            AlgebraMatrix.identity(R, 2): ("kind", "size", "entries"),
+            HermitianMatrix.identity(C, 2): ("kind", "size", "entries"),
+            LorentzVector([1, 0]): ("coords",),
+            ConeSpec([LorentzBlock(1)]): ("blocks",),
+        }
+        for value, names in values.items():
+            for name in names + ("other",):
+                with pytest.raises(AttributeError):
+                    setattr(value, name, None)
+
+    def test_lorentz_vector_record(self):
+        v = LorentzVector([1, Fraction(1, 2)])
+        assert type(v.coords) is tuple and v.coords == (1, Fraction(1, 2))
+        same = LorentzVector(iter((Fraction(1), Fraction(1, 2))))
+        assert v == same and hash(v) == hash(same)
+        assert v != LorentzVector([1, Fraction(1, 2), 0])
+        assert (v == v.coords) is False
+        for coords in ([], [1]):
+            with pytest.raises(InvalidInput):
+                LorentzVector(coords)
+
+    def test_cone_spec_record(self):
+        spec = ConeSpec([PDBlock(R, 2), LorentzBlock(3)])
+        assert type(spec.blocks) is tuple
+        same = ConeSpec(b for b in (PDBlock(R, 2), LorentzBlock(3)))
+        assert spec == same and hash(spec) == hash(same)
+        assert spec != ConeSpec([LorentzBlock(3), PDBlock(R, 2)])
+        assert (spec == spec.blocks) is False
+        for blocks in ([], [PDBlock(R, 2), (R, 2)], [LorentzVector([1, 0])]):
+            with pytest.raises(InvalidInput):
+                ConeSpec(blocks)
+
+
 class TestInternalResults:
     """Results of the library's own arithmetic skip validation; each must be
     exactly what the validating constructor builds from the same rows."""

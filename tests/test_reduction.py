@@ -167,6 +167,27 @@ class TestTranslateLocate:
                 translate_locate(p, pi, action)
         assert translate_locate((2, 1), pi, action) == 0
 
+    def test_closed_member_matches_form_value(self):
+        # the integer direction must give the rational verdict on the
+        # boundary slope 2/3 of b/a = 9/4, on the axis x = 0 and for x < 0
+        boundary = GroupAction2D([[5, 6], [Fraction(8, 3), 5]], Fraction(1, 2), Fraction(9, 8))
+        rng = random.Random(97)
+        points = [
+            (3, 2), (Fraction(3, 2), 1), (3, -2), (0, 0), (0, 1), (0, -1),
+            (-1, 0), (-3, 2), (Fraction(-1, 2), Fraction(1, 3)),
+        ] + [
+            (Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+             Fraction(rng.randint(-30, 30), rng.randint(1, 9)))
+            for _ in range(200)
+        ]
+        for action in (boundary, d2_setup()[1]):
+            verdicts = set()
+            for p in points:
+                want = p[0] >= 0 and action.form_value(p) >= 0
+                assert action.closed_member(p) == want, p
+                verdicts.add(want)
+            assert verdicts == {True, False}
+
     def test_bound_exhaustion(self):
         pi, action = d2_setup()
         far = action.apply((1, Fraction(1, 3)), 9)

@@ -7,6 +7,12 @@ is answered from that description with integer dot products: closed and
 interior membership from facet signs, pointedness from its rank, and the
 extreme rays of an intersection from double description of the two facet
 descriptions, whose adjacency test keeps exactly the extreme rays.
+
+Double description keeps each ray's incidence, the normals it is tight on,
+as the bits of an int, so the adjacency test is a few integer operations.
+A full-dimensional intersection reads its facets off that incidence (the
+normals whose sets of tight rays are maximal) and runs no second, dual
+double description.  The order of the stored facets is private.
 Intersections are supported up to ambient dimension 4.
 """
 
@@ -14,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import and_, mul
 
 from .errors import InvalidInput, ShapeMismatch, UnsupportedDimension, format_point
 
@@ -24,24 +32,19 @@ def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive factor to a primitive
     integer vector (orientation is preserved)."""
     vt = tuple(v)
-    if all(type(c) is int for c in vt):
-        g = 0
-        for c in vt:
-            g = math.gcd(g, c)
-        if g == 0:
-            raise InvalidInput("zero vector has no primitive representative")
-        return vt if g == 1 else tuple(c // g for c in vt)
-    fracs = [Fraction(c) for c in vt]
-    if not any(fracs):
+    if not all(type(c) is int for c in vt):
+        fracs = [Fraction(c) for c in vt]
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        vt = tuple(int(f * lcm) for f in fracs)
+    if not any(vt):
         raise InvalidInput("zero vector has no primitive representative")
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    return tuple(c // g for c in ints)
+    return _primitive(vt)
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """A nonzero integer tuple divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return v if g == 1 else tuple(c // g for c in v)
 
 
 class RayClass:
@@ -79,10 +82,6 @@ class RayClass:
         return f"RayClass({list(self.vector)})"
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _rank(vectors) -> int:
     """Rank over Q of integer vectors, by fraction-free elimination."""
     rows = [list(v) for v in vectors]
@@ -105,12 +104,15 @@ def _extreme_rays(normals, dim: int):
 
     Standard incremental double description with the combinatorial adjacency
     test, over the integers: the normals are integer vectors and every vector
-    is kept primitive to control coefficient growth.
+    is kept primitive to control coefficient growth.  Each extreme ray comes
+    as a pair [vector, mask] in which bit i of mask is set exactly when the
+    ray is tight on normals[i].
     """
     lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    rays: list[dict] = []
+    rays: list[list] = []
     for idx, a in enumerate(normals):
-        scores = [_dot(a, l) for l in lin]
+        bit = 1 << idx
+        scores = [sum(map(mul, a, l)) for l in lin]
         hit = next((i for i, s in enumerate(scores) if s != 0), None)
         if hit is not None:
             l0, s0 = lin[hit], scores[hit]
@@ -118,50 +120,45 @@ def _extreme_rays(normals, dim: int):
                 l0 = tuple(-c for c in l0)
                 s0 = -s0
             lin = [
-                l if s == 0 else primitive_vector(
-                    tuple(s0 * c - s * c0 for c, c0 in zip(l, l0))
-                )
+                l if s == 0 else _primitive(tuple(s0 * c - s * c0 for c, c0 in zip(l, l0)))
                 for i, (l, s) in enumerate(zip(lin, scores))
                 if i != hit
             ]
             for r in rays:
-                s = _dot(a, r["v"])
+                s = sum(map(mul, a, r[0]))
                 if s != 0:
-                    r["v"] = primitive_vector(
-                        tuple(s0 * c - s * c0 for c, c0 in zip(r["v"], l0))
-                    )
-                r["zero"].add(idx)
-            rays.append({"v": primitive_vector(l0), "zero": set(range(idx))})
+                    r[0] = _primitive(tuple(s0 * c - s * c0 for c, c0 in zip(r[0], l0)))
+                r[1] |= bit
+            rays.append([_primitive(l0), bit - 1])
             continue
         pos, zero, neg = [], [], []
         for r in rays:
-            s = _dot(a, r["v"])
+            s = sum(map(mul, a, r[0]))
             if s > 0:
                 pos.append((r, s))
             elif s == 0:
+                r[1] |= bit
                 zero.append(r)
             else:
                 neg.append((r, s))
-        for r in zero:
-            r["zero"].add(idx)
+        # two rays are adjacent only if they share dim - len(lin) - 2 tight
+        # normals, and exactly if no third ray is tight on all they share
+        need = dim - len(lin) - 2
+        masks = [r[1] for r in rays]
         fresh = []
-        current = [r for r, _ in pos] + zero + [r for r, _ in neg]
         for p, sp in pos:
+            pv, pm = p
             for n, sn in neg:
-                common = p["zero"] & n["zero"]
-                if any(
-                    r is not p and r is not n and common <= r["zero"]
-                    for r in current
-                ):
+                nv, nm = n
+                common = pm & nm
+                if common.bit_count() < need:
                     continue
-                combo = tuple(
-                    sp * cn - sn * cp for cp, cn in zip(p["v"], n["v"])
-                )
-                fresh.append(
-                    {"v": primitive_vector(combo), "zero": (common | {idx})}
-                )
+                if sum(m & common == common for m in masks) > 2:
+                    continue
+                combo = tuple(sp * cn - sn * cp for cp, cn in zip(pv, nv))
+                fresh.append([_primitive(combo), common | bit])
         rays = [r for r, _ in pos] + zero + fresh
-    return lin, [r["v"] for r in rays]
+    return lin, rays
 
 
 class PolyhedralCone:
@@ -200,26 +197,14 @@ class PolyhedralCone:
             if key in unoriented:
                 raise InvalidInput(f"proportional rays detected: {v}")
             unoriented.add(key)
-        equations, facets = _extreme_rays(normalized, dim)
+        equations, dual = _extreme_rays(normalized, dim)
+        facets = [f for f, _ in dual]
         if _rank(equations + facets) < dim:
             raise InvalidInput("cone closure contains a line")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rays", tuple(normalized))
-        object.__setattr__(self, "_equations", tuple(equations))
-        object.__setattr__(self, "_facets", tuple(facets))
+        _fill(self, dim, normalized, equations, facets)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyhedralCone is immutable")
-
-    def transform(self, matrix) -> "PolyhedralCone":
-        """Image cone under an invertible integer/rational matrix (rows)."""
-        rows = [tuple(Fraction(c) for c in row) for row in matrix]
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise ShapeMismatch("matrix shape does not match cone dimension")
-        images = []
-        for ray in self.rays:
-            images.append(tuple(_dot(row, ray) for row in rows))
-        return PolyhedralCone(self.dim, images)
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rays]
@@ -236,14 +221,36 @@ class PolyhedralCone:
         return f"PolyhedralCone({self.dim}, {[list(r) for r in self.rays]})"
 
 
+def _trusted(dim: int, rays, equations, facets) -> PolyhedralCone:
+    """A PolyhedralCone from its rays and its facet description, with no
+    validation.
+
+    Only the library's own exact results come through here: the rays must
+    be distinct primitive extreme rays of a pointed cone, and the equations
+    and facets its description.  The public constructor keeps full
+    validation.
+    """
+    return _fill(object.__new__(PolyhedralCone), dim, rays, equations, facets)
+
+
+def _fill(cone: PolyhedralCone, dim: int, rays, equations, facets) -> PolyhedralCone:
+    object.__setattr__(cone, "dim", dim)
+    object.__setattr__(cone, "rays", tuple(rays))
+    object.__setattr__(cone, "_equations", tuple(equations))
+    object.__setattr__(cone, "_facets", tuple(facets))
+    return cone
+
+
 def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     """Closed mode: is v a nonnegative combination of the rays?  Interior
     mode: does v lie in the topological interior relative to the ambient
     space (empty unless the cone is full-dimensional)?
 
-    Both are read off the facet signs at the primitive integer direction of
-    v: closed iff every equation gives 0 and every facet gives >= 0;
-    interior iff there are no equations and every facet gives > 0.
+    Both are read off the facet signs at v, or at its primitive integer
+    direction when v has coordinates that are not ints (the signs do not
+    change under positive scaling): closed iff every equation gives 0 and
+    every facet gives >= 0; interior iff there are no equations and every
+    facet gives > 0.
     """
     v = tuple(v)
     if len(v) != cone.dim:
@@ -252,17 +259,23 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
         )
     if not any(v):
         return not interior  # the origin is on the boundary of a pointed cone
-    v = primitive_vector(v)
+    if not all(type(c) is int for c in v):
+        v = primitive_vector(v)
     if interior:
-        return not cone._equations and all(_dot(f, v) > 0 for f in cone._facets)
-    return all(_dot(e, v) == 0 for e in cone._equations) and all(
-        _dot(f, v) >= 0 for f in cone._facets
+        return not cone._equations and all(sum(map(mul, f, v)) > 0 for f in cone._facets)
+    return all(sum(map(mul, e, v)) == 0 for e in cone._equations) and all(
+        sum(map(mul, f, v)) >= 0 for f in cone._facets
     )
 
 
 def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     """Generators of the intersection via double description on the two
-    facet descriptions, or None when the cones meet only at the origin."""
+    facet descriptions, or None when the cones meet only at the origin.
+
+    A full-dimensional intersection takes its facets from the incidence of
+    that one run: they are the normals whose sets of tight rays are maximal
+    under inclusion.  A lower-dimensional one goes through the validating
+    constructor, which picks its equations and facets."""
     if a.dim != b.dim:
         raise ShapeMismatch("cones live in different dimensions")
     if a.dim > MAX_INTERSECTION_DIM:
@@ -279,7 +292,21 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     assert not lin, "intersection of pointed cones cannot contain a line"
     if not rays:
         return None
-    return PolyhedralCone(a.dim, sorted(rays))
+    rays.sort()
+    vectors = [v for v, _ in rays]
+    if reduce(and_, (m for _, m in rays)):
+        # some normal is tight on every ray: the intersection spans less
+        return PolyhedralCone(a.dim, vectors)
+    # no normal is an implicit equation, so the intersection is
+    # full-dimensional; tight[i], column i of the incidence, holds the rays
+    # tight on normal i, and the facets are the normals where it is maximal
+    tight = [sum(1 << j for j, (_, m) in enumerate(rays) if m >> i & 1) for i in range(len(normals))]
+    facets = dict.fromkeys(
+        normals[i]
+        for i, t in enumerate(tight)
+        if not any(u != t and u & t == t for u in tight)
+    )
+    return _trusted(a.dim, vectors, (), facets)
 
 
 def is_square_rational(q) -> bool:

@@ -296,6 +296,37 @@ def _between(u, v):
     return list(primitive_vector((u[0] + v[0], u[1] + v[1])))
 
 
+def _simplest_between(u, v) -> list:
+    """The ray [q, p] of the simplest rational p/q strictly between the
+    slopes of u and v, for rays with positive first coordinate and u below
+    v.  The simplest rational has the least denominator in the interval,
+    and then the numerator nearest zero; it is read off the continued
+    fractions of the two slopes, as in the Stern-Brocot tree, so its height
+    stays small when the endpoints are huge but far apart."""
+    (b, a), (d, c) = u, v  # slopes a/b < c/d with b, d > 0
+    if a < 0 < c:
+        return [1, 0]
+    if c <= 0:
+        q, p = _simplest_between((d, -c), (b, -a))
+        return [q, -p]
+    terms = []
+    while True:
+        n = a // b
+        if (n + 1) * d < c:  # an integer lies strictly inside
+            terms.append(n + 1)
+            break
+        terms.append(n)
+        a, c = a - n * b, c - n * d  # now 0 <= a/b < c/d <= 1
+        if a == 0:  # the interval is (n, n + c/d): take n + 1/t, t > d/c
+            terms.append(d // c + 1)
+            break
+        a, b, c, d = d, c, b, a  # continue on the reciprocals
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for t in terms:
+        p, p_prev, q, q_prev = t * p + p_prev, p, t * q + q_prev, q
+    return [q, p]
+
+
 def _orbit(v, action: GroupAction2D, max_word: int) -> list:
     """Positive integer multiples of g^k v for k = -max_word..max_word."""
     up, down = [v], [v]
@@ -399,7 +430,7 @@ def verify_fundamental_domain(
     # never closed by another translate
     for a, b in ((high, g_low), (g_high, low)):
         if _cross(a, b) > 0:
-            witnesses.append({"kind": "uncovered", "point": _between(a, b)})
+            witnesses.append({"kind": "uncovered", "point": _simplest_between(a, b)})
     getrandbits = random.Random(seed).getrandbits
 
     def sampler(low, high):

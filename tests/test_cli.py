@@ -183,10 +183,27 @@ class TestExitCodes:
         assert f"more than {limit} digits" in err and "smaller --d" in err
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
-        # here the long integer is the gap witness of a user-given --pi
-        assert main(["verify", "--d", "100000007", "--pi", "1,0;100000,1"]) == 2
+        # here the long integer is the overlap witness of a user-given --pi:
+        # every translate under a scalar generator overlaps pi, and the
+        # witness (2n, 5) sums its two rays (n, 1) and (n, 4) of limit digits
+        n = "9" * limit
+        argv = ["verify", "--d", "2", "--pi", f"{n},1;{n},4", "--g", "1,0,0,1"]
+        assert main(argv + ["--max-word", "1", "--samples", "1"]) == 2
         err = capsys.readouterr().err
         assert "cannot print the report" in err and "--d" not in err
+
+    def test_gap_witness_of_large_unit_is_one(self, tmp_path):
+        # g(1, 0) has more than 6,000 digits, but the gap between the upper
+        # ray (100000, 1) and g(1, 0) holds the slope 1/10001
+        out = tmp_path / "report.json"
+        assert main(["verify", "--d", "100000007", "--pi", "1,0;100000,1", "--output", str(out)]) == 1
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["covering_ok"] is False and payload["disjoint_ok"] is True
+        assert payload["witnesses"] == [{"kind": "uncovered", "point": [10001, 1]}]
+        _, action = real_mult_fundamental_domain(100000007, (1, 0))
+        x, y = payload["witnesses"][0]["point"]
+        (h1, h2), (g1, g2) = (100000, 1), action.ray_image((1, 0))
+        assert h1 * y - h2 * x > 0 and x * g2 - y * g1 > 0
 
 
 class TestRender:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -256,6 +257,113 @@ class TestMembershipRoutes:
                 if not any(p):
                     continue
                 assert poly_member(cone, p) == caratheodory_member(cone.rays, p, dim)
+
+
+class TestPinnedOutputs:
+    """Every intersection and membership answer on 150 seeded 2-, 3- and
+    4-d cone pairs, 4,230 outputs in all, pinned by the SHA-256 of their
+    reprs.  The pairs include generic, lower-dimensional, one-ray and empty
+    intersections; each intersection contributes its rays, its sorted
+    facets and its equations, and each point its closed and interior
+    verdicts on both cones and on the intersection.  The digest was taken
+    with the double description that ran a second, dual pass to find the
+    facets of an intersection."""
+
+    DIGEST = "20a5ecd17b369e678b14f8df1284c357304fe0fbd761e8fdfebea8e5d2153e86"
+
+    @staticmethod
+    def random_cone(rng, dim, count, shift=None):
+        """A cone on ``count`` random rays with first coordinate in 1..4,
+        each moved by ``shift``, redrawn until the constructor accepts it."""
+        shift = shift or (0,) * dim
+        while True:
+            rays = [
+                tuple(s + c for s, c in zip(shift, [rng.randint(1, 4)] + [rng.randint(-4, 4) for _ in range(dim - 1)]))
+                for _ in range(count)
+            ]
+            try:
+                return PolyhedralCone(dim, rays)
+            except InvalidInput:
+                continue
+
+    @classmethod
+    def pair(cls, rng, dim, style):
+        """Two cones meeting, by style: in the interior of the first (0),
+        in a lower dimension (1 and 4), in one ray (2), or as two random
+        cones do, often only at 0 (3)."""
+        full, low = (dim, dim + 3), (min(2, dim - 1), dim - 1)
+        a = cls.random_cone(rng, dim, rng.randint(*(low if style == 4 else full)))
+        centre = tuple(map(sum, zip(*a.rays)))
+        if style == 2:
+            return a, PolyhedralCone(dim, [rng.choice((centre, a.rays[0]))])
+        if style == 3:
+            return a, cls.random_cone(rng, dim, rng.randint(*full))
+        return a, cls.random_cone(rng, dim, rng.randint(*(full if style == 0 else low)), centre)
+
+    @classmethod
+    def outputs(cls):
+        rng = random.Random(151)
+        for dim in (2, 3, 4):
+            for trial in range(50):
+                a, b = cls.pair(rng, dim, trial % 5)
+                c = cone_intersection(a, b)
+                cones = (a, b) if c is None else (a, b, c)
+                if c is None:
+                    yield "None"
+                else:
+                    yield repr((c.rays, sorted(c._facets), c._equations))
+                points = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(3)]
+                points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)))
+                for cone in cones:
+                    points.append(tuple(map(sum, zip(*cone.rays))))
+                    points.append(tuple(3 * x for x in rng.choice(cone.rays)))
+                for p in points:
+                    for cone in cones:
+                        yield repr((poly_member(cone, p), poly_member(cone, p, interior=True)))
+
+    def test_digest(self):
+        outputs = list(self.outputs())
+        assert len(outputs) == 4230
+        digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+class TestTrustedIntersection:
+    """Intersections are built from the double description's incidence,
+    without the validating constructor; they must be the cones it builds."""
+
+    def test_matches_validating_constructor(self):
+        rng = random.Random(163)
+        pairs = [(PolyhedralCone(1, [(s,)]), PolyhedralCone(1, [(t,)])) for s in (1, -1) for t in (1, -1)]
+        pairs += [TestPinnedOutputs.pair(rng, dim, trial % 5) for dim in (2, 3, 4) for trial in range(60)]
+        full = 0
+        for a, b in pairs:
+            c = cone_intersection(a, b)
+            if c is None:
+                continue
+            rebuilt = PolyhedralCone(a.dim, c.rays)
+            assert c.rays == tuple(sorted(c.rays))
+            assert len(set(c._facets)) == len(c._facets)
+            assert set(c._facets) == set(rebuilt._facets)
+            assert c._equations == rebuilt._equations
+            assert c == rebuilt and hash(c) == hash(rebuilt)
+            full += not c._equations
+        assert full >= 60
+
+    def test_membership_ignores_scale_and_type(self):
+        rng = random.Random(167)
+        for dim in (2, 3, 4):
+            for trial in range(30):
+                cone = TestPinnedOutputs.random_cone(rng, dim, rng.randint(1, dim + 3))
+                for _ in range(8):
+                    p = tuple(rng.randint(-5, 5) for _ in range(dim))
+                    if not any(p):
+                        continue
+                    k = rng.randint(2, 6)
+                    forms = [p, tuple(k * x for x in p), tuple(map(Fraction, p))]
+                    for interior in (False, True):
+                        verdicts = {poly_member(cone, q, interior=interior) for q in forms}
+                        assert len(verdicts) == 1
 
 
 class TestSquareRational:

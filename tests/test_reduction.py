@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import random
@@ -25,6 +26,7 @@ from amplecones import (
     translate_locate,
     verify_fundamental_domain,
 )
+from amplecones.reduction import _simplest_between
 from support import (
     form_lex_key,
     random_pd_form,
@@ -306,6 +308,24 @@ class TestVerifyFundamentalDomain:
         report = verify_fundamental_domain(narrow, inverse, samples=200, max_word=12, seed=0)
         assert report.witnesses == ({"kind": "uncovered", "point": [500002, -1]},)
 
+    def test_gap_witness_is_the_simplest_slope(self):
+        rng = random.Random(173)
+        for _ in range(400):
+            while True:
+                u = (rng.randint(1, 30), rng.randint(-40, 40))
+                v = (rng.randint(1, 30), rng.randint(-40, 40))
+                if u[0] * v[1] - u[1] * v[0] > 0:
+                    break
+            low, high = Fraction(u[1], u[0]), Fraction(v[1], v[0])
+            # the least denominator with a numerator strictly inside, and
+            # there the numerator nearest zero
+            q = next(q for q in itertools.count(1) if math.floor(low * q) + 1 < high * q)
+            p = min(range(math.floor(low * q) + 1, math.ceil(high * q)), key=abs)
+            assert _simplest_between(u, v) == _simplest_slope(low, high) == [q, p]
+        # huge endpoints far apart give a small witness
+        assert _simplest_between((1, 0), (3, 2)) == [2, 1]
+        assert _simplest_between((10**5000, 1), (10**4000 + 1, 10**4000 - 1)) == [2, 1]
+
     def test_samples_in_draw_order(self):
         # every sample off the ray (1, 0) is an uncovered witness, so the
         # report lists the seeded points in the order they were drawn; the
@@ -380,6 +400,28 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _simplest_slope(low: Fraction, high: Fraction) -> list:
+    """The ray [q, p] of the simplest rational p/q strictly between low and
+    high: the first one met descending the Stern-Brocot tree from 1/1.
+    Runs of steps in one direction are taken at once."""
+    if low < 0 < high:
+        return [1, 0]
+    if high <= 0:
+        q, p = _simplest_slope(-high, -low)
+        return [q, -p]
+    (lp, lq), (rp, rq) = (0, 1), (1, 0)  # the interval's bounds in the tree
+    while True:
+        p, q = lp + rp, lq + rq
+        if Fraction(p, q) <= low:  # right while the mediant stays <= low
+            k = (low * lq - lp) // (rp - low * rq)
+            lp, lq = lp + k * rp, lq + k * rq
+        elif Fraction(p, q) >= high:  # left while it stays >= high
+            k = (rp - high * rq) // (high * lq - lp)
+            rp, rq = rp + k * lp, rq + k * lq
+        else:
+            return [q, p]
+
+
 def _gap_witness(pi, action):
     """The uncovered witness between pi and g(pi), from their slope
     intervals, or None when they touch or overlap."""
@@ -388,8 +430,7 @@ def _gap_witness(pi, action):
     g_lo, g_hi = action.ray_image(lo), action.ray_image(hi)
     for a, b in ((hi, g_lo), (g_hi, lo)):
         if slope(b) > slope(a):
-            point = primitive_vector((a[0] + b[0], a[1] + b[1]))
-            return {"kind": "uncovered", "point": list(point)}
+            return {"kind": "uncovered", "point": _simplest_slope(slope(a), slope(b))}
     return None
 
 

@@ -37,6 +37,7 @@ from .polyhedral import PolyhedralCone, RayClass, is_square_rational, primitive_
 from .reduction import GroupAction2D
 from .scalars import (
     QuadIrrational,
+    _check_order_input,
     dirichlet_rank,
     fundamental_unit,
     is_totally_positive,
@@ -274,7 +275,7 @@ def real_mult_fundamental_domain(
 def dirichlet_data(d: int) -> tuple[int, int, int]:
     """Signature and unit rank (r1, r2, r1 + r2 - 1) of Q(sqrt(d)): always
     (2, 0, 1) for real quadratic fields."""
-    fundamental_unit(d)  # validates d: >= 2, squarefree
+    _check_order_input(d)
     r1, r2 = 2, 0
     return r1, r2, dirichlet_rank(r1, r2)
 

@@ -6,17 +6,19 @@ matrices act on it by D -> M* D M.  Direct sums of these cones and of Lorentz
 cones are described by :class:`ConeSpec`.
 
 ``AlgebraMatrix`` and ``HermitianMatrix`` share one private base, which
-holds the coercing constructor, immutability, equality by kind and entries,
-hashing, ``repr``, ``identity`` and ``diagonal``.  Products, the action, the
-trace pairing, ``quadratic_value``, the LDL* elimination and invertibility
-run on integers, with no per-kind branch; sums, negation and ``star`` work
-on the scalar entries.  Each matrix is read once as integer coefficient
-tuples over one common denominator (the lcm of its entries' denominators),
-and it keeps those rows: products and the action store the rows of their
-result directly.  Matrix products, the action and the trace pairing compute
-each output entry as an integer sum of tuple products and reduce it to
-lowest terms once.  The action M* D M is fused, with no intermediate matrix
-reduced, and computes the upper triangle only.
+holds the coercing constructor, immutability, equality, hashing, ``repr``,
+``identity`` and ``diagonal``.  A matrix stores its value once, as integer
+coefficient tuples over one positive denominator, the lcm of its entries'
+denominators; the gcd of that denominator and every coefficient is 1, so
+equal matrices have identical state, and equality and hashing read it.
+``entries`` builds the scalars on each read.  Sums, negation, ``star``,
+products, the action, the trace pairing, ``quadratic_value``, the LDL*
+elimination, invertibility and the self-adjointness check all run on these
+integers, with no per-kind branch.  Matrix products, the action and the
+trace pairing compute each output entry as an integer sum of tuple
+products and reduce the result to lowest terms once.  The action M* D M is
+fused, with no intermediate matrix reduced, and computes the upper triangle
+only.
 
 Every verdict on the cone comes from one fraction-free LDL* elimination on
 those rows.  Each pivot of a Hermitian Schur complement is real, so it is
@@ -25,10 +27,10 @@ complement by p > 0 and keeps every pivot sign.  The elimination skips a
 zero pivot whose row is zero and stops at the first negative pivot, or zero
 pivot with a nonzero row.  Definiteness and semidefiniteness read only the
 pivot signs.  The witness D = L diag(delta) L* (a constructive homogeneity
-certificate) and the negative certificate, a violating vector carried back
-through the multipliers, are built as scalars once, from the recorded
-integer steps.  Invertibility is a fraction-free elimination on the same
-rows.
+certificate) is read off the recorded integer steps as the integer rows of
+L over the lcm of the pivots, and the negative certificate, a violating
+vector carried back through the multipliers, is built as scalars once.
+Invertibility is a fraction-free elimination on the same rows.
 
 The 27-dimensional exceptional cone is representable as a block tag only;
 every arithmetic operation on it raises :class:`~amplecones.errors.Unsupported`.
@@ -79,18 +81,13 @@ class _Kind(NamedTuple):
 
     cls: type | None
     width: int  # dimension over R
-    zero: object = None
-    one: object = None
     split: Callable | None = None
     product: Callable | None = None
     build: Callable | None = None
 
 
 def _algebra_kind(cls, width: int) -> _Kind:
-    zero = cls(0)
-    return _Kind(
-        cls, width, zero, cls(1), attrgetter("_num", "_den"), cls._product, zero._reduce
-    )
+    return _Kind(cls, width, attrgetter("_num", "_den"), cls._product, cls(0)._reduce)
 
 
 # octonion arithmetic is not provided, so that kind has no class
@@ -98,8 +95,6 @@ _KINDS = {
     ScalarKind.REAL: _Kind(
         Fraction,
         1,
-        Fraction(0),
-        Fraction(1),
         lambda x: ((x.numerator,), x.denominator),
         lambda p, q: (p[0] * q[0],),
         lambda num, den: Fraction(num[0], den),
@@ -136,33 +131,26 @@ def _coerce_entry(kind: ScalarKind, value):
     raise ShapeMismatch(f"entry {value!r} does not belong to scalar kind {kind.value}")
 
 
-def _trusted(cls, kind: ScalarKind, entries, rows=None):
-    """An AlgebraMatrix or HermitianMatrix of ``kind`` from a tuple of entry
-    tuples that are already scalars of that kind, with no validation.
+def _trusted(cls, kind: ScalarKind, rows, den: int):
+    """An AlgebraMatrix or HermitianMatrix of ``kind`` with entries
+    rows[i][j] / den, with no validation.
 
-    Only results of the library's own exact arithmetic come through here:
-    their entries have the right kind by construction, and a result that is
-    self-adjoint in exact arithmetic (M* D M, L diag L*) is so entry for
-    entry.  ``rows``, when given, must be what :func:`_integer_rows` reads
-    off ``entries``.  The public constructors keep full validation.
+    Only results of the library's own exact arithmetic come through here: a
+    result that is self-adjoint in exact arithmetic (M* D M) is so entry for
+    entry.  ``rows`` is a tuple of tuples of integer coefficient tuples and
+    ``den`` is positive, with no common factor of ``den`` and every
+    coefficient: exactly what :func:`_integer_rows` reads off the entries.
+    The public constructors keep full validation.
     """
-    return _fill(object.__new__(cls), kind, entries, rows)
+    return _fill(object.__new__(cls), kind, rows, den)
 
 
-def _fill(m, kind: ScalarKind, entries, rows):
+def _fill(m, kind: ScalarKind, rows, den: int):
     object.__setattr__(m, "kind", kind)
-    object.__setattr__(m, "size", len(entries))
-    object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "size", len(rows))
     object.__setattr__(m, "_rows", rows)
+    object.__setattr__(m, "_den", den)
     return m
-
-
-def _zero(kind: ScalarKind):
-    return _kind(kind).zero
-
-
-def _one(kind: ScalarKind):
-    return _kind(kind).one
 
 
 def _integer_rows(ops: _Kind, entries):
@@ -170,25 +158,14 @@ def _integer_rows(ops: _Kind, entries):
     positive denominator, the lcm of the entries' denominators."""
     rows = [list(map(ops.split, row)) for row in entries]
     den = math.lcm(*[d for row in rows for _, d in row])
-    return [
-        [num if d == den else tuple([c * (den // d) for c in num]) for num, d in row]
+    return tuple(
+        tuple([num if d == den else tuple([c * (den // d) for c in num]) for num, d in row])
         for row in rows
-    ], den
-
-
-def _rows_of(m):
-    """The integer rows of a matrix's entries and their denominator, as
-    :func:`_integer_rows` reads them; computed on first use and kept in the
-    matrix.  Callers never mutate them."""
-    rows = m._rows
-    if rows is None:
-        rows = _integer_rows(_KINDS[m.kind], m.entries)
-        object.__setattr__(m, "_rows", rows)
-    return rows
+    ), den
 
 
 def _from_integers(cls, kind: ScalarKind, nums, den: int):
-    """The trusted matrix of entries nums[i][j] / den, keeping its rows.
+    """The trusted matrix of entries nums[i][j] / den for a positive den.
 
     Dividing every coefficient and ``den`` by their common gcd g leaves the
     rows over den / g, which is the lcm of the reduced entries'
@@ -198,9 +175,7 @@ def _from_integers(cls, kind: ScalarKind, nums, den: int):
     if g != 1:
         nums = [[tuple([c // g for c in num]) for num in row] for row in nums]
         den //= g
-    build = _KINDS[kind].build
-    entries = tuple(tuple([build(num, den) for num in row]) for row in nums)
-    return _trusted(cls, kind, entries, (nums, den))
+    return _trusted(cls, kind, tuple(map(tuple, nums)), den)
 
 
 def _conjugate(num: tuple) -> tuple:
@@ -237,39 +212,44 @@ class _Matrix:
     """An immutable square matrix over one scalar kind, equal to any matrix
     of either class with the same kind and entries."""
 
-    # _rows: the integer rows of the entries, filled on first use (_rows_of)
-    __slots__ = ("kind", "size", "entries", "_rows")
+    # _rows / _den: the entries as integer coefficient tuples over one
+    # denominator, in the form of _integer_rows
+    __slots__ = ("kind", "size", "_rows", "_den")
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         rows = [list(r) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeMismatch("matrix must be square and nonempty")
-        entries = tuple(
-            tuple(_coerce_entry(kind, v) for v in row) for row in rows
-        )
-        _fill(self, kind, entries, None)
+        entries = [[_coerce_entry(kind, v) for v in row] for row in rows]
+        _fill(self, kind, *_integer_rows(_KINDS[kind], entries))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def entries(self) -> tuple:
+        """The entries as a tuple of row tuples of scalars of ``kind``."""
+        build, den = _KINDS[self.kind].build, self._den
+        return tuple(tuple([build(num, den) for num in row]) for row in self._rows)
+
     @classmethod
     def identity(cls, kind: ScalarKind, n: int):
-        one, zero = _one(kind), _zero(kind)
+        zero = (0,) * _kind(kind).width
+        one = (1,) + zero[1:]
         if n < 1:
             raise ShapeMismatch("matrix must be square and nonempty")
         return _trusted(
-            cls, kind, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+            cls, kind, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), 1
         )
 
     @classmethod
     def diagonal(cls, kind: ScalarKind, values):
         values = list(values)
-        zero = _zero(kind)
         return cls(
             kind,
             [
-                [values[i] if i == j else zero for j in range(len(values))]
+                [values[i] if i == j else 0 for j in range(len(values))]
                 for i in range(len(values))
             ],
         )
@@ -277,10 +257,13 @@ class _Matrix:
     def __eq__(self, other):
         if not isinstance(other, _Matrix):
             return NotImplemented
-        return self.kind is other.kind and self.entries == other.entries
+        # the stored form is canonical, so equal entries give equal state
+        return (
+            self.kind is other.kind and self._den == other._den and self._rows == other._rows
+        )
 
     def __hash__(self):
-        return hash((self.kind, self.entries))
+        return hash((self.kind, self._den, self._rows))
 
     def __repr__(self):
         rows = ", ".join(
@@ -298,40 +281,34 @@ class AlgebraMatrix(_Matrix):
         if not isinstance(other, _Matrix):
             return NotImplemented
         _require_same_space(self, other)
-        a, da = _rows_of(self)
-        b, db = _rows_of(other)
         product = _KINDS[self.kind].product
         return _from_integers(
-            AlgebraMatrix, self.kind, _product_rows(product, a, b), da * db
+            AlgebraMatrix,
+            self.kind,
+            _product_rows(product, self._rows, other._rows),
+            self._den * other._den,
         )
 
     def __add__(self, other):
         if not isinstance(other, _Matrix):
             return NotImplemented
         _require_same_space(self, other)
-        return _trusted(
-            AlgebraMatrix,
-            self.kind,
-            tuple(
-                tuple(a + b for a, b in zip(row, other_row))
-                for row, other_row in zip(self.entries, other.entries)
-            ),
-        )
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        nums = [
+            [tuple([sa * x + sb * y for x, y in zip(p, q)]) for p, q in zip(row, other_row)]
+            for row, other_row in zip(self._rows, other._rows)
+        ]
+        return _from_integers(AlgebraMatrix, self.kind, nums, den)
 
     def __neg__(self):
-        return _trusted(
-            AlgebraMatrix,
-            self.kind,
-            tuple(tuple(-v for v in row) for row in self.entries),
-        )
+        rows = tuple(tuple(tuple([-c for c in num]) for num in row) for row in self._rows)
+        return _trusted(AlgebraMatrix, self.kind, rows, self._den)
 
     def star(self) -> "AlgebraMatrix":
         """Conjugate transpose."""
-        return _trusted(
-            AlgebraMatrix,
-            self.kind,
-            tuple(tuple(v.conjugate() for v in col) for col in zip(*self.entries)),
-        )
+        rows = tuple(tuple(map(_conjugate, col)) for col in zip(*self._rows))
+        return _trusted(AlgebraMatrix, self.kind, rows, self._den)
 
     def is_invertible(self) -> bool:
         """Fraction-free Gaussian elimination on the integer rows.
@@ -345,7 +322,7 @@ class AlgebraMatrix(_Matrix):
         Each updated row is divided by the gcd of its coefficients.
         """
         product = _KINDS[self.kind].product
-        a = [list(row) for row in _rows_of(self)[0]]
+        a = [list(row) for row in self._rows]
         n = self.size
         for col in range(n):
             pivot_row = next((i for i in range(col, n) if any(a[i][col])), None)
@@ -376,32 +353,31 @@ class AlgebraMatrix(_Matrix):
 class HermitianMatrix(_Matrix):
     """Square matrix equal to its conjugate transpose.
 
-    The constructor verifies entries[i][j] == conj(entries[j][i]); in
-    particular diagonal entries have vanishing imaginary or vector part.
+    The constructor verifies entries[i][j] == conj(entries[j][i]) on the
+    integer rows, which share one denominator; in particular diagonal
+    entries have vanishing imaginary or vector part.
     """
 
     __slots__ = ()
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         super().__init__(kind, rows)
-        entries = self.entries
+        rows = self._rows
         for i in range(self.size):
             for j in range(i, self.size):
-                if entries[i][j] != entries[j][i].conjugate():
+                if rows[i][j] != _conjugate(rows[j][i]):
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
 
     def to_algebra(self) -> AlgebraMatrix:
-        return _trusted(AlgebraMatrix, self.kind, self.entries, self._rows)
+        return _trusted(AlgebraMatrix, self.kind, self._rows, self._den)
 
 
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     """Real part of Tr(x y*): the pairing making each matrix cone self-dual."""
     _require_same_space(x, y)
-    a, da = _rows_of(x)
-    b, db = _rows_of(y)
-    return Fraction(_pairing(a, b), da * db)
+    return Fraction(_pairing(x._rows, y._rows), x._den * y._den)
 
 
 def _eliminate(D: HermitianMatrix):
@@ -430,10 +406,9 @@ def _eliminate(D: HermitianMatrix):
     integers S_bb (real) and S_bk.
     """
     product = _KINDS[D.kind].product
-    rows, s_num = _rows_of(D)
-    s_den = 1
+    s_num, s_den = D._den, 1
     n = D.size
-    s = [list(row) for row in rows]  # only entries on or above the diagonal
+    s = [list(row) for row in D._rows]  # only entries on or above the diagonal
     steps = []
     for k in range(n):
         row = s[k]
@@ -476,16 +451,17 @@ def ldl_witness(D: HermitianMatrix):
     steps, failure = _eliminate(D)
     if failure is not None or not all(step[0] for step in steps):
         raise NotPositiveDefinite("matrix has a non-positive pivot")
-    ops = _KINDS[D.kind]
-    build, one, zero = ops.build, ops.one, ops.zero
     n = D.size
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    den = math.lcm(*[step[0] for step in steps])
+    zero = (0,) * _KINDS[D.kind].width
+    lower = [[(den,) + zero[1:] if i == j else zero for j in range(n)] for i in range(n)]
     delta = []
     for k, (p, row, s_num, s_den) in enumerate(steps):
         delta.append(Fraction(p * s_den, s_num))
+        scale = den // p
         for i, num in enumerate(row, k + 1):
-            lower[i][k] = build(_conjugate(num), p)  # S_ik / p
-    return _trusted(AlgebraMatrix, D.kind, tuple(map(tuple, lower))), tuple(delta)
+            lower[i][k] = tuple([scale * c for c in _conjugate(num)])  # S_ik / p over den
+    return _from_integers(AlgebraMatrix, D.kind, lower, den), tuple(delta)
 
 
 def is_positive_semidefinite(D: HermitianMatrix) -> bool:
@@ -499,11 +475,10 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
         raise ShapeMismatch("vector length does not match matrix size")
     ops = _KINDS[D.kind]
     (vv,), v_den = _integer_rows(ops, [[_coerce_entry(D.kind, c) for c in v]])
-    d, d_den = _rows_of(D)
     # v* D v = sum_i Re(v_i* w_i) for w = D v, and Re(v_i* w_i) = Re(w_i v_i*)
     # even over H, so it is the pairing of w and v as one-row matrices
-    w = [_dot(ops.product, row, vv) for row in d]
-    return Fraction(_pairing([w], [vv]), d_den * v_den * v_den)
+    w = [_dot(ops.product, row, vv) for row in D._rows]
+    return Fraction(_pairing([w], [vv]), D._den * v_den * v_den)
 
 
 def negative_certificate(D: HermitianMatrix):
@@ -551,12 +526,10 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
     _require_same_space(M, D)
     if not M.is_invertible():
         raise SingularMatrix("action matrix is singular")
-    m, m_den = _rows_of(M)
-    d, d_den = _rows_of(D)
     product = _KINDS[D.kind].product
     # column j of D M, and row i of M* (the conjugated column i of M)
-    dm_cols = list(zip(*_product_rows(product, d, m)))
-    m_star = [list(map(_conjugate, col)) for col in zip(*m)]
+    dm_cols = list(zip(*_product_rows(product, D._rows, M._rows)))
+    m_star = [list(map(_conjugate, col)) for col in zip(*M._rows)]
     n = D.size
     nums = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -567,7 +540,7 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
                 # M* D M is self-adjoint, so entry (j, i) is exactly the
                 # conjugate of entry (i, j)
                 nums[j][i] = _conjugate(num)
-    return _from_integers(HermitianMatrix, D.kind, nums, m_den * d_den * m_den)
+    return _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
 
 
 @dataclass(frozen=True)
@@ -695,20 +668,19 @@ def hermitian_basis(kind: ScalarKind, r: int) -> list[HermitianMatrix]:
     unit u the skew combinations u(E_ij - E_ji); the count always equals
     hermitian_dimension(kind, r).
     """
-    zero, one = _zero(kind), _one(kind)
     basis = []
 
     def build(assign):
-        rows = [[zero] * r for _ in range(r)]
+        rows = [[0] * r for _ in range(r)]
         for (i, j), v in assign.items():
             rows[i][j] = v
         return HermitianMatrix(kind, rows)
 
     for i in range(r):
-        basis.append(build({(i, i): one}))
+        basis.append(build({(i, i): 1}))
     for i in range(r):
         for j in range(i + 1, r):
-            basis.append(build({(i, j): one, (j, i): one}))
+            basis.append(build({(i, j): 1, (j, i): 1}))
             for u in kind.imaginary_units:
                 basis.append(build({(i, j): u, (j, i): -u}))
     assert len(basis) == hermitian_dimension(kind, r)

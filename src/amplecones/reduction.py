@@ -291,11 +291,6 @@ def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _between(u, v):
-    u, v = primitive_vector(u), primitive_vector(v)
-    return list(primitive_vector((u[0] + v[0], u[1] + v[1])))
-
-
 def _simplest_between(u, v) -> list:
     """The ray [q, p] of the simplest rational p/q strictly between the
     slopes of u and v, for rays with positive first coordinate and u below
@@ -409,9 +404,10 @@ def verify_fundamental_domain(
     witness), and each of ``samples`` seeded rational points of the open
     cone lies in some g^k pi with |k| <= max_word.  Disjointness: for
     1 <= |k| <= max_word the interiors of pi and g^k pi do not meet (exact,
-    from the slope order of the table).  The report is a deterministic
-    function of (pi, action, samples, max_word, seed); each sample's
-    verdict is independent of the others.
+    from the slope order of the table).  A gap or overlap witness is the
+    ray of the simplest slope strictly inside it.  The report is a
+    deterministic function of (pi, action, samples, max_word, seed); each
+    sample's verdict is independent of the others.
 
     A sample is the point (n1/d1, n2/d2) with n1 in 1..60, n2 in -60..60
     and d1, d2 in 1..20, drawn from random.Random(seed).getrandbits
@@ -470,7 +466,7 @@ def verify_fundamental_domain(
         lo = low_k if _cross(low, low_k) > 0 else low
         hi = high_k if _cross(high_k, high) > 0 else high
         if _cross(lo, hi) > 0:  # more than a ray in common: the interiors meet
-            witnesses.append({"kind": "overlap", "k": k, "point": _between(lo, hi)})
+            witnesses.append({"kind": "overlap", "k": k, "point": _simplest_between(lo, hi)})
 
     kinds = {w["kind"] for w in witnesses}
     return DomainReport(

@@ -601,11 +601,34 @@ def _fraction_json(f: Fraction):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def simplest_slope(low: Fraction, high: Fraction) -> list:
+    """The ray [q, p] of the simplest rational p/q strictly between low and
+    high: the first one met descending the Stern-Brocot tree from 1/1.
+    Runs of steps in one direction are taken at once."""
+    if low < 0 < high:
+        return [1, 0]
+    if high <= 0:
+        q, p = simplest_slope(-high, -low)
+        return [q, -p]
+    (lp, lq), (rp, rq) = (0, 1), (1, 0)  # the interval's bounds in the tree
+    while True:
+        p, q = lp + rp, lq + rq
+        if Fraction(p, q) <= low:  # right while the mediant stays <= low
+            k = (low * lq - lp) // (rp - low * rq)
+            lp, lq = lp + k * rp, lq + k * rq
+        elif Fraction(p, q) >= high:  # left while it stays >= high
+            k = (rp - high * rq) // (high * lq - lp)
+            rp, rq = rp + k * lp, rq + k * lq
+        else:
+            return [q, p]
+
+
 def reference_verify(pi, action, samples: int, max_word: int, seed: int) -> dict:
     """The JSON report of verify_fundamental_domain from the same seeded
     samples, located by the linear scan, and with disjointness decided by
-    double description of pi and each translate g^k pi.  No exact gap
-    test: covering is sampled only."""
+    double description of pi and each translate g^k pi, whose witness is
+    the simplest slope inside the overlap.  No exact gap test: covering is
+    sampled only."""
     for ray in pi.rays:
         if not action.closed_member(ray):
             raise PreconditionViolated(
@@ -637,9 +660,9 @@ def reference_verify(pi, action, samples: int, max_word: int, seed: int) -> dict
         overlap = cone_intersection(pi, action.translate_cone(pi, k))
         if overlap is None or len(overlap.rays) < 2:
             continue
-        point = tuple(sum(r[i] for r in overlap.rays) for i in range(2))
+        slopes = [Fraction(r[1], r[0]) for r in overlap.rays]
         witnesses.append(
-            {"kind": "overlap", "k": k, "point": list(primitive_vector(point))}
+            {"kind": "overlap", "k": k, "point": simplest_slope(min(slopes), max(slopes))}
         )
     return {
         "covering_ok": covering_ok,

@@ -33,6 +33,7 @@ from amplecones import (
     surface_nef_data,
     verify_fundamental_domain,
 )
+from amplecones import abelian, scalars
 from support import random_invertible_matrix, random_model, random_pd_matrix
 
 R, C, H = ScalarKind.REAL, ScalarKind.COMPLEX, ScalarKind.QUATERNION
@@ -297,6 +298,19 @@ class TestDirichletData:
         assert dirichlet_data(3) == (2, 0, 1)
         with pytest.raises(PerfectSquareInput):
             dirichlet_data(9)
+
+    def test_builds_no_unit(self, monkeypatch):
+        # the fundamental unit of d = 10000000019 has about 212,000 bits;
+        # the signature needs only a valid d
+        def fail(d):
+            raise AssertionError("dirichlet_data built a unit")
+
+        monkeypatch.setattr(abelian, "fundamental_unit", fail)
+        monkeypatch.setattr(scalars, "fundamental_unit", fail)
+        assert dirichlet_data(10000000019) == (2, 0, 1)
+        for d, error in ((9, PerfectSquareInput), (12, InvalidInput), (1, InvalidInput)):
+            with pytest.raises(error):
+                dirichlet_data(d)
 
 
 class TestModelJson:

@@ -183,14 +183,33 @@ class TestExitCodes:
         assert f"more than {limit} digits" in err and "smaller --d" in err
         assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
-        # here the long integer is the overlap witness of a user-given --pi:
-        # every translate under a scalar generator overlaps pi, and the
-        # witness (2n, 5) sums its two rays (n, 1) and (n, 4) of limit digits
-        n = "9" * limit
-        argv = ["verify", "--d", "2", "--pi", f"{n},1;{n},4", "--g", "1,0,0,1"]
+        # here the long integer is the gap witness of a user-given --pi: its
+        # upper ray (x, y) of limit digits and g(1, 0) = (3, 2) are Farey
+        # neighbours (2x - 3y = 1), so the only simplest slope between them
+        # is their mediant (x + 3, y + 2), and x + 3 = 10**limit + 1
+        x = 10**limit - 2
+        y = (2 * x - 1) // 3
+        argv = ["verify", "--d", "2", "--pi", f"1,0;{x},{y}"]
         assert main(argv + ["--max-word", "1", "--samples", "1"]) == 2
         err = capsys.readouterr().err
         assert "cannot print the report" in err and "--d" not in err
+
+    def test_overlap_witness_of_tall_rays_is_one(self, tmp_path):
+        # every translate under a scalar generator is pi itself; the rays
+        # (n, 1) and (n, 4) have limit digits, but the slope 1/q with
+        # q = 25 * 10**(limit - 2) lies between them and prints
+        limit = sys.get_int_max_str_digits()
+        n = "9" * limit
+        out = tmp_path / "report.json"
+        argv = ["verify", "--d", "2", "--pi", f"{n},1;{n},4", "--g", "1,0,0,1"]
+        assert main(argv + ["--max-word", "1", "--samples", "1", "--output", str(out)]) == 1
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["disjoint_ok"] is False
+        point = [25 * 10 ** (limit - 2), 1]
+        assert [w for w in payload["witnesses"] if w["kind"] == "overlap"] == [
+            {"kind": "overlap", "k": 1, "point": point},
+            {"kind": "overlap", "k": -1, "point": point},
+        ]
 
     def test_gap_witness_of_large_unit_is_one(self, tmp_path):
         # g(1, 0) has more than 6,000 digits, but the gap between the upper

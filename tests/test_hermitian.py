@@ -31,7 +31,7 @@ from amplecones import (
     quadratic_value,
     trace_inner_product,
 )
-from amplecones.hermitian import _KINDS, _integer_rows, _one, _zero
+from amplecones.hermitian import _KINDS, _integer_rows
 from support import (
     MATRIX_KINDS,
     flatten_hermitian,
@@ -54,6 +54,7 @@ from support import (
     scalar_tuple,
     staged_hermitian,
     wide_algebra_matrix,
+    wide_fraction,
     wide_hermitian_matrix,
     wide_scalar,
 )
@@ -79,19 +80,27 @@ class TestConstruction:
     def test_octonion_entries_rejected(self):
         with pytest.raises(Unsupported):
             AlgebraMatrix(ScalarKind.OCTONION, [[1]])
-        for constant in (_zero, _one):
+        for build in (
+            lambda: HermitianMatrix.identity(ScalarKind.OCTONION, 3),
+            lambda: AlgebraMatrix.diagonal(ScalarKind.OCTONION, [1, 1, 1]),
+            lambda: hermitian_basis(ScalarKind.OCTONION, 3),
+        ):
             with pytest.raises(Unsupported):
-                constant(ScalarKind.OCTONION)
+                build()
 
-    def test_constants_are_shared(self):
+    def test_identity_matches_constructor(self):
         for kind in MATRIX_KINDS:
-            assert _zero(kind) is _zero(kind) and _one(kind) is _one(kind)
-            assert _zero(kind) == 0 and _one(kind) == 1
-            identity = HermitianMatrix.identity(kind, 3)
-            assert identity == HermitianMatrix(
-                kind, [[int(i == j) for j in range(3)] for i in range(3)]
-            )
-
+            cls_of_kind = _KINDS[kind].cls
+            for cls in (AlgebraMatrix, HermitianMatrix):
+                for n in (1, 2, 3, 4):
+                    identity = cls.identity(kind, n)
+                    ints = [[int(i == j) for j in range(n)] for i in range(n)]
+                    assert type(identity) is cls and identity.size == n
+                    assert identity == cls(kind, ints) == cls.diagonal(kind, [1] * n)
+                    assert identity.entries == tuple(map(tuple, ints))
+                    assert all(
+                        type(v) is cls_of_kind for row in identity.entries for v in row
+                    )
 
     def test_identity_needs_a_positive_size(self):
         for cls in (AlgebraMatrix, HermitianMatrix):
@@ -287,13 +296,17 @@ class TestIntegerKernel:
 
 
 class TestCachedRows:
-    """Each matrix keeps the integer rows of its entries; products and the
-    action store theirs from the integer result."""
+    """Each matrix stores only the integer rows of its entries over one
+    denominator, in the form that _integer_rows reads off the entries, so
+    equal entries give equal state."""
+
+    @staticmethod
+    def _check(m):
+        assert (m._rows, m._den) == _integer_rows(_KINDS[m.kind], m.entries)
 
     def test_results_keep_their_integer_rows(self):
         rng = random.Random(97)
         for kind in MATRIX_KINDS:
-            ops = _KINDS[kind]
             for size in (1, 2, 3, 4):
                 for make in (random_algebra_matrix, wide_algebra_matrix):
                     a, b = make(rng, kind, size), make(rng, kind, size)
@@ -301,20 +314,61 @@ class TestCachedRows:
                         a, b = make(rng, kind, size), make(rng, kind, size)
                     d = random_pd_matrix(rng, kind, size)
                     x = wide_hermitian_matrix(rng, kind, size)
-                    results = (a * b, b * d, act(a, d), act(a, x), act(a * b, d))
+                    results = (
+                        a, d, x, a * b, b * d, act(a, d), act(a, x), act(a * b, d),
+                        a + b, a + (-a), a + x, -a, a.star(), x.to_algebra(),
+                        ldl_witness(d)[0], AlgebraMatrix.identity(kind, size),
+                        HermitianMatrix.diagonal(kind, [wide_fraction(rng) for _ in range(size)]),
+                    )
                     for result in results:
-                        assert result._rows == _integer_rows(ops, result.entries)
+                        self._check(result)
+            for m in hermitian_basis(kind, 3):
+                self._check(m)
 
     def test_rows_are_read_once_and_shared(self):
         rng = random.Random(101)
         for kind in MATRIX_KINDS:
             d = wide_hermitian_matrix(rng, kind, 3)
-            assert d._rows is None
+            rows, den = d._rows, d._den
             trace_inner_product(d, d)
-            rows = d._rows
-            assert rows == _integer_rows(_KINDS[kind], d.entries)
             is_positive_semidefinite(d)
-            assert d._rows is rows and d.to_algebra()._rows is rows
+            assert d._rows is rows and d._den == den
+            assert d.to_algebra()._rows is rows and d.to_algebra()._den == den
+            assert (rows, den) == _integer_rows(_KINDS[kind], d.entries)
+
+    def test_equal_exactly_when_entries_are_equal(self):
+        # the same values reached by several routes must share one stored
+        # form: otherwise == and hash would split equal matrices
+        rng = random.Random(113)
+        pool = []
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3):
+                for _ in range(3):
+                    m = random_algebra_matrix(rng, kind, size)
+                    h = random_hermitian_matrix(rng, kind, size)
+                    eye = AlgebraMatrix.identity(kind, size)
+                    k = rng.randint(2, 9)
+                    # every coefficient passed as Fraction(k p, k q)
+                    unreduced = [
+                        [type(v)(*[Fraction(c.numerator * k, c.denominator * k)
+                                   for c in scalar_tuple(v)]) for v in row]
+                        for row in m.entries
+                    ]
+                    pool += [
+                        m, h, eye, AlgebraMatrix(kind, unreduced),
+                        m + (-m), AlgebraMatrix.diagonal(kind, [0] * size),
+                        m.star().star(), m.star(), h.to_algebra().star(), h.to_algebra(),
+                        m * eye, eye * m, eye * h, (m + h) + (-h.to_algebra()),
+                        HermitianMatrix(kind, [[int(i == j) for j in range(size)]
+                                               for i in range(size)]),
+                    ]
+        values = [(m, m.kind, m.entries) for m in pool]
+        for a, kind_a, entries_a in values:
+            for b, kind_b, entries_b in values:
+                same = kind_a is kind_b and entries_a == entries_b
+                assert (a == b) is same and (a != b) is not same
+                if same:
+                    assert hash(a) == hash(b)
 
 
 class TestFractionFreeElimination:
@@ -373,7 +427,7 @@ class TestFractionFreeElimination:
                         # row b becomes c row a (singular) or row a c (over
                         # H usually not)
                         a, b = rng.sample(range(size), 2)
-                        c = random_scalar(rng, kind) or _one(kind)
+                        c = random_scalar(rng, kind) or _KINDS[kind].cls(1)
                         rows = [list(row) for row in m.entries]
                         if trial % 4 == 1:
                             rows[b] = [c * value for value in rows[a]]

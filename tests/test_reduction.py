@@ -32,6 +32,7 @@ from support import (
     random_pd_form,
     reference_translate_locate,
     reference_verify,
+    simplest_slope,
     sl2z_word_minimum,
 )
 
@@ -321,7 +322,7 @@ class TestVerifyFundamentalDomain:
             # there the numerator nearest zero
             q = next(q for q in itertools.count(1) if math.floor(low * q) + 1 < high * q)
             p = min(range(math.floor(low * q) + 1, math.ceil(high * q)), key=abs)
-            assert _simplest_between(u, v) == _simplest_slope(low, high) == [q, p]
+            assert _simplest_between(u, v) == simplest_slope(low, high) == [q, p]
         # huge endpoints far apart give a small witness
         assert _simplest_between((1, 0), (3, 2)) == [2, 1]
         assert _simplest_between((10**5000, 1), (10**4000 + 1, 10**4000 - 1)) == [2, 1]
@@ -400,28 +401,6 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _simplest_slope(low: Fraction, high: Fraction) -> list:
-    """The ray [q, p] of the simplest rational p/q strictly between low and
-    high: the first one met descending the Stern-Brocot tree from 1/1.
-    Runs of steps in one direction are taken at once."""
-    if low < 0 < high:
-        return [1, 0]
-    if high <= 0:
-        q, p = _simplest_slope(-high, -low)
-        return [q, -p]
-    (lp, lq), (rp, rq) = (0, 1), (1, 0)  # the interval's bounds in the tree
-    while True:
-        p, q = lp + rp, lq + rq
-        if Fraction(p, q) <= low:  # right while the mediant stays <= low
-            k = (low * lq - lp) // (rp - low * rq)
-            lp, lq = lp + k * rp, lq + k * rq
-        elif Fraction(p, q) >= high:  # left while it stays >= high
-            k = (rp - high * rq) // (high * lq - lp)
-            rp, rq = rp + k * lp, rq + k * lq
-        else:
-            return [q, p]
-
-
 def _gap_witness(pi, action):
     """The uncovered witness between pi and g(pi), from their slope
     intervals, or None when they touch or overlap."""
@@ -430,7 +409,7 @@ def _gap_witness(pi, action):
     g_lo, g_hi = action.ray_image(lo), action.ray_image(hi)
     for a, b in ((hi, g_lo), (g_hi, lo)):
         if slope(b) > slope(a):
-            return {"kind": "uncovered", "point": _simplest_slope(slope(a), slope(b))}
+            return {"kind": "uncovered", "point": simplest_slope(slope(a), slope(b))}
     return None
 
 

@@ -122,8 +122,8 @@ def hermitian_dimension(kind: ScalarKind, r: int) -> int:
     return r + _KINDS[kind].width * r * (r - 1) // 2
 
 
-def _coerce_entry(kind: ScalarKind, value):
-    cls = _kind(kind).cls
+def _coerce_entry(kind: ScalarKind, cls, value):
+    """``value`` as a scalar of ``kind``, whose class is ``cls``."""
     if isinstance(value, cls):
         return value  # immutable, so no copy is needed
     if isinstance(value, _RationalLike):
@@ -221,8 +221,9 @@ class _Matrix:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeMismatch("matrix must be square and nonempty")
-        entries = [[_coerce_entry(kind, v) for v in row] for row in rows]
-        _fill(self, kind, *_integer_rows(_KINDS[kind], entries))
+        ops = _kind(kind)
+        entries = [[_coerce_entry(kind, ops.cls, v) for v in row] for row in rows]
+        _fill(self, kind, *_integer_rows(ops, entries))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -474,7 +475,7 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
     if len(v) != D.size:
         raise ShapeMismatch("vector length does not match matrix size")
     ops = _KINDS[D.kind]
-    (vv,), v_den = _integer_rows(ops, [[_coerce_entry(D.kind, c) for c in v]])
+    (vv,), v_den = _integer_rows(ops, [[_coerce_entry(D.kind, ops.cls, c) for c in v]])
     # v* D v = sum_i Re(v_i* w_i) for w = D v, and Re(v_i* w_i) = Re(w_i v_i*)
     # even over H, so it is the pairing of w and v as one-row matrices
     w = [_dot(ops.product, row, vv) for row in D._rows]

@@ -4,16 +4,22 @@ A cone is stored by its generators (primitive integer rays, orientation
 preserved) and by its facet description, which the double description
 method computes once, at construction, over the integers.  Every question
 is answered from that description with integer dot products: closed and
-interior membership from facet signs, pointedness from its rank, and the
-extreme rays of an intersection from double description of the two facet
-descriptions, whose adjacency test keeps exactly the extreme rays.
+interior membership from facet signs, and the extreme rays of an
+intersection from double description of the two facet descriptions, whose
+adjacency test keeps exactly the extreme rays.
 
 Double description keeps each ray's incidence, the normals it is tight on,
 as the bits of an int, so the adjacency test is a few integer operations.
-A full-dimensional intersection reads its facets off that incidence (the
-normals whose sets of tight rays are maximal) and runs no second, dual
-double description.  The order of the stored facets is private.
-Intersections are supported up to ambient dimension 4.
+Each cone keeps the incidence of its extreme rays on its own normals, read
+off the masks of the run that built it, with no dot products; pointedness
+and the extreme generators come from the same masks.  An intersection
+starts its double description from the incidence of the operand with more
+normals, the state a run over those normals would reach, and processes only
+the other operand's normals.  A full-dimensional intersection reads its
+facets off the incidence of that run (the normals whose sets of tight rays
+are maximal) and runs no second, dual double description.  The order of
+the stored facets is private.  Intersections are supported up to ambient
+dimension 4.
 """
 
 from __future__ import annotations
@@ -33,12 +39,23 @@ def primitive_vector(v) -> tuple[int, ...]:
     integer vector (orientation is preserved)."""
     vt = tuple(v)
     if not all(type(c) is int for c in vt):
-        fracs = [Fraction(c) for c in vt]
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        vt = tuple(int(f * lcm) for f in fracs)
+        vt = _integer_vector(vt)
     if not any(vt):
         raise InvalidInput("zero vector has no primitive representative")
     return _primitive(vt)
+
+
+def _integer_vector(v: tuple) -> tuple[int, ...]:
+    """v times the lcm of its coordinates' denominators, or InvalidInput
+    when a coordinate is not a finite rational number."""
+    try:
+        fracs = [Fraction(c) for c in v]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(
+            f"coordinates of {format_point(v)} must be finite rational numbers"
+        ) from None
+    lcm = math.lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * lcm) for f in fracs)
 
 
 def _primitive(v) -> tuple[int, ...]:
@@ -82,24 +99,9 @@ class RayClass:
         return f"RayClass({list(self.vector)})"
 
 
-def _rank(vectors) -> int:
-    """Rank over Q of integer vectors, by fraction-free elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        col = next((j for j, c in enumerate(pivot) if c), None)
-        if col is None:
-            continue
-        rank += 1
-        lead = pivot[col]
-        rows = [[lead * x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
-    return rank
-
-
 # --- Double description ------------------------------------------------------
 
-def _extreme_rays(normals, dim: int):
+def _extreme_rays(normals, dim: int, start=None):
     """Lineality basis and extreme rays of {x : <a, x> >= 0 for all a}.
 
     Standard incremental double description with the combinatorial adjacency
@@ -107,10 +109,18 @@ def _extreme_rays(normals, dim: int):
     is kept primitive to control coefficient growth.  Each extreme ray comes
     as a pair [vector, mask] in which bit i of mask is set exactly when the
     ray is tight on normals[i].
+
+    ``start``, when given, is a pair (k, rays): the extreme rays, with their
+    masks, of the pointed cone cut out by normals[:k].  The run then begins
+    at normals[k] with no lineality, in the state it would have reached.
     """
-    lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    rays: list[list] = []
-    for idx, a in enumerate(normals):
+    if start is None:
+        k, rays = 0, []
+        lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    else:
+        (k, rays), lin = start, []
+    for idx in range(k, len(normals)):
+        a = normals[idx]
         bit = 1 << idx
         scores = [sum(map(mul, a, l)) for l in lin]
         hit = next((i for i, s in enumerate(scores) if s != 0), None)
@@ -172,11 +182,19 @@ class PolyhedralCone:
     description of the dual cone {y : <y, r> >= 0 for every ray r}: its
     lineality basis gives the equations (normals to the span of the cone)
     and its extreme rays give the facet normals, all primitive integer
-    vectors.  The cone is pointed exactly when equations and facets
-    together have full rank.
+    vectors.
+
+    The cone also keeps its incidence: each extreme ray with a mask over
+    its normals, each equation as the pair e, -e and then the facets, in
+    which bit i is set when the ray is tight on normal i.  The dual run
+    yields it with no dot products, as a mask per facet over the
+    generators.  The cone is pointed exactly when no generator is tight
+    on every facet, and a generator is extreme exactly when it is the only
+    one tight on all the facets it is tight on.  An intersection starts
+    its double description from this incidence.
     """
 
-    __slots__ = ("dim", "rays", "_equations", "_facets")
+    __slots__ = ("dim", "rays", "_equations", "_facets", "_incidence")
 
     def __init__(self, dim: int, rays) -> None:
         if dim < 1:
@@ -198,10 +216,30 @@ class PolyhedralCone:
                 raise InvalidInput(f"proportional rays detected: {v}")
             unoriented.add(key)
         equations, dual = _extreme_rays(normalized, dim)
-        facets = [f for f, _ in dual]
-        if _rank(equations + facets) < dim:
+        # rows[j]: the facets tight on generator j; spans[j]: the generators
+        # tight on all of them, those in the smallest face through j
+        n = len(normalized)
+        rows, spans = [0] * n, [(1 << n) - 1] * n
+        for i, (_, column) in enumerate(dual):
+            bit, rest = 1 << i, column
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                rows[j] |= bit
+                spans[j] &= column
+                rest ^= low
+        # a generator tight on every facet is orthogonal to the whole dual
+        # cone, so its negative lies in the cone as well
+        if (1 << len(dual)) - 1 in rows:
             raise InvalidInput("cone closure contains a line")
-        _fill(self, dim, normalized, equations, facets)
+        eq = 2 * len(equations)
+        tight = (1 << eq) - 1  # every ray is tight on e and -e
+        incidence = [
+            (v, tight | rows[j] << eq)
+            for j, v in enumerate(normalized)
+            if spans[j] == 1 << j  # the smallest face through v is its ray
+        ]
+        _fill(self, dim, normalized, equations, [f for f, _ in dual], incidence)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyhedralCone is immutable")
@@ -221,24 +259,48 @@ class PolyhedralCone:
         return f"PolyhedralCone({self.dim}, {[list(r) for r in self.rays]})"
 
 
-def _trusted(dim: int, rays, equations, facets) -> PolyhedralCone:
-    """A PolyhedralCone from its rays and its facet description, with no
-    validation.
+def _transpose(columns, n: int) -> list[int]:
+    """The n rows of a 0/1 matrix given by its columns as bit masks: bit i
+    of row j is set exactly when bit j of columns[i] is."""
+    rows = [0] * n
+    for i, c in enumerate(columns):
+        bit = 1 << i
+        while c:
+            low = c & -c
+            rows[low.bit_length() - 1] |= bit
+            c ^= low
+    return rows
+
+
+def _trusted(dim: int, rays, equations, facets, incidence) -> PolyhedralCone:
+    """A PolyhedralCone from its rays, its facet description and its
+    incidence, with no validation.
 
     Only the library's own exact results come through here: the rays must
-    be distinct primitive extreme rays of a pointed cone, and the equations
-    and facets its description.  The public constructor keeps full
-    validation.
+    be distinct primitive extreme rays of a pointed cone, the equations
+    and facets its description, and the incidence as the constructor
+    builds it.  The public constructor keeps full validation.
     """
-    return _fill(object.__new__(PolyhedralCone), dim, rays, equations, facets)
+    return _fill(object.__new__(PolyhedralCone), dim, rays, equations, facets, incidence)
 
 
-def _fill(cone: PolyhedralCone, dim: int, rays, equations, facets) -> PolyhedralCone:
+def _fill(cone: PolyhedralCone, dim: int, rays, equations, facets, incidence) -> PolyhedralCone:
     object.__setattr__(cone, "dim", dim)
     object.__setattr__(cone, "rays", tuple(rays))
     object.__setattr__(cone, "_equations", tuple(equations))
     object.__setattr__(cone, "_facets", tuple(facets))
+    object.__setattr__(cone, "_incidence", tuple(incidence))
     return cone
+
+
+def _normals(cone: PolyhedralCone) -> list:
+    """The normals the incidence of ``cone`` is taken over, in its order."""
+    normals = []
+    for e in cone._equations:
+        normals.append(e)
+        normals.append(tuple(-c for c in e))
+    normals.extend(cone._facets)
+    return normals
 
 
 def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
@@ -246,21 +308,21 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     mode: does v lie in the topological interior relative to the ambient
     space (empty unless the cone is full-dimensional)?
 
-    Both are read off the facet signs at v, or at its primitive integer
-    direction when v has coordinates that are not ints (the signs do not
-    change under positive scaling): closed iff every equation gives 0 and
-    every facet gives >= 0; interior iff there are no equations and every
-    facet gives > 0.
+    Both are read off the facet signs at v, or at v scaled to integers when
+    it has coordinates that are not ints (the signs do not change under
+    positive scaling): closed iff every equation gives 0 and every facet
+    gives >= 0; interior iff there are no equations and every facet gives
+    > 0.  A coordinate that is not a finite rational raises InvalidInput.
     """
     v = tuple(v)
     if len(v) != cone.dim:
         raise ShapeMismatch(
             f"point {format_point(v)} does not live in dimension {cone.dim}"
         )
+    if not all(type(c) is int for c in v):
+        v = _integer_vector(v)
     if not any(v):
         return not interior  # the origin is on the boundary of a pointed cone
-    if not all(type(c) is int for c in v):
-        v = primitive_vector(v)
     if interior:
         return not cone._equations and all(sum(map(mul, f, v)) > 0 for f in cone._facets)
     return all(sum(map(mul, e, v)) == 0 for e in cone._equations) and all(
@@ -272,24 +334,26 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     """Generators of the intersection via double description on the two
     facet descriptions, or None when the cones meet only at the origin.
 
-    A full-dimensional intersection takes its facets from the incidence of
-    that one run: they are the normals whose sets of tight rays are maximal
-    under inclusion.  A lower-dimensional one goes through the validating
-    constructor, which picks its equations and facets."""
+    The run starts from the incidence of the operand with more normals,
+    the state double description reaches after them, and processes only
+    the other operand's normals.  A full-dimensional intersection takes
+    its facets from the incidence of that run: they are the normals whose
+    sets of tight rays are maximal under inclusion.  A lower-dimensional
+    one goes through the validating constructor, which picks its equations
+    and facets."""
     if a.dim != b.dim:
         raise ShapeMismatch("cones live in different dimensions")
     if a.dim > MAX_INTERSECTION_DIM:
         raise UnsupportedDimension(
             f"intersections are supported up to dimension {MAX_INTERSECTION_DIM}"
         )
-    normals = []
-    for cone in (a, b):
-        for e in cone._equations:
-            normals.append(e)
-            normals.append(tuple(-c for c in e))
-        normals.extend(cone._facets)
-    lin, rays = _extreme_rays(normals, a.dim)
-    assert not lin, "intersection of pointed cones cannot contain a line"
+    seed, other = _normals(a), _normals(b)
+    incidence = a._incidence
+    if len(other) > len(seed):
+        seed, other, incidence = other, seed, b._incidence
+    normals = seed + other
+    # a pointed seed leaves no lineality, so none comes back
+    _, rays = _extreme_rays(normals, a.dim, (len(seed), [[v, m] for v, m in incidence]))
     if not rays:
         return None
     rays.sort()
@@ -300,13 +364,13 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     # no normal is an implicit equation, so the intersection is
     # full-dimensional; tight[i], column i of the incidence, holds the rays
     # tight on normal i, and the facets are the normals where it is maximal
-    tight = [sum(1 << j for j, (_, m) in enumerate(rays) if m >> i & 1) for i in range(len(normals))]
-    facets = dict.fromkeys(
-        normals[i]
-        for i, t in enumerate(tight)
-        if not any(u != t and u & t == t for u in tight)
-    )
-    return _trusted(a.dim, vectors, (), facets)
+    tight = _transpose([m for _, m in rays], len(normals))
+    facets = {}
+    for n, t in zip(normals, tight):
+        if n not in facets and not any(u != t and u & t == t for u in tight):
+            facets[n] = t
+    masks = _transpose(facets.values(), len(vectors))
+    return _trusted(a.dim, vectors, (), facets, zip(vectors, masks))
 
 
 def is_square_rational(q) -> bool:

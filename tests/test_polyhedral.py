@@ -15,9 +15,12 @@ from amplecones import (
     poly_member,
     primitive_vector,
 )
+from amplecones.errors import format_point
+from amplecones.polyhedral import _extreme_rays
 from support import (
     caratheodory_member,
     random_right_halfplane_cone_rays,
+    rational_rank,
     slope_interval_intersection,
     square_scan,
 )
@@ -364,6 +367,121 @@ class TestTrustedIntersection:
                     for interior in (False, True):
                         verdicts = {poly_member(cone, q, interior=interior) for q in forms}
                         assert len(verdicts) == 1
+
+
+def normals_of(cone):
+    """A cone's normals in the order its incidence uses: each equation e as
+    e and -e, then the facets."""
+    normals = []
+    for e in cone._equations:
+        normals += [e, tuple(-c for c in e)]
+    return normals + list(cone._facets)
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+class TestSeededIntersection:
+    """An intersection's double description starts from one operand's
+    stored incidence: its extreme rays, each with the normals it is tight
+    on.  Seeded pairs in dimensions 1 to 4: generic, lower-dimensional,
+    single-ray, meeting only at the origin, and operands with generators
+    that are not extreme."""
+
+    @staticmethod
+    def with_inner_generators(rng, dim):
+        """A cone whose generators include sums of two others."""
+        while True:
+            cone = TestPinnedOutputs.random_cone(rng, dim, rng.randint(2, dim + 2))
+            inner = [tuple(map(sum, zip(*rng.sample(cone.rays, 2)))) for _ in range(2)]
+            try:
+                return PolyhedralCone(dim, list(cone.rays) + inner)
+            except InvalidInput:
+                continue  # two sums proportional to each other; redraw
+
+    @classmethod
+    def pairs(cls):
+        rng = random.Random(173)
+        pairs = [(PolyhedralCone(1, [(s,)]), PolyhedralCone(1, [(t,)])) for s in (1, -2) for t in (3, -1)]
+        for dim in (2, 3, 4):
+            for trial in range(36):
+                if trial % 6 == 5:
+                    pairs.append((cls.with_inner_generators(rng, dim), cls.with_inner_generators(rng, dim)))
+                else:
+                    pairs.append(TestPinnedOutputs.pair(rng, dim, trial % 6))
+        return pairs
+
+    def test_seeded_run_matches_run_from_scratch(self):
+        met = inner = 0
+        for a, b in self.pairs():
+            for seed, other in ((a, b), (b, a)):
+                normals = normals_of(seed) + normals_of(other)
+                lin, rays = _extreme_rays(normals, a.dim)
+                assert not lin
+                start = (len(normals_of(seed)), [list(p) for p in seed._incidence])
+                assert sorted(_extreme_rays(normals, a.dim, start)[1]) == sorted(rays)
+            inner += len(a._incidence) < len(a.rays)
+            c = cone_intersection(a, b)
+            if not rays:
+                assert c is None
+                continue
+            met += 1
+            vectors = sorted(v for v, _ in rays)
+            reference = PolyhedralCone(a.dim, vectors)
+            assert c.rays == tuple(vectors)
+            assert set(c._facets) == set(reference._facets)
+            assert c._equations == reference._equations
+        assert met >= 60 and inner >= 10
+
+    def test_commutative(self):
+        for a, b in self.pairs():
+            ab, ba = cone_intersection(a, b), cone_intersection(b, a)
+            assert ab == ba
+            if ab is not None:
+                assert ab.rays == ba.rays and ab._equations == ba._equations
+                assert set(ab._facets) == set(ba._facets)
+
+    def test_incidence_matches_dot_products(self):
+        cones = []
+        for a, b in self.pairs():
+            cones += [a, b]
+            c = cone_intersection(a, b)
+            if c is not None:
+                cones.append(c)
+                cones += filter(None, [cone_intersection(c, a), cone_intersection(b, c)])
+        for cone in cones:
+            normals = normals_of(cone)
+            expected = []
+            for r in cone.rays:
+                tight = [n for n in normals if dot(n, r) == 0]
+                if rational_rank(tight) == cone.dim - 1:  # r spans a face
+                    expected.append((r, sum(1 << i for i, n in enumerate(normals) if dot(n, r) == 0)))
+            assert cone._incidence == tuple(expected)
+
+
+class TestHostileCoordinates:
+    def test_rejects_coordinates_that_are_not_finite_rationals(self):
+        cone = PolyhedralCone(2, [(1, 0), (1, 1)])
+        for bad in (None, float("nan"), float("inf"), float("-inf"), "x", 1j):
+            for point in ((bad, 0), (0, bad), (1, bad)):
+                message = f"coordinates of {format_point(point)} must be finite rational numbers"
+                for interior in (False, True):
+                    with pytest.raises(InvalidInput) as info:
+                        poly_member(cone, point, interior=interior)
+                    assert str(info.value) == message
+                with pytest.raises(InvalidInput, match="must be finite rational"):
+                    PolyhedralCone(2, [(1, 1), point])
+                with pytest.raises(InvalidInput, match="must be finite rational"):
+                    primitive_vector(point)
+
+    def test_origin_and_rational_points_keep_their_verdicts(self):
+        cone = PolyhedralCone(2, [(1, 0), (1, 1)])
+        for origin in ((0, 0), (Fraction(0), 0), (0.0, Fraction(0))):
+            assert poly_member(cone, origin)
+            assert not poly_member(cone, origin, interior=True)
+        assert poly_member(cone, (0.5, Fraction(1, 4)), interior=True)
+        assert not poly_member(cone, (Fraction(-1, 3), 0))
 
 
 class TestSquareRational:

@@ -50,7 +50,6 @@ from .hermitian import (
 )
 from .polyhedral import (
     PolyhedralCone,
-    RayClass,
     cone_intersection,
     is_square_rational,
     poly_member,

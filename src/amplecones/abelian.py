@@ -33,7 +33,7 @@ from .hermitian import (
     hermitian_basis,
     hermitian_dimension,
 )
-from .polyhedral import PolyhedralCone, RayClass, is_square_rational, primitive_vector
+from .polyhedral import PolyhedralCone, is_square_rational, primitive_vector
 from .reduction import GroupAction2D
 from .scalars import (
     QuadIrrational,
@@ -250,8 +250,6 @@ def real_mult_fundamental_domain(
     ray.  With ``square_unit=False`` the fundamental unit itself is used; it
     must already be totally positive of norm +1.
     """
-    if isinstance(ray, RayClass):
-        ray = ray.vector
     unit = fundamental_unit(d)  # validates d
     if square_unit:
         multiplier = unit.value * unit.value

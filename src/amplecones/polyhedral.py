@@ -1,8 +1,11 @@
 """Exact rational polyhedral cones in low dimension.
 
-A cone is stored by its generators (primitive integer rays, orientation
-preserved) and by its facet description, which the double description
-method computes once, at construction, over the integers.  Every question
+A cone is stored by its extreme rays (primitive integer vectors,
+orientation preserved, in the order they were given) and by its facet
+description, which the double description method computes once, at
+construction, over the integers.  A generator that is not extreme is
+dropped, so ``==`` and ``hash``, which compare the extreme rays, compare
+cones: a pointed cone is determined by its extreme rays.  Every question
 is answered from that description with integer dot products: closed and
 interior membership from facet signs, and the extreme rays of an
 intersection from double description of the two facet descriptions, whose
@@ -10,12 +13,12 @@ adjacency test keeps exactly the extreme rays.
 
 Double description keeps each ray's incidence, the normals it is tight on,
 as the bits of an int, so the adjacency test is a few integer operations.
-Each cone keeps the incidence of its extreme rays on its own normals, read
-off the masks of the run that built it, with no dot products; pointedness
-and the extreme generators come from the same masks.  An intersection
-starts its double description from the incidence of the operand with more
-normals, the state a run over those normals would reach, and processes only
-the other operand's normals.  A full-dimensional intersection reads its
+Each cone keeps one mask per extreme ray, its incidence on the cone's own
+normals, read off the masks of the run that built it with no dot products;
+pointedness and the extreme generators come from the same masks.  An
+intersection starts its double description from the incidence of the
+operand with more normals, the state a run over those normals would reach,
+and processes only the other operand's normals.  A full-dimensional intersection reads its
 facets off the incidence of that run (the normals whose sets of tight rays
 are maximal) and runs no second, dual double description.  The order of
 the stored facets is private.  Intersections are supported up to ambient
@@ -62,41 +65,6 @@ def _primitive(v) -> tuple[int, ...]:
     """A nonzero integer tuple divided by the gcd of its entries."""
     g = math.gcd(*v)
     return v if g == 1 else tuple(c // g for c in v)
-
-
-class RayClass:
-    """A rational ray, stored as its primitive integer direction vector.
-
-    Orientation matters: the rays through v and -v are different objects.
-    When an unoriented comparison is wanted, use :meth:`unoriented_key`,
-    which flips the sign so the first nonzero coordinate is positive.
-    """
-
-    __slots__ = ("vector",)
-
-    def __init__(self, vector) -> None:
-        object.__setattr__(self, "vector", primitive_vector(vector))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RayClass is immutable")
-
-    def unoriented_key(self) -> tuple[int, ...]:
-        v = self.vector
-        for c in v:
-            if c != 0:
-                return v if c > 0 else tuple(-x for x in v)
-        raise InvalidInput("zero ray")
-
-    def __eq__(self, other):
-        if not isinstance(other, RayClass):
-            return NotImplemented
-        return self.vector == other.vector
-
-    def __hash__(self):
-        return hash(self.vector)
-
-    def __repr__(self):
-        return f"RayClass({list(self.vector)})"
 
 
 # --- Double description ------------------------------------------------------
@@ -172,11 +140,14 @@ def _extreme_rays(normals, dim: int, start=None):
 
 
 class PolyhedralCone:
-    """Finitely many rational generator rays in a fixed-dimension space.
+    """The pointed cone spanned by finitely many rational generator rays in
+    a fixed-dimension space, stored as its extreme rays.
 
-    Rays are normalized to primitive integer vectors with orientation kept.
-    Construction rejects proportional ray pairs (in particular v and -v)
-    and cones whose closure contains a line.
+    Generators are normalized to primitive integer vectors with orientation
+    kept.  Construction rejects proportional generator pairs (in particular
+    v and -v) and cones whose closure contains a line.  ``rays`` holds the
+    extreme generators in input order, so cones that are equal as sets
+    compare and hash equal whatever redundant generators built them.
 
     The facet description is computed once, at construction, by double
     description of the dual cone {y : <y, r> >= 0 for every ray r}: its
@@ -184,9 +155,9 @@ class PolyhedralCone:
     and its extreme rays give the facet normals, all primitive integer
     vectors.
 
-    The cone also keeps its incidence: each extreme ray with a mask over
-    its normals, each equation as the pair e, -e and then the facets, in
-    which bit i is set when the ray is tight on normal i.  The dual run
+    The cone also keeps its incidence: ``_masks[j]`` is a mask over its
+    normals, each equation as the pair e, -e and then the facets, in which
+    bit i is set when ``rays[j]`` is tight on normal i.  The dual run
     yields it with no dot products, as a mask per facet over the
     generators.  The cone is pointed exactly when no generator is tight
     on every facet, and a generator is extreme exactly when it is the only
@@ -194,7 +165,7 @@ class PolyhedralCone:
     its double description from this incidence.
     """
 
-    __slots__ = ("dim", "rays", "_equations", "_facets", "_incidence")
+    __slots__ = ("dim", "rays", "_equations", "_facets", "_masks")
 
     def __init__(self, dim: int, rays) -> None:
         if dim < 1:
@@ -234,12 +205,11 @@ class PolyhedralCone:
             raise InvalidInput("cone closure contains a line")
         eq = 2 * len(equations)
         tight = (1 << eq) - 1  # every ray is tight on e and -e
-        incidence = [
-            (v, tight | rows[j] << eq)
-            for j, v in enumerate(normalized)
-            if spans[j] == 1 << j  # the smallest face through v is its ray
-        ]
-        _fill(self, dim, normalized, equations, [f for f, _ in dual], incidence)
+        # generator j is extreme when the smallest face through it is its ray
+        extreme = [j for j in range(n) if spans[j] == 1 << j]
+        rays = [normalized[j] for j in extreme]
+        masks = [tight | rows[j] << eq for j in extreme]
+        _fill(self, dim, rays, equations, [f for f, _ in dual], masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyhedralCone is immutable")
@@ -272,24 +242,24 @@ def _transpose(columns, n: int) -> list[int]:
     return rows
 
 
-def _trusted(dim: int, rays, equations, facets, incidence) -> PolyhedralCone:
-    """A PolyhedralCone from its rays, its facet description and its
-    incidence, with no validation.
+def _trusted(dim: int, rays, equations, facets, masks) -> PolyhedralCone:
+    """A PolyhedralCone from its extreme rays, its facet description and
+    its incidence masks, with no validation.
 
     Only the library's own exact results come through here: the rays must
-    be distinct primitive extreme rays of a pointed cone, the equations
-    and facets its description, and the incidence as the constructor
-    builds it.  The public constructor keeps full validation.
+    be the distinct primitive extreme rays of a pointed cone, the equations
+    and facets its description, and the masks as the constructor builds
+    them.  The public constructor keeps full validation.
     """
-    return _fill(object.__new__(PolyhedralCone), dim, rays, equations, facets, incidence)
+    return _fill(object.__new__(PolyhedralCone), dim, rays, equations, facets, masks)
 
 
-def _fill(cone: PolyhedralCone, dim: int, rays, equations, facets, incidence) -> PolyhedralCone:
+def _fill(cone: PolyhedralCone, dim: int, rays, equations, facets, masks) -> PolyhedralCone:
     object.__setattr__(cone, "dim", dim)
     object.__setattr__(cone, "rays", tuple(rays))
     object.__setattr__(cone, "_equations", tuple(equations))
     object.__setattr__(cone, "_facets", tuple(facets))
-    object.__setattr__(cone, "_incidence", tuple(incidence))
+    object.__setattr__(cone, "_masks", tuple(masks))
     return cone
 
 
@@ -331,29 +301,29 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
 
 
 def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
-    """Generators of the intersection via double description on the two
-    facet descriptions, or None when the cones meet only at the origin.
+    """The intersection, by double description on the two facet
+    descriptions, or None when the cones meet only at the origin.
 
-    The run starts from the incidence of the operand with more normals,
-    the state double description reaches after them, and processes only
-    the other operand's normals.  A full-dimensional intersection takes
-    its facets from the incidence of that run: they are the normals whose
-    sets of tight rays are maximal under inclusion.  A lower-dimensional
-    one goes through the validating constructor, which picks its equations
-    and facets."""
+    The run starts from the extreme rays and masks of the operand with more
+    normals, the state double description reaches after them, and
+    processes only the other operand's normals.  A full-dimensional
+    intersection takes its facets from the incidence of that run: they are
+    the normals whose sets of tight rays are maximal under inclusion.  A
+    lower-dimensional one goes through the validating constructor, which
+    picks its equations and facets."""
     if a.dim != b.dim:
         raise ShapeMismatch("cones live in different dimensions")
     if a.dim > MAX_INTERSECTION_DIM:
         raise UnsupportedDimension(
             f"intersections are supported up to dimension {MAX_INTERSECTION_DIM}"
         )
-    seed, other = _normals(a), _normals(b)
-    incidence = a._incidence
+    seed, other, start = _normals(a), _normals(b), a
     if len(other) > len(seed):
-        seed, other, incidence = other, seed, b._incidence
+        seed, other, start = other, seed, b
     normals = seed + other
     # a pointed seed leaves no lineality, so none comes back
-    _, rays = _extreme_rays(normals, a.dim, (len(seed), [[v, m] for v, m in incidence]))
+    state = (len(seed), [list(p) for p in zip(start.rays, start._masks)])
+    _, rays = _extreme_rays(normals, a.dim, state)
     if not rays:
         return None
     rays.sort()
@@ -369,8 +339,7 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     for n, t in zip(normals, tight):
         if n not in facets and not any(u != t and u & t == t for u in tight):
             facets[n] = t
-    masks = _transpose(facets.values(), len(vectors))
-    return _trusted(a.dim, vectors, (), facets, zip(vectors, masks))
+    return _trusted(a.dim, vectors, (), facets, _transpose(facets.values(), len(vectors)))
 
 
 def is_square_rational(q) -> bool:

@@ -50,9 +50,6 @@ class IntegralForm:
     def det(self) -> int:
         return self.g11 * self.g22 - self.g12 * self.g12
 
-    def is_reduced(self) -> bool:
-        return 0 <= 2 * abs(self.g12) <= self.g11 <= self.g22
-
     def transformed(self, u: "UnimodularMatrix") -> "IntegralForm":
         """The equivalent form U^T G U."""
         a, b, c, d = u.a, u.b, u.c, u.d

@@ -25,8 +25,16 @@ GOLDEN_RUNS = [
     ("render_d2_k3.svg", ["render", "--d", "2", "--k-range", "3"]),
 ]
 
+# pi is its extreme rays, so the redundant generator (2, 1) changes nothing
+# and the default action comes from the first extreme ray, (1, 0)
+REDUNDANT_PI = ("verify_d2.json", ["verify", "--d", "2", "--pi", "2,1;1,0;3,2"])
 
-@pytest.mark.parametrize("golden_name,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
+
+@pytest.mark.parametrize(
+    "golden_name,argv",
+    GOLDEN_RUNS + [REDUNDANT_PI],
+    ids=[g for g, _ in GOLDEN_RUNS] + ["verify_d2_redundant_pi"],
+)
 def test_golden_byte_equality(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
     assert main(argv + ["--output", str(out)]) == 0

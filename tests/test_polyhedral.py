@@ -7,7 +7,6 @@ import pytest
 from amplecones import (
     InvalidInput,
     PolyhedralCone,
-    RayClass,
     ShapeMismatch,
     UnsupportedDimension,
     cone_intersection,
@@ -33,12 +32,6 @@ class TestPrimitiveVector:
         assert primitive_vector((-2, 4)) == (-1, 2)  # orientation preserved
         with pytest.raises(InvalidInput):
             primitive_vector((0, 0))
-
-    def test_rayclass_orientation(self):
-        up = RayClass((0, 2))
-        down = RayClass((0, -2))
-        assert up != down
-        assert up.unoriented_key() == down.unoriented_key() == (0, 1)
 
 
 class TestConstruction:
@@ -66,6 +59,22 @@ class TestConstruction:
     def test_dimension_checked(self):
         with pytest.raises(ShapeMismatch):
             PolyhedralCone(2, [(1, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "generators,extreme",
+        [
+            ([(1, 0), (1, 1), (2, 1)], ((1, 0), (1, 1))),
+            ([(2, 1), (1, 1), (1, 0)], ((1, 1), (1, 0))),
+            ([(2, 0), (4, 2), (1, 1), (0, 3)], ((1, 0), (0, 1))),
+            ([(1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)], ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        ],
+    )
+    def test_keeps_extreme_rays_in_input_order(self, generators, extreme):
+        cone = PolyhedralCone(len(extreme[0]), generators)
+        assert cone.rays == extreme
+        assert cone == PolyhedralCone(cone.dim, extreme)
+        same = cone_intersection(cone, cone)
+        assert cone == same and hash(cone) == hash(same)
 
 
 class TestMembership:
@@ -216,9 +225,9 @@ class TestIntersection:
                 assert ba is None
             else:
                 assert set(ab.rays) == set(ba.rays)
-            # idempotence: a cap a equals a as a set of extreme rays
+            # idempotence: a cap a equals a
             aa = cone_intersection(a, a)
-            assert set(aa.rays) == set(a.rays)
+            assert aa == a and aa.rays == tuple(sorted(a.rays))
 
     def test_matches_slope_interval_oracle(self):
         rng = random.Random(53)
@@ -262,6 +271,13 @@ class TestMembershipRoutes:
                 assert poly_member(cone, p) == caratheodory_member(cone.rays, p, dim)
 
 
+def spanned(dim, generators):
+    """The cone on ``generators`` and those generators made primitive; the
+    cone itself keeps only the extreme ones."""
+    generators = [primitive_vector(g) for g in generators]
+    return PolyhedralCone(dim, generators), generators
+
+
 class TestPinnedOutputs:
     """Every intersection and membership answer on 150 seeded 2-, 3- and
     4-d cone pairs, 4,230 outputs in all, pinned by the SHA-256 of their
@@ -277,7 +293,8 @@ class TestPinnedOutputs:
     @staticmethod
     def random_cone(rng, dim, count, shift=None):
         """A cone on ``count`` random rays with first coordinate in 1..4,
-        each moved by ``shift``, redrawn until the constructor accepts it."""
+        each moved by ``shift``, redrawn until the constructor accepts it,
+        as ``spanned`` returns it."""
         shift = shift or (0,) * dim
         while True:
             rays = [
@@ -285,7 +302,7 @@ class TestPinnedOutputs:
                 for _ in range(count)
             ]
             try:
-                return PolyhedralCone(dim, rays)
+                return spanned(dim, rays)
             except InvalidInput:
                 continue
 
@@ -293,33 +310,34 @@ class TestPinnedOutputs:
     def pair(cls, rng, dim, style):
         """Two cones meeting, by style: in the interior of the first (0),
         in a lower dimension (1 and 4), in one ray (2), or as two random
-        cones do, often only at 0 (3)."""
+        cones do, often only at 0 (3); each comes with its generators."""
         full, low = (dim, dim + 3), (min(2, dim - 1), dim - 1)
-        a = cls.random_cone(rng, dim, rng.randint(*(low if style == 4 else full)))
-        centre = tuple(map(sum, zip(*a.rays)))
+        a, rays = cls.random_cone(rng, dim, rng.randint(*(low if style == 4 else full)))
+        centre = tuple(map(sum, zip(*rays)))
         if style == 2:
-            return a, PolyhedralCone(dim, [rng.choice((centre, a.rays[0]))])
+            return (a, rays), spanned(dim, [rng.choice((centre, rays[0]))])
         if style == 3:
-            return a, cls.random_cone(rng, dim, rng.randint(*full))
-        return a, cls.random_cone(rng, dim, rng.randint(*(full if style == 0 else low)), centre)
+            return (a, rays), cls.random_cone(rng, dim, rng.randint(*full))
+        return (a, rays), cls.random_cone(rng, dim, rng.randint(*(full if style == 0 else low)), centre)
 
     @classmethod
     def outputs(cls):
         rng = random.Random(151)
         for dim in (2, 3, 4):
             for trial in range(50):
-                a, b = cls.pair(rng, dim, trial % 5)
+                (a, rays_a), (b, rays_b) = cls.pair(rng, dim, trial % 5)
                 c = cone_intersection(a, b)
                 cones = (a, b) if c is None else (a, b, c)
+                generators = (rays_a, rays_b) if c is None else (rays_a, rays_b, c.rays)
                 if c is None:
                     yield "None"
                 else:
                     yield repr((c.rays, sorted(c._facets), c._equations))
                 points = [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(3)]
                 points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)))
-                for cone in cones:
-                    points.append(tuple(map(sum, zip(*cone.rays))))
-                    points.append(tuple(3 * x for x in rng.choice(cone.rays)))
+                for rays in generators:
+                    points.append(tuple(map(sum, zip(*rays))))
+                    points.append(tuple(3 * x for x in rng.choice(rays)))
                 for p in points:
                     for cone in cones:
                         yield repr((poly_member(cone, p), poly_member(cone, p, interior=True)))
@@ -338,7 +356,10 @@ class TestTrustedIntersection:
     def test_matches_validating_constructor(self):
         rng = random.Random(163)
         pairs = [(PolyhedralCone(1, [(s,)]), PolyhedralCone(1, [(t,)])) for s in (1, -1) for t in (1, -1)]
-        pairs += [TestPinnedOutputs.pair(rng, dim, trial % 5) for dim in (2, 3, 4) for trial in range(60)]
+        for dim in (2, 3, 4):
+            for trial in range(60):
+                (a, _), (b, _) = TestPinnedOutputs.pair(rng, dim, trial % 5)
+                pairs.append((a, b))
         full = 0
         for a, b in pairs:
             c = cone_intersection(a, b)
@@ -357,7 +378,7 @@ class TestTrustedIntersection:
         rng = random.Random(167)
         for dim in (2, 3, 4):
             for trial in range(30):
-                cone = TestPinnedOutputs.random_cone(rng, dim, rng.randint(1, dim + 3))
+                cone, _ = TestPinnedOutputs.random_cone(rng, dim, rng.randint(1, dim + 3))
                 for _ in range(8):
                     p = tuple(rng.randint(-5, 5) for _ in range(dim))
                     if not any(p):
@@ -391,19 +412,21 @@ class TestSeededIntersection:
 
     @staticmethod
     def with_inner_generators(rng, dim):
-        """A cone whose generators include sums of two others."""
+        """A cone whose generators include sums of two others, as
+        ``spanned`` returns it."""
         while True:
-            cone = TestPinnedOutputs.random_cone(rng, dim, rng.randint(2, dim + 2))
-            inner = [tuple(map(sum, zip(*rng.sample(cone.rays, 2)))) for _ in range(2)]
+            _, rays = TestPinnedOutputs.random_cone(rng, dim, rng.randint(2, dim + 2))
+            inner = [tuple(map(sum, zip(*rng.sample(rays, 2)))) for _ in range(2)]
             try:
-                return PolyhedralCone(dim, list(cone.rays) + inner)
+                return spanned(dim, rays + inner)
             except InvalidInput:
                 continue  # two sums proportional to each other; redraw
 
     @classmethod
     def pairs(cls):
+        """Seeded operand pairs, each cone with its primitive generators."""
         rng = random.Random(173)
-        pairs = [(PolyhedralCone(1, [(s,)]), PolyhedralCone(1, [(t,)])) for s in (1, -2) for t in (3, -1)]
+        pairs = [(spanned(1, [(s,)]), spanned(1, [(t,)])) for s in (1, -2) for t in (3, -1)]
         for dim in (2, 3, 4):
             for trial in range(36):
                 if trial % 6 == 5:
@@ -414,14 +437,14 @@ class TestSeededIntersection:
 
     def test_seeded_run_matches_run_from_scratch(self):
         met = inner = 0
-        for a, b in self.pairs():
+        for (a, generators), (b, _) in self.pairs():
             for seed, other in ((a, b), (b, a)):
                 normals = normals_of(seed) + normals_of(other)
                 lin, rays = _extreme_rays(normals, a.dim)
                 assert not lin
-                start = (len(normals_of(seed)), [list(p) for p in seed._incidence])
+                start = (len(normals_of(seed)), [list(p) for p in zip(seed.rays, seed._masks)])
                 assert sorted(_extreme_rays(normals, a.dim, start)[1]) == sorted(rays)
-            inner += len(a._incidence) < len(a.rays)
+            inner += len(a.rays) < len(generators)
             c = cone_intersection(a, b)
             if not rays:
                 assert c is None
@@ -435,7 +458,7 @@ class TestSeededIntersection:
         assert met >= 60 and inner >= 10
 
     def test_commutative(self):
-        for a, b in self.pairs():
+        for (a, _), (b, _) in self.pairs():
             ab, ba = cone_intersection(a, b), cone_intersection(b, a)
             assert ab == ba
             if ab is not None:
@@ -444,7 +467,7 @@ class TestSeededIntersection:
 
     def test_incidence_matches_dot_products(self):
         cones = []
-        for a, b in self.pairs():
+        for (a, _), (b, _) in self.pairs():
             cones += [a, b]
             c = cone_intersection(a, b)
             if c is not None:
@@ -455,9 +478,9 @@ class TestSeededIntersection:
             expected = []
             for r in cone.rays:
                 tight = [n for n in normals if dot(n, r) == 0]
-                if rational_rank(tight) == cone.dim - 1:  # r spans a face
-                    expected.append((r, sum(1 << i for i, n in enumerate(normals) if dot(n, r) == 0)))
-            assert cone._incidence == tuple(expected)
+                assert rational_rank(tight) == cone.dim - 1  # r spans a face
+                expected.append(sum(1 << i for i, n in enumerate(normals) if dot(n, r) == 0))
+            assert cone._masks == tuple(expected)
 
 
 class TestHostileCoordinates:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, NotInCone, ShapeMismatch, format_point
+from .errors import InvalidInput, NotInCone, ShapeMismatch, _Record, format_point
 from .hermitian import (
     AlgebraMatrix,
     ConeSpec,
@@ -65,32 +64,31 @@ _FORM_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class AlbertRealType:
-    form: AlbertForm
-    m: int
+class AlbertRealType(_Record):
+    __slots__ = ("form", "m")
 
-    def __post_init__(self):
-        if not isinstance(self.form, AlbertForm):
-            raise InvalidInput(f"unknown Albert form {self.form!r}")
-        if self.m < 1:
+    def __init__(self, form: AlbertForm, m: int):
+        if not isinstance(form, AlbertForm):
+            raise InvalidInput(f"unknown Albert form {form!r}")
+        if m < 1:
             raise InvalidInput("number of simple summands m must be positive")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class SimpleFactor:
-    id: str
-    albert: AlbertRealType
-    multiplicity: int
+class SimpleFactor(_Record):
+    __slots__ = ("id", "albert", "multiplicity")
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, id: str, albert: AlbertRealType, multiplicity: int):
+        if multiplicity < 1:
             raise InvalidInput("factor multiplicity must be positive")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "albert", albert)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class AbelianVarietyModel:
-    factors: tuple[SimpleFactor, ...]
+class AbelianVarietyModel(_Record):
+    __slots__ = ("factors",)
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -102,20 +100,24 @@ class AbelianVarietyModel:
         object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Block:
-    kind: ScalarKind
-    size: int
-    origin: str
+class Block(_Record):
+    __slots__ = ("kind", "size", "origin")
+
+    def __init__(self, kind: ScalarKind, size: int, origin: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "origin", origin)
 
     @property
     def dimension(self) -> int:
         return hermitian_dimension(self.kind, self.size)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
+class BlockDecomposition(_Record):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[Block, ...]):
+        object.__setattr__(self, "blocks", blocks)
 
 
 def endo_real_decomposition(model: AbelianVarietyModel) -> BlockDecomposition:
@@ -181,8 +183,7 @@ def aut_action(
     return out
 
 
-@dataclass(frozen=True)
-class SurfaceConeData:
+class SurfaceConeData(_Record):
     """Nef-cone data of an abelian surface with intersection form diag(a, -b).
 
     ``rays`` holds primitive integer boundary rays when a/b is a rational
@@ -190,10 +191,13 @@ class SurfaceConeData:
     boundary pair v1 +- c*v2 as a quadratic irrational.
     """
 
-    a: Fraction
-    b: Fraction
-    rational_polyhedral: bool
-    rays: tuple
+    __slots__ = ("a", "b", "rational_polyhedral", "rays")
+
+    def __init__(self, a: Fraction, b: Fraction, rational_polyhedral: bool, rays: tuple):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rational_polyhedral", rational_polyhedral)
+        object.__setattr__(self, "rays", rays)
 
     def contains(self, x1, x2) -> bool:
         """Open ample-cone membership a*x1^2 - b*x2^2 > 0, x1 > 0."""

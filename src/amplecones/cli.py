@@ -28,6 +28,10 @@ _DEFAULT_MAX_WORD = 12
 # bound on --k-range and --max-word: the translate table has 2 * bound + 1
 # rows whose integers grow linearly in bits, so its size is quadratic in it
 _MAX_WORD = 64
+# bound on the exponent of a rational such as 1.5e3: Fraction builds
+# 10**exponent before any check runs, so an exponent of millions costs
+# minutes; 4300 is Python's default limit on the digits of a printed integer
+_MAX_EXPONENT = 4300
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -53,6 +57,17 @@ def _emit_json(payload: dict, output: str | None, hint: str = "") -> None:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    _, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:  # Fraction rejects the text below
+            too_large = False
+        if too_large:
+            raise AmpleconesError(
+                f"cannot parse rational {text!r}: its exponent is larger than "
+                f"{_MAX_EXPONENT} in absolute value"
+            )
     try:
         return Fraction(text)
     except ValueError:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by every module of the library, and the
-formatting of points in its messages."""
+"""Exception hierarchy shared by every module of the library, the
+formatting of points in its messages, and the base of its value records."""
 
 import sys
 from fractions import Fraction
@@ -71,3 +71,43 @@ def format_point(v) -> str:
     building a message about a huge rational point never raises.
     """
     return "(" + ", ".join(map(_format_coordinate, v)) + ")"
+
+
+class _Record:
+    """Base of the package's immutable value records, in place of
+    ``@dataclass(frozen=True)``, whose generated methods cost import time.
+
+    A subclass lists its fields in ``__slots__``, in order, and sets them in
+    an ``__init__`` that takes them in that order, with
+    ``object.__setattr__``.  From the slots this base gives what the frozen
+    dataclass gave: equality with records of the same class only, a hash of
+    the field values, a ``Name(field=value, ...)`` repr, assignment and
+    deletion that raise ``AttributeError``, and copies and pickles that are
+    rebuilt through the constructor.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Callable, NamedTuple
 
 from .errors import (
     InvalidInput,
@@ -51,6 +50,7 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
     Unsupported,
+    _Record,
 )
 from .scalars import GaussianRational, RationalQuaternion, _RationalLike
 
@@ -69,21 +69,14 @@ class ScalarKind(enum.Enum):
         )
 
 
-class _Kind(NamedTuple):
-    """What the matrix code needs to know about one scalar kind.
-
-    ``split`` reads an entry as (integer coefficient tuple, positive
-    denominator), ``product`` multiplies two coefficient tuples, and
-    ``build`` turns an integer tuple over a positive denominator back into
-    an entry in lowest terms.  Conjugation negates every coefficient but the
-    first, and Re(a b*) is the dot product of the coefficient tuples.
-    """
-
-    cls: type | None
-    width: int  # dimension over R
-    split: Callable | None = None
-    product: Callable | None = None
-    build: Callable | None = None
+# What the matrix code needs to know about one scalar kind: its entry class
+# (None for octonions) and its dimension ``width`` over R.  ``split`` reads
+# an entry as (integer coefficient tuple, positive denominator), ``product``
+# multiplies two coefficient tuples, and ``build`` turns an integer tuple
+# over a positive denominator back into an entry in lowest terms.
+# Conjugation negates every coefficient but the first, and Re(a b*) is the
+# dot product of the coefficient tuples.
+_Kind = namedtuple("_Kind", "cls width split product build", defaults=(None, None, None))
 
 
 def _algebra_kind(cls, width: int) -> _Kind:
@@ -544,14 +537,13 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
     return _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
 
 
-@dataclass(frozen=True)
-class LorentzVector:
+class LorentzVector(_Record):
     """A point (x0, ..., xn) of the ambient space of the spherical cone."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+    def __init__(self, coords):
+        coords = tuple(Fraction(c) for c in coords)
         if len(coords) < 2:
             raise InvalidInput("Lorentz vectors need at least two coordinates")
         object.__setattr__(self, "coords", coords)
@@ -569,43 +561,42 @@ def lorentz_member(v: LorentzVector, *, closed: bool = False) -> bool:
     return x0 > 0 and x0 * x0 > rest
 
 
-@dataclass(frozen=True)
-class PDBlock:
-    kind: ScalarKind
-    size: int
+class PDBlock(_Record):
+    __slots__ = ("kind", "size")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, kind: ScalarKind, size: int):
+        if size < 1:
             raise InvalidInput("block size must be positive")
-        if self.kind is ScalarKind.OCTONION and self.size != 3:
+        if kind is ScalarKind.OCTONION and size != 3:
             raise Unsupported("the exceptional block exists only in size 3")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
 
     @property
     def dimension(self) -> int:
         return hermitian_dimension(self.kind, self.size)
 
 
-@dataclass(frozen=True)
-class LorentzBlock:
-    n: int
+class LorentzBlock(_Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise InvalidInput("Lorentz block needs n >= 1")
+        object.__setattr__(self, "n", n)
 
     @property
     def dimension(self) -> int:
         return self.n + 1
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(_Record):
     """Formal direct sum of positive-definite matrix cones and Lorentz cones."""
 
-    blocks: tuple
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
+    def __init__(self, blocks):
+        blocks = tuple(blocks)
         if not blocks:
             raise InvalidInput("a cone needs at least one block")
         for b in blocks:

@@ -26,25 +26,24 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
     ShapeMismatch,
+    _Record,
     format_point,
 )
 from .polyhedral import PolyhedralCone, primitive_vector
 from .polyhedral import cone_intersection  # noqa: F401 (bench/tracing.py patches it)
 
 
-@dataclass(frozen=True)
-class IntegralForm:
+class IntegralForm(_Record):
     """Gram matrix [[g11, g12], [g12, g22]] of a positive-definite form."""
 
-    g11: int
-    g12: int
-    g22: int
+    __slots__ = ("g11", "g12", "g22")
 
-    def __post_init__(self):
-        if self.g11 <= 0 or self.g11 * self.g22 - self.g12 * self.g12 <= 0:
-            raise NotPositiveDefinite(
-                f"form ({self.g11}, {self.g12}, {self.g22}) is not positive definite"
-            )
+    def __init__(self, g11: int, g12: int, g22: int):
+        if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
+            raise NotPositiveDefinite(f"form ({g11}, {g12}, {g22}) is not positive definite")
+        object.__setattr__(self, "g11", g11)
+        object.__setattr__(self, "g12", g12)
+        object.__setattr__(self, "g22", g22)
 
     @property
     def det(self) -> int:
@@ -63,18 +62,18 @@ class IntegralForm:
         return IntegralForm(g11, g12, g22)
 
 
-@dataclass(frozen=True)
-class UnimodularMatrix:
+class UnimodularMatrix(_Record):
     """[[a, b], [c, d]] with integer entries and determinant +1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise InvalidInput("matrix is not in SL(2, Z)")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":

@@ -25,10 +25,9 @@ r1 + r2 - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, PerfectSquareInput
+from .errors import InvalidInput, PerfectSquareInput, _Record
 
 Rational = Fraction
 
@@ -140,6 +139,11 @@ class _RationalAlgebra:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the public constructor, since
+        # the default state restore would assign to the slots
+        return type(self), self._fractions()
 
     def _parts(self, other):
         """(numerators, denominator) of an operand, or None if it is foreign."""
@@ -286,6 +290,9 @@ class QuadIrrational(_RationalAlgebra):
         object.__setattr__(self, "d", d)
         super().__init__(a, b)
 
+    def __reduce__(self):
+        return QuadIrrational, (self.d, *self._fractions())
+
     def _make(self, num: tuple, den: int):
         # results share self.d, which the public constructor checked
         obj = super()._make(num, den)
@@ -428,21 +435,20 @@ class RationalQuaternion(_RationalAlgebra):
         return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class UnitElement:
+class UnitElement(_Record):
     """A unit a + b*sqrt(d) of the order Z[sqrt(d)], tagged with its norm."""
 
-    value: QuadIrrational
-    norm: int
+    __slots__ = ("value", "norm")
 
-    def __post_init__(self):
-        if self.norm not in (1, -1):
-            raise InvalidInput(f"unit norm must be +-1, got {self.norm}")
-        v = self.value
-        if v.a.denominator != 1 or v.b.denominator != 1:
+    def __init__(self, value: QuadIrrational, norm: int):
+        if norm not in (1, -1):
+            raise InvalidInput(f"unit norm must be +-1, got {norm}")
+        if value.a.denominator != 1 or value.b.denominator != 1:
             raise InvalidInput("unit must lie in Z[sqrt(d)]")
-        if v.norm() != self.norm:
+        if value.norm() != norm:
             raise InvalidInput("declared norm does not match value")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "norm", norm)
 
 
 def continued_fraction_sqrt(d: int) -> tuple[int, list[int]]:

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from amplecones import PolyhedralCone, UnsupportedDimension, real_mult_fundamental_domain
-from amplecones.cli import main, render_svg
+from amplecones.cli import _parse_fraction, main, render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 MODEL_E2 = str(GOLDEN / "model_e2.json")
@@ -144,6 +146,30 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: cannot parse rational") and err.count("\n") == 1
             assert "Fraction" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--a", "1e3000000", "--b", "1"],
+            ["surface", "--a", "1", "--b", "2.5E-3000000"],
+            ["verify", "--d", "2", "--pi", "1,0;3,2e+4301"],
+            ["verify", "--d", "2", "--pi", "1,0;3,2", "--g", "1e3_000_000,0,0,1"],
+        ],
+        ids=["a", "b-negative", "pi", "g-underscores"],
+    )
+    def test_huge_exponent_is_two_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: cannot parse rational") and "larger than 4300" in err
+
+    def test_exponent_bound(self, capsys):
+        assert _parse_fraction("1e4300") == 10**4300
+        assert _parse_fraction("-2.5E-4300") == Fraction(-25, 10**4301)
+        assert main(["surface", "--a", "1e3", "--b", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["rational_polyhedral"] is False
 
     def test_orientation_reversing_generator_is_two(self, capsys):
         # form- and sheet-preserving, but det = -1: a reflection of rays

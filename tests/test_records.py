@@ -1,0 +1,211 @@
+"""The package's immutable value records: construction, equality, hashing,
+repr, immutability, copying and validation messages."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import amplecones
+from amplecones import (
+    AbelianVarietyModel,
+    AlbertRealType,
+    Block,
+    BlockDecomposition,
+    ConeSpec,
+    IntegralForm,
+    InvalidInput,
+    LorentzBlock,
+    LorentzVector,
+    NotPositiveDefinite,
+    PDBlock,
+    QuadIrrational,
+    ScalarKind,
+    SimpleFactor,
+    SurfaceConeData,
+    UnimodularMatrix,
+    UnitElement,
+    Unsupported,
+)
+from amplecones.abelian import AlbertForm
+
+K = ScalarKind
+_ALBERT = AlbertRealType(AlbertForm.MAT2_COMPLEX, 2)
+_FACTOR = SimpleFactor("E1", _ALBERT, 3)
+_BLOCK = Block(K.QUATERNION, 2, "E1")
+_ROOT = QuadIrrational(5, 0, Fraction(1, 2))
+
+# each record as (class, its fields in order with sample values, its repr)
+RECORDS = [
+    (
+        AlbertRealType,
+        {"form": AlbertForm.MAT2_COMPLEX, "m": 2},
+        "AlbertRealType(form=<AlbertForm.MAT2_COMPLEX: 'Mat2Complex'>, m=2)",
+    ),
+    (
+        SimpleFactor,
+        {"id": "E1", "albert": _ALBERT, "multiplicity": 3},
+        "SimpleFactor(id='E1', albert=AlbertRealType(form=<AlbertForm.MAT2_COMPLEX: "
+        "'Mat2Complex'>, m=2), multiplicity=3)",
+    ),
+    (
+        AbelianVarietyModel,
+        {"factors": (_FACTOR,)},
+        "AbelianVarietyModel(factors=(SimpleFactor(id='E1', albert=AlbertRealType("
+        "form=<AlbertForm.MAT2_COMPLEX: 'Mat2Complex'>, m=2), multiplicity=3),))",
+    ),
+    (
+        Block,
+        {"kind": K.QUATERNION, "size": 2, "origin": "E1"},
+        "Block(kind=<ScalarKind.QUATERNION: 'H'>, size=2, origin='E1')",
+    ),
+    (
+        BlockDecomposition,
+        {"blocks": (_BLOCK,)},
+        "BlockDecomposition(blocks=(Block(kind=<ScalarKind.QUATERNION: 'H'>, size=2, "
+        "origin='E1'),))",
+    ),
+    (
+        SurfaceConeData,
+        {"a": Fraction(1), "b": Fraction(5), "rational_polyhedral": False, "rays": (_ROOT, -_ROOT)},
+        "SurfaceConeData(a=Fraction(1, 1), b=Fraction(5, 1), rational_polyhedral=False, "
+        "rays=(QuadIrrational(5, Fraction(0, 1), Fraction(1, 2)), "
+        "QuadIrrational(5, Fraction(0, 1), Fraction(-1, 2))))",
+    ),
+    (
+        LorentzVector,
+        {"coords": (Fraction(1), Fraction(1, 2), Fraction(0))},
+        "LorentzVector([Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)])",
+    ),
+    (PDBlock, {"kind": K.REAL, "size": 1}, "PDBlock(kind=<ScalarKind.REAL: 'R'>, size=1)"),
+    (LorentzBlock, {"n": 2}, "LorentzBlock(n=2)"),
+    (
+        ConeSpec,
+        {"blocks": (PDBlock(K.COMPLEX, 2), LorentzBlock(1))},
+        "ConeSpec([PDBlock(kind=<ScalarKind.COMPLEX: 'C'>, size=2), LorentzBlock(n=1)])",
+    ),
+    (IntegralForm, {"g11": 2, "g12": 1, "g22": 3}, "IntegralForm(g11=2, g12=1, g22=3)"),
+    (UnimodularMatrix, {"a": 5, "b": 2, "c": 7, "d": 3}, "UnimodularMatrix(a=5, b=2, c=7, d=3)"),
+    (
+        UnitElement,
+        {"value": QuadIrrational(5, 2, 1), "norm": -1},
+        "UnitElement(value=QuadIrrational(5, Fraction(2, 1), Fraction(1, 1)), norm=-1)",
+    ),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+@pytest.fixture(params=RECORDS, ids=IDS)
+def record(request):
+    cls, fields, text = request.param
+    return cls, fields, text, cls(*fields.values())
+
+
+def test_positional_equals_keyword(record):
+    cls, fields, _, rec = record
+    by_name = cls(**fields)
+    assert rec == by_name and hash(rec) == hash(by_name)
+    assert tuple(getattr(rec, name) for name in fields) == tuple(fields.values())
+
+
+def test_other_classes_are_unequal(record):
+    cls, fields, _, rec = record
+    twin = type("Twin" + cls.__name__, (cls,), {})(**fields)
+    assert rec != twin and twin != rec
+    assert rec != tuple(fields.values()) and rec != object()
+    for other_cls, other_fields, _ in RECORDS:
+        if other_cls is not cls:
+            assert rec != other_cls(**other_fields)
+
+
+def test_repr_is_unchanged(record):
+    _, _, text, rec = record
+    assert repr(rec) == text
+
+
+def test_fields_cannot_change(record):
+    _, fields, _, rec = record
+    name = next(iter(fields))
+    for attr in (name, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, attr)
+    assert getattr(rec, name) == fields[name]
+
+
+def test_copies_compare_equal(record):
+    cls, _, _, rec = record
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is cls and twin == rec and hash(twin) == hash(rec)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: AlbertRealType("Mat2Real", 1), InvalidInput, "unknown Albert form 'Mat2Real'"),
+        (
+            lambda: AlbertRealType(AlbertForm.REAL_SPLIT, 0),
+            InvalidInput,
+            "number of simple summands m must be positive",
+        ),
+        (lambda: SimpleFactor("E", _ALBERT, 0), InvalidInput, "factor multiplicity must be positive"),
+        (lambda: AbelianVarietyModel([]), InvalidInput, "a model needs at least one simple factor"),
+        (
+            lambda: AbelianVarietyModel([_FACTOR, _FACTOR]),
+            InvalidInput,
+            "simple factors must have pairwise distinct ids",
+        ),
+        (lambda: LorentzVector((1,)), InvalidInput, "Lorentz vectors need at least two coordinates"),
+        (lambda: PDBlock(K.REAL, 0), InvalidInput, "block size must be positive"),
+        (lambda: PDBlock(K.OCTONION, 2), Unsupported, "the exceptional block exists only in size 3"),
+        (lambda: LorentzBlock(0), InvalidInput, "Lorentz block needs n >= 1"),
+        (lambda: ConeSpec(()), InvalidInput, "a cone needs at least one block"),
+        (lambda: ConeSpec((_BLOCK,)), InvalidInput, f"unknown block descriptor {_BLOCK!r}"),
+        (lambda: IntegralForm(1, 2, 3), NotPositiveDefinite, "form (1, 2, 3) is not positive definite"),
+        (lambda: UnimodularMatrix(1, 1, 1, 1), InvalidInput, "matrix is not in SL(2, Z)"),
+        (lambda: UnitElement(QuadIrrational(5, 2, 1), 2), InvalidInput, "unit norm must be +-1, got 2"),
+        (
+            lambda: UnitElement(QuadIrrational(5, Fraction(1, 2), 1), 1),
+            InvalidInput,
+            "unit must lie in Z[sqrt(d)]",
+        ),
+        (
+            lambda: UnitElement(QuadIrrational(5, 2, 1), 1),
+            InvalidInput,
+            "declared norm does not match value",
+        ),
+    ],
+)
+def test_validation_messages(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_cold_start_loads_no_typing_and_one_dataclass():
+    # -S keeps site-packages out, as on a bare interpreter; every record
+    # but DomainReport is a plain slotted class, because each dataclass
+    # generates its methods at import.  DomainReport stays a dataclass
+    # because the benchmark's self-checks alter reports with
+    # dataclasses.replace.
+    code = (
+        "import sys, amplecones, amplecones.cli\n"
+        "print('typing' in sys.modules)\n"
+        "print(sorted(name for name, value in vars(amplecones).items()\n"
+        "             if isinstance(value, type) and hasattr(value, '__dataclass_fields__')))\n"
+    )
+    src = Path(amplecones.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.stdout.split("\n") == ["False", "['DomainReport']", ""]

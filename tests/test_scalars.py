@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -537,3 +539,18 @@ class TestDirichletRank:
     def test_empty_signature_rejected(self):
         with pytest.raises(InvalidInput):
             dirichlet_rank(0, 0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        GaussianRational(Fraction(1, 2), -3),
+        RationalQuaternion(1, Fraction(-2, 3), 0, 5),
+        QuadIrrational(7, Fraction(3, 4), -1),
+    ],
+    ids=["C", "H", "sqrt7"],
+)
+def test_copies_compare_equal(x):
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x and repr(twin) == repr(x)
+        assert (twin._num, twin._den) == (x._num, x._den)

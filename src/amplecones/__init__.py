@@ -25,6 +25,7 @@ from .scalars import (
     continued_fraction_sqrt,
     dirichlet_rank,
     fundamental_unit,
+    is_square_rational,
     is_squarefree,
     is_totally_positive,
 )
@@ -51,7 +52,6 @@ from .hermitian import (
 from .polyhedral import (
     PolyhedralCone,
     cone_intersection,
-    is_square_rational,
     poly_member,
     primitive_vector,
 )

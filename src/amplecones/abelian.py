@@ -32,13 +32,14 @@ from .hermitian import (
     hermitian_basis,
     hermitian_dimension,
 )
-from .polyhedral import PolyhedralCone, is_square_rational, primitive_vector
+from .polyhedral import PolyhedralCone, primitive_vector
 from .reduction import GroupAction2D
 from .scalars import (
     QuadIrrational,
     _check_order_input,
     dirichlet_rank,
     fundamental_unit,
+    is_square_rational,
     is_totally_positive,
     squarefree_part,
 )
@@ -72,8 +73,7 @@ class AlbertRealType(_Record):
             raise InvalidInput(f"unknown Albert form {form!r}")
         if m < 1:
             raise InvalidInput("number of simple summands m must be positive")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "m", m)
+        self._set(form=form, m=m)
 
 
 class SimpleFactor(_Record):
@@ -82,9 +82,7 @@ class SimpleFactor(_Record):
     def __init__(self, id: str, albert: AlbertRealType, multiplicity: int):
         if multiplicity < 1:
             raise InvalidInput("factor multiplicity must be positive")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "albert", albert)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self._set(id=id, albert=albert, multiplicity=multiplicity)
 
 
 class AbelianVarietyModel(_Record):
@@ -97,16 +95,14 @@ class AbelianVarietyModel(_Record):
         ids = [f.id for f in factors]
         if len(set(ids)) != len(ids):
             raise InvalidInput("simple factors must have pairwise distinct ids")
-        object.__setattr__(self, "factors", factors)
+        self._set(factors=factors)
 
 
 class Block(_Record):
     __slots__ = ("kind", "size", "origin")
 
     def __init__(self, kind: ScalarKind, size: int, origin: str):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "origin", origin)
+        self._set(kind=kind, size=size, origin=origin)
 
     @property
     def dimension(self) -> int:
@@ -116,8 +112,8 @@ class Block(_Record):
 class BlockDecomposition(_Record):
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple[Block, ...]):
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks):
+        self._set(blocks=tuple(blocks))
 
 
 def endo_real_decomposition(model: AbelianVarietyModel) -> BlockDecomposition:
@@ -193,11 +189,8 @@ class SurfaceConeData(_Record):
 
     __slots__ = ("a", "b", "rational_polyhedral", "rays")
 
-    def __init__(self, a: Fraction, b: Fraction, rational_polyhedral: bool, rays: tuple):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rational_polyhedral", rational_polyhedral)
-        object.__setattr__(self, "rays", rays)
+    def __init__(self, a: Fraction, b: Fraction, rational_polyhedral: bool, rays):
+        self._set(a=a, b=b, rational_polyhedral=rational_polyhedral, rays=tuple(rays))
 
     def contains(self, x1, x2) -> bool:
         """Open ample-cone membership a*x1^2 - b*x2^2 > 0, x1 > 0."""

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by every module of the library, the
-formatting of points in its messages, and the base of its value records."""
+formatting of points in its messages, and ``_Record``, the immutable base
+of every value type: the only code in the package that assigns to a slot."""
 
 import sys
 from fractions import Fraction
@@ -74,22 +75,34 @@ def format_point(v) -> str:
 
 
 class _Record:
-    """Base of the package's immutable value records, in place of
-    ``@dataclass(frozen=True)``, whose generated methods cost import time.
+    """Base of the package's immutable values: the value records, the
+    scalars, the matrices, the polyhedral cones and the unit action.
 
-    A subclass lists its fields in ``__slots__``, in order, and sets them in
-    an ``__init__`` that takes them in that order, with
-    ``object.__setattr__``.  From the slots this base gives what the frozen
-    dataclass gave: equality with records of the same class only, a hash of
-    the field values, a ``Name(field=value, ...)`` repr, assignment and
-    deletion that raise ``AttributeError``, and copies and pickles that are
-    rebuilt through the constructor.
+    A subclass lists its slots in ``__slots__``.  Public slots, whose names
+    do not start with ``_``, are the constructor's parameters, in order;
+    slots that start with ``_`` hold state derived from them.  Every slot is
+    filled by :meth:`_set`, the one trusted constructor of the package, once,
+    in ``__init__`` or in a trusted builder that starts from
+    ``object.__new__``.  From the public slots this base gives equality with
+    values of the same class only, a hash of their values, a
+    ``Name(field=value, ...)`` repr, and copies and pickles that are rebuilt
+    through the public constructor, which validates again; assignment and
+    deletion of any attribute raise ``AttributeError``.  A type whose
+    public slots are not its constructor's parameters (a scalar, or a
+    matrix, which is built from rows), or whose equality is coarser (a
+    cone compares its rays as a set), overrides what differs.
     """
 
     __slots__ = ()
 
+    def _set(self, **fields):
+        """Fill the named slots of an instance under construction; returns it."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__slots__ if name[0] != "_"])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -100,7 +113,9 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

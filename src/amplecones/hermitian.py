@@ -135,15 +135,7 @@ def _trusted(cls, kind: ScalarKind, rows, den: int):
     coefficient: exactly what :func:`_integer_rows` reads off the entries.
     The public constructors keep full validation.
     """
-    return _fill(object.__new__(cls), kind, rows, den)
-
-
-def _fill(m, kind: ScalarKind, rows, den: int):
-    object.__setattr__(m, "kind", kind)
-    object.__setattr__(m, "size", len(rows))
-    object.__setattr__(m, "_rows", rows)
-    object.__setattr__(m, "_den", den)
-    return m
+    return object.__new__(cls)._set(kind=kind, size=len(rows), _rows=rows, _den=den)
 
 
 def _integer_rows(ops: _Kind, entries):
@@ -201,7 +193,7 @@ def _require_same_space(x, y):
         )
 
 
-class _Matrix:
+class _Matrix(_Record):
     """An immutable square matrix over one scalar kind, equal to any matrix
     of either class with the same kind and entries."""
 
@@ -216,10 +208,8 @@ class _Matrix:
             raise ShapeMismatch("matrix must be square and nonempty")
         ops = _kind(kind)
         entries = [[_coerce_entry(kind, ops.cls, v) for v in row] for row in rows]
-        _fill(self, kind, *_integer_rows(ops, entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        rows, den = _integer_rows(ops, entries)
+        self._set(kind=kind, size=n, _rows=rows, _den=den)
 
     @property
     def entries(self) -> tuple:
@@ -264,6 +254,9 @@ class _Matrix:
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
         )
         return f"{type(self).__name__}({self.kind.value}, [{rows}])"
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.entries)
 
 
 class AlgebraMatrix(_Matrix):
@@ -546,7 +539,7 @@ class LorentzVector(_Record):
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) < 2:
             raise InvalidInput("Lorentz vectors need at least two coordinates")
-        object.__setattr__(self, "coords", coords)
+        self._set(coords=coords)
 
     def __repr__(self):
         return f"LorentzVector({list(self.coords)})"
@@ -569,8 +562,7 @@ class PDBlock(_Record):
             raise InvalidInput("block size must be positive")
         if kind is ScalarKind.OCTONION and size != 3:
             raise Unsupported("the exceptional block exists only in size 3")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
+        self._set(kind=kind, size=size)
 
     @property
     def dimension(self) -> int:
@@ -583,7 +575,7 @@ class LorentzBlock(_Record):
     def __init__(self, n: int):
         if n < 1:
             raise InvalidInput("Lorentz block needs n >= 1")
-        object.__setattr__(self, "n", n)
+        self._set(n=n)
 
     @property
     def dimension(self) -> int:
@@ -602,7 +594,7 @@ class ConeSpec(_Record):
         for b in blocks:
             if not isinstance(b, (PDBlock, LorentzBlock)):
                 raise InvalidInput(f"unknown block descriptor {b!r}")
-        object.__setattr__(self, "blocks", blocks)
+        self._set(blocks=blocks)
 
     @property
     def dimension(self) -> int:

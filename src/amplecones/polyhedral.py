@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
 
-from .errors import InvalidInput, ShapeMismatch, UnsupportedDimension, format_point
+from .errors import InvalidInput, ShapeMismatch, UnsupportedDimension, _Record, format_point
 
 MAX_INTERSECTION_DIM = 4
 
@@ -139,7 +139,7 @@ def _extreme_rays(normals, dim: int, start=None):
     return lin, rays
 
 
-class PolyhedralCone:
+class PolyhedralCone(_Record):
     """The pointed cone spanned by finitely many rational generator rays in
     a fixed-dimension space, stored as its extreme rays.
 
@@ -207,12 +207,13 @@ class PolyhedralCone:
         tight = (1 << eq) - 1  # every ray is tight on e and -e
         # generator j is extreme when the smallest face through it is its ray
         extreme = [j for j in range(n) if spans[j] == 1 << j]
-        rays = [normalized[j] for j in extreme]
-        masks = [tight | rows[j] << eq for j in extreme]
-        _fill(self, dim, rays, equations, [f for f, _ in dual], masks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyhedralCone is immutable")
+        self._set(
+            dim=dim,
+            rays=tuple([normalized[j] for j in extreme]),
+            _equations=tuple(equations),
+            _facets=tuple([f for f, _ in dual]),
+            _masks=tuple([tight | rows[j] << eq for j in extreme]),
+        )
 
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rays]
@@ -251,16 +252,13 @@ def _trusted(dim: int, rays, equations, facets, masks) -> PolyhedralCone:
     and facets its description, and the masks as the constructor builds
     them.  The public constructor keeps full validation.
     """
-    return _fill(object.__new__(PolyhedralCone), dim, rays, equations, facets, masks)
-
-
-def _fill(cone: PolyhedralCone, dim: int, rays, equations, facets, masks) -> PolyhedralCone:
-    object.__setattr__(cone, "dim", dim)
-    object.__setattr__(cone, "rays", tuple(rays))
-    object.__setattr__(cone, "_equations", tuple(equations))
-    object.__setattr__(cone, "_facets", tuple(facets))
-    object.__setattr__(cone, "_masks", tuple(masks))
-    return cone
+    return object.__new__(PolyhedralCone)._set(
+        dim=dim,
+        rays=tuple(rays),
+        _equations=tuple(equations),
+        _facets=tuple(facets),
+        _masks=tuple(masks),
+    )
 
 
 def _normals(cone: PolyhedralCone) -> list:
@@ -340,13 +338,3 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
         if n not in facets and not any(u != t and u & t == t for u in tight):
             facets[n] = t
     return _trusted(a.dim, vectors, (), facets, _transpose(facets.values(), len(vectors)))
-
-
-def is_square_rational(q) -> bool:
-    """Is the positive rational q the square of a rational number?"""
-    q = Fraction(q)
-    if q <= 0:
-        raise InvalidInput(f"expected a positive rational, got {q}")
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    return rn * rn == num and rd * rd == den

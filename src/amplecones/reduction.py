@@ -41,9 +41,7 @@ class IntegralForm(_Record):
     def __init__(self, g11: int, g12: int, g22: int):
         if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
             raise NotPositiveDefinite(f"form ({g11}, {g12}, {g22}) is not positive definite")
-        object.__setattr__(self, "g11", g11)
-        object.__setattr__(self, "g12", g12)
-        object.__setattr__(self, "g22", g22)
+        self._set(g11=g11, g12=g12, g22=g22)
 
     @property
     def det(self) -> int:
@@ -70,10 +68,7 @@ class UnimodularMatrix(_Record):
     def __init__(self, a: int, b: int, c: int, d: int):
         if a * d - b * c != 1:
             raise InvalidInput("matrix is not in SL(2, Z)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        self._set(a=a, b=b, c=c, d=d)
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":
@@ -153,7 +148,7 @@ def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-class GroupAction2D:
+class GroupAction2D(_Record):
     """An infinite-cyclic group action on the quadratic cone
     {a*x1^2 - b*x2^2 > 0, x1 > 0}.
 
@@ -163,7 +158,8 @@ class GroupAction2D:
     of the generator and its adjugate (a positive multiple of the inverse)
     are kept, which is all that ray computations need, and the integer pair
     (A, B) = (a, b) * den(a) * den(b), so that an integer direction (x, y)
-    with x > 0 lies in the open cone exactly when A*x^2 > B*y^2.
+    with x > 0 lies in the open cone exactly when A*x^2 > B*y^2.  Two
+    actions are equal when their generators and (a, b) are.
     """
 
     __slots__ = ("generator", "a", "b", "_fwd", "_bwd", "_form")
@@ -191,17 +187,8 @@ class GroupAction2D:
         f = primitive_vector(rows[0] + rows[1])
         fwd = ((f[0], f[1]), (f[2], f[3]))
         bwd = ((f[3], -f[1]), (-f[2], f[0]))
-        object.__setattr__(self, "generator", rows)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_fwd", fwd)
-        object.__setattr__(self, "_bwd", bwd)
-        object.__setattr__(self, "_form", (
-            a.numerator * b.denominator, b.numerator * a.denominator
-        ))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupAction2D is immutable")
+        form = (a.numerator * b.denominator, b.numerator * a.denominator)
+        self._set(generator=rows, a=a, b=b, _fwd=fwd, _bwd=bwd, _form=form)
 
     def form_value(self, v) -> Fraction:
         x1, x2 = Fraction(v[0]), Fraction(v[1])

@@ -17,9 +17,9 @@ coefficient is read out.  Each class supplies its product; the norm and the
 inverse read one hook, the norm form, which is the sum of squares by default
 and the indefinite a^2 - d*b^2 for Q(sqrt(d)).
 
-On top of these sit continued fractions of square roots, fundamental units of
-the orders Z[sqrt(d)], total positivity, and the unit-group rank formula
-r1 + r2 - 1.
+On top of these sit the perfect-square tests for integers and rationals,
+continued fractions of square roots, fundamental units of the orders
+Z[sqrt(d)], total positivity, and the unit-group rank formula r1 + r2 - 1.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
+
+
+def is_square_rational(q) -> bool:
+    """Is the positive rational q the square of a rational number?"""
+    q = Fraction(q)
+    if q <= 0:
+        raise InvalidInput(f"expected a positive rational, got {q}")
+    return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -86,7 +94,7 @@ def _check_order_input(d: int) -> None:
         raise InvalidInput(f"{d} is not squarefree")
 
 
-class _RationalAlgebra:
+class _RationalAlgebra(_Record):
     """Value semantics shared by Q(sqrt(d)), Q(i) and H(Q).
 
     An element is stored as a tuple ``_num`` of Python integers over one
@@ -116,16 +124,12 @@ class _RationalAlgebra:
         den = math.lcm(*dens)
         if den != 1:
             nums = tuple([n * (den // d) for n, d in zip(nums, dens)])
-        object.__setattr__(self, "_num", nums)
-        object.__setattr__(self, "_den", den)
+        self._set(_num=nums, _den=den)
 
     def _make(self, num: tuple, den: int):
         """Trusted constructor of an element of self's algebra: ``num``/``den``
         already in lowest terms."""
-        obj = object.__new__(type(self))
-        object.__setattr__(obj, "_num", num)
-        object.__setattr__(obj, "_den", den)
-        return obj
+        return object.__new__(type(self))._set(_num=num, _den=den)
 
     def _reduce(self, num: tuple, den: int):
         """The element num/den for integers num and den != 0."""
@@ -137,12 +141,8 @@ class _RationalAlgebra:
             den //= g
         return self._make(num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __reduce__(self):
-        # copy and pickle rebuild through the public constructor, since
-        # the default state restore would assign to the slots
+        # the constructor takes the coefficients, which are not slots
         return type(self), self._fractions()
 
     def _parts(self, other):
@@ -287,7 +287,7 @@ class QuadIrrational(_RationalAlgebra):
 
     def __init__(self, d: int, a, b) -> None:
         _check_order_input(d)
-        object.__setattr__(self, "d", d)
+        self._set(d=d)
         super().__init__(a, b)
 
     def __reduce__(self):
@@ -295,9 +295,7 @@ class QuadIrrational(_RationalAlgebra):
 
     def _make(self, num: tuple, den: int):
         # results share self.d, which the public constructor checked
-        obj = super()._make(num, den)
-        object.__setattr__(obj, "d", self.d)
-        return obj
+        return object.__new__(type(self))._set(d=self.d, _num=num, _den=den)
 
     def _parts(self, other):
         if isinstance(other, QuadIrrational) and other.d != self.d:
@@ -447,8 +445,7 @@ class UnitElement(_Record):
             raise InvalidInput("unit must lie in Z[sqrt(d)]")
         if value.norm() != norm:
             raise InvalidInput("declared norm does not match value")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "norm", norm)
+        self._set(value=value, norm=norm)
 
 
 def continued_fraction_sqrt(d: int) -> tuple[int, list[int]]:

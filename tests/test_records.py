@@ -1,5 +1,6 @@
 """The package's immutable value records: construction, equality, hashing,
-repr, immutability, copying and validation messages."""
+repr, immutability, copying and validation messages, and the immutability
+and copying of the other value types that share their base."""
 
 import copy
 import os
@@ -7,6 +8,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,22 +17,28 @@ import amplecones
 from amplecones import (
     AbelianVarietyModel,
     AlbertRealType,
+    AlgebraMatrix,
     Block,
     BlockDecomposition,
     ConeSpec,
+    GaussianRational,
+    HermitianMatrix,
     IntegralForm,
     InvalidInput,
     LorentzBlock,
     LorentzVector,
     NotPositiveDefinite,
     PDBlock,
+    PolyhedralCone,
     QuadIrrational,
+    RationalQuaternion,
     ScalarKind,
     SimpleFactor,
     SurfaceConeData,
     UnimodularMatrix,
     UnitElement,
     Unsupported,
+    real_mult_fundamental_domain,
 )
 from amplecones.abelian import AlbertForm
 
@@ -98,6 +106,29 @@ RECORDS = [
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+BUILDERS = [partial(cls, **fields) for cls, fields, _ in RECORDS]
+
+# the other value types, each as (how to build one, a public attribute, a
+# private slot); the first four are copied and pickled here as well, and
+# the records, which have no private slots, join the immutability test
+VALUES = [
+    (partial(PolyhedralCone, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]), "dim", "_masks"),
+    (
+        partial(AlgebraMatrix, K.QUATERNION, [[1, RationalQuaternion(0, 1, 2, 3)], [0, Fraction(1, 2)]]),
+        "kind",
+        "_rows",
+    ),
+    (
+        partial(HermitianMatrix, K.COMPLEX, [[2, GaussianRational(1, 1)], [GaussianRational(1, -1), 3]]),
+        "size",
+        "_den",
+    ),
+    (lambda: real_mult_fundamental_domain(7, (1, 0))[1], "generator", "_fwd"),
+    (partial(GaussianRational, 1, 2), "re", "_num"),
+    (partial(RationalQuaternion, 1, 2, 3, 4), "w", "_den"),
+    (partial(QuadIrrational, 5, 1, 2), "d", "_num"),
+]
+VALUE_IDS = [type(make()).__name__ for make, _, _ in VALUES]
 
 
 @pytest.fixture(params=RECORDS, ids=IDS)
@@ -128,21 +159,39 @@ def test_repr_is_unchanged(record):
     assert repr(rec) == text
 
 
-def test_fields_cannot_change(record):
-    _, fields, _, rec = record
-    name = next(iter(fields))
-    for attr in (name, "extra"):
-        with pytest.raises(AttributeError):
-            setattr(rec, attr, None)
-        with pytest.raises(AttributeError):
-            delattr(rec, attr)
-    assert getattr(rec, name) == fields[name]
+def test_list_arguments_are_stored_as_tuples(record):
+    cls, fields, _, rec = record
+    listed = {name: list(v) if type(v) is tuple else v for name, v in fields.items()}
+    built = cls(**listed)
+    assert built == rec and hash(built) == hash(rec)
+    assert all(type(getattr(built, name)) is type(v) for name, v in fields.items())
 
 
-def test_copies_compare_equal(record):
-    cls, _, _, rec = record
-    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
-        assert type(twin) is cls and twin == rec and hash(twin) == hash(rec)
+@pytest.mark.parametrize(
+    "make,public,private",
+    [(make, next(iter(fields)), None) for make, (_, fields, _) in zip(BUILDERS, RECORDS)] + VALUES,
+    ids=IDS + VALUE_IDS,
+)
+def test_fields_cannot_change(make, public, private):
+    value = make()
+    before = getattr(value, public)
+    for attr in filter(None, (public, private, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    assert getattr(value, public) == before and value == make()
+
+
+@pytest.mark.parametrize(
+    "make", BUILDERS + [make for make, _, _ in VALUES[:4]], ids=IDS + VALUE_IDS[:4]
+)
+def test_copies_compare_equal(make):
+    # a second build from the same arguments is a twin too, so two actions
+    # built from the same d must compare by value, not by identity
+    value = make()
+    for twin in (make(), copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,11 @@ construction, over the integers.  A generator that is not extreme is
 dropped, so ``==`` and ``hash``, which compare the extreme rays, compare
 cones: a pointed cone is determined by its extreme rays.  Every question
 is answered from that description with integer dot products: closed and
-interior membership from facet signs, and the extreme rays of an
-intersection from double description of the two facet descriptions, whose
-adjacency test keeps exactly the extreme rays.
+interior membership from facet signs, stopping at the first facet that
+decides the verdict, and the extreme rays of an intersection from double
+description of the two facet descriptions, whose adjacency test keeps
+exactly the extreme rays; a step whose normal is negative on no ray keeps
+the rays it has.
 
 Double description keeps each ray's incidence, the normals it is tight on,
 as the bits of an int, so the adjacency test is a few integer operations.
@@ -18,11 +20,12 @@ normals, read off the masks of the run that built it with no dot products;
 pointedness and the extreme generators come from the same masks.  An
 intersection starts its double description from the incidence of the
 operand with more normals, the state a run over those normals would reach,
-and processes only the other operand's normals.  A full-dimensional intersection reads its
-facets off the incidence of that run (the normals whose sets of tight rays
-are maximal) and runs no second, dual double description.  The order of
-the stored facets is private.  Intersections are supported up to ambient
-dimension 4.
+and processes only the other operand's normals.  A full-dimensional
+intersection reads its facets off the incidence of that run and runs no
+second, dual double description: its facets are the normals whose sets of
+tight rays are maximal, found by testing each distinct set, largest first,
+against the maximal sets already found.  The order of the stored facets is
+private.  Intersections are supported up to ambient dimension 4.
 """
 
 from __future__ import annotations
@@ -40,12 +43,20 @@ MAX_INTERSECTION_DIM = 4
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive factor to a primitive
     integer vector (orientation is preserved)."""
-    vt = tuple(v)
-    if not all(type(c) is int for c in vt):
+    vt = v if type(v) is tuple else _coordinates(v)
+    if set(map(type, vt)) != {int}:
         vt = _integer_vector(vt)
     if not any(vt):
         raise InvalidInput("zero vector has no primitive representative")
     return _primitive(vt)
+
+
+def _coordinates(v) -> tuple:
+    """The coordinates of a point or generator as a tuple.  Text is not a
+    vector: iterating it would read one coordinate per character."""
+    if isinstance(v, (str, bytes, bytearray)):
+        raise InvalidInput(f"a vector must be a sequence of coordinates, not {type(v).__name__}")
+    return tuple(v)
 
 
 def _integer_vector(v: tuple) -> tuple[int, ...]:
@@ -64,7 +75,7 @@ def _integer_vector(v: tuple) -> tuple[int, ...]:
 def _primitive(v) -> tuple[int, ...]:
     """A nonzero integer tuple divided by the gcd of its entries."""
     g = math.gcd(*v)
-    return v if g == 1 else tuple(c // g for c in v)
+    return v if g == 1 else tuple([c // g for c in v])
 
 
 # --- Double description ------------------------------------------------------
@@ -90,22 +101,24 @@ def _extreme_rays(normals, dim: int, start=None):
     for idx in range(k, len(normals)):
         a = normals[idx]
         bit = 1 << idx
-        scores = [sum(map(mul, a, l)) for l in lin]
-        hit = next((i for i, s in enumerate(scores) if s != 0), None)
+        hit = None
+        if lin:
+            scores = [sum(map(mul, a, l)) for l in lin]
+            hit = next((i for i, s in enumerate(scores) if s != 0), None)
         if hit is not None:
             l0, s0 = lin[hit], scores[hit]
             if s0 < 0:
-                l0 = tuple(-c for c in l0)
+                l0 = tuple([-c for c in l0])
                 s0 = -s0
             lin = [
-                l if s == 0 else _primitive(tuple(s0 * c - s * c0 for c, c0 in zip(l, l0)))
+                l if s == 0 else _primitive(tuple([s0 * c - s * c0 for c, c0 in zip(l, l0)]))
                 for i, (l, s) in enumerate(zip(lin, scores))
                 if i != hit
             ]
             for r in rays:
                 s = sum(map(mul, a, r[0]))
                 if s != 0:
-                    r[0] = _primitive(tuple(s0 * c - s * c0 for c, c0 in zip(r[0], l0)))
+                    r[0] = _primitive(tuple([s0 * c - s * c0 for c, c0 in zip(r[0], l0)]))
                 r[1] |= bit
             rays.append([_primitive(l0), bit - 1])
             continue
@@ -119,6 +132,10 @@ def _extreme_rays(normals, dim: int, start=None):
                 zero.append(r)
             else:
                 neg.append((r, s))
+        if not neg:
+            # the normal cuts nothing off: every ray stays, as it is
+            rays = [r for r, _ in pos] + zero
+            continue
         # two rays are adjacent only if they share dim - len(lin) - 2 tight
         # normals, and exactly if no third ray is tight on all they share
         need = dim - len(lin) - 2
@@ -133,7 +150,7 @@ def _extreme_rays(normals, dim: int, start=None):
                     continue
                 if sum(m & common == common for m in masks) > 2:
                     continue
-                combo = tuple(sp * cn - sn * cp for cp, cn in zip(pv, nv))
+                combo = tuple([sp * cn - sn * cp for cp, cn in zip(pv, nv)])
                 fresh.append([_primitive(combo), common | bit])
         rays = [r for r, _ in pos] + zero + fresh
     return lin, rays
@@ -172,7 +189,7 @@ class PolyhedralCone(_Record):
             raise InvalidInput("ambient dimension must be positive")
         normalized = []
         for ray in rays:
-            ray = tuple(ray)
+            ray = _coordinates(ray)
             if len(ray) != dim:
                 raise ShapeMismatch(
                     f"ray {format_point(ray)} does not live in dimension {dim}"
@@ -280,22 +297,33 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     it has coordinates that are not ints (the signs do not change under
     positive scaling): closed iff every equation gives 0 and every facet
     gives >= 0; interior iff there are no equations and every facet gives
-    > 0.  A coordinate that is not a finite rational raises InvalidInput.
+    > 0.  The facets are read in turn, up to the first that decides.  A
+    coordinate that is not a finite rational, or a point given as text,
+    raises InvalidInput.
     """
-    v = tuple(v)
+    if type(v) is not tuple:
+        v = _coordinates(v)
     if len(v) != cone.dim:
         raise ShapeMismatch(
             f"point {format_point(v)} does not live in dimension {cone.dim}"
         )
-    if not all(type(c) is int for c in v):
+    if set(map(type, v)) != {int}:
         v = _integer_vector(v)
-    if not any(v):
-        return not interior  # the origin is on the boundary of a pointed cone
     if interior:
-        return not cone._equations and all(sum(map(mul, f, v)) > 0 for f in cone._facets)
-    return all(sum(map(mul, e, v)) == 0 for e in cone._equations) and all(
-        sum(map(mul, f, v)) >= 0 for f in cone._facets
-    )
+        # a pointed cone has a facet, and the origin gives 0 on every one
+        if cone._equations:
+            return False
+        for f in cone._facets:
+            if sum(map(mul, f, v)) <= 0:
+                return False
+        return True
+    for e in cone._equations:
+        if sum(map(mul, e, v)):
+            return False
+    for f in cone._facets:
+        if sum(map(mul, f, v)) < 0:
+            return False
+    return True
 
 
 def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
@@ -320,21 +348,28 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
         seed, other, start = other, seed, b
     normals = seed + other
     # a pointed seed leaves no lineality, so none comes back
-    state = (len(seed), [list(p) for p in zip(start.rays, start._masks)])
+    state = (len(seed), [[r, m] for r, m in zip(start.rays, start._masks)])
     _, rays = _extreme_rays(normals, a.dim, state)
     if not rays:
         return None
     rays.sort()
     vectors = [v for v, _ in rays]
-    if reduce(and_, (m for _, m in rays)):
+    masks = [m for _, m in rays]
+    if reduce(and_, masks):
         # some normal is tight on every ray: the intersection spans less
         return PolyhedralCone(a.dim, vectors)
     # no normal is an implicit equation, so the intersection is
     # full-dimensional; tight[i], column i of the incidence, holds the rays
     # tight on normal i, and the facets are the normals where it is maximal
-    tight = _transpose([m for _, m in rays], len(normals))
+    tight = _transpose(masks, len(normals))
+    # a strict superset has more bits, so it comes first and lies in a
+    # maximal set already found
+    maximal = []
+    for t in sorted(set(tight), key=int.bit_count, reverse=True):
+        if not any(m & t == t for m in maximal):
+            maximal.append(t)
     facets = {}
     for n, t in zip(normals, tight):
-        if n not in facets and not any(u != t and u & t == t for u in tight):
+        if t in maximal and n not in facets:
             facets[n] = t
     return _trusted(a.dim, vectors, (), facets, _transpose(facets.values(), len(vectors)))

@@ -487,7 +487,7 @@ class TestHostileCoordinates:
     def test_rejects_coordinates_that_are_not_finite_rationals(self):
         cone = PolyhedralCone(2, [(1, 0), (1, 1)])
         for bad in (None, float("nan"), float("inf"), float("-inf"), "x", 1j):
-            for point in ((bad, 0), (0, bad), (1, bad)):
+            for point in ((bad, 0), (0, bad), (1, bad), (-1, bad)):
                 message = f"coordinates of {format_point(point)} must be finite rational numbers"
                 for interior in (False, True):
                     with pytest.raises(InvalidInput) as info:
@@ -497,6 +497,23 @@ class TestHostileCoordinates:
                     PolyhedralCone(2, [(1, 1), point])
                 with pytest.raises(InvalidInput, match="must be finite rational"):
                     primitive_vector(point)
+
+    def test_rejects_text_as_a_vector(self):
+        cone = PolyhedralCone(2, [(1, 0), (1, 1)])
+        for text in ("10", b"10", bytearray(b"10")):
+            message = f"a vector must be a sequence of coordinates, not {type(text).__name__}"
+            for interior in (False, True):
+                with pytest.raises(InvalidInput) as info:
+                    poly_member(cone, text, interior=interior)
+                assert str(info.value) == message
+            with pytest.raises(InvalidInput, match="sequence of coordinates"):
+                PolyhedralCone(2, [text, "11"])
+            with pytest.raises(InvalidInput, match="sequence of coordinates"):
+                primitive_vector(text)
+        # coordinates given as text are still read as rationals
+        assert poly_member(cone, ("1/2", 0))
+        assert primitive_vector(("1/2", 3)) == (1, 6)
+        assert PolyhedralCone(2, [("1", "0"), ("1/2", "1/2")]).rays == ((1, 0), (1, 1))
 
     def test_origin_and_rational_points_keep_their_verdicts(self):
         cone = PolyhedralCone(2, [(1, 0), (1, 1)])

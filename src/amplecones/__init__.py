@@ -19,7 +19,6 @@ from .errors import (
 from .scalars import (
     GaussianRational,
     QuadIrrational,
-    Rational,
     RationalQuaternion,
     UnitElement,
     continued_fraction_sqrt,

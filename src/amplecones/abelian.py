@@ -192,11 +192,6 @@ class SurfaceConeData(_Record):
     def __init__(self, a: Fraction, b: Fraction, rational_polyhedral: bool, rays):
         self._set(a=a, b=b, rational_polyhedral=rational_polyhedral, rays=tuple(rays))
 
-    def contains(self, x1, x2) -> bool:
-        """Open ample-cone membership a*x1^2 - b*x2^2 > 0, x1 > 0."""
-        x1, x2 = Fraction(x1), Fraction(x2)
-        return x1 > 0 and self.a * x1 * x1 - self.b * x2 * x2 > 0
-
 
 def surface_nef_data(a, b) -> SurfaceConeData:
     """Boundary-ray data for the form diag(a, -b), exact in both regimes."""

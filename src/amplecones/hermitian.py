@@ -98,8 +98,15 @@ _KINDS = {
 }
 
 
+def _kind_row(kind: ScalarKind) -> _Kind:
+    """The row of ``kind`` in _KINDS; InvalidInput if it is not a ScalarKind."""
+    if not isinstance(kind, ScalarKind):
+        raise InvalidInput(f"unknown scalar kind {kind!r}; expected a ScalarKind")
+    return _KINDS[kind]
+
+
 def _kind(kind: ScalarKind) -> _Kind:
-    ops = _KINDS[kind]
+    ops = _kind_row(kind)
     if ops.cls is None:
         raise Unsupported("octonion arithmetic is not provided")
     return ops
@@ -112,7 +119,7 @@ def hermitian_dimension(kind: ScalarKind, r: int) -> int:
         raise InvalidInput(f"matrix size must be positive, got {r}")
     if kind is ScalarKind.OCTONION and r != 3:
         raise Unsupported("the exceptional cone exists only in size 3")
-    return r + _KINDS[kind].width * r * (r - 1) // 2
+    return r + _kind_row(kind).width * r * (r - 1) // 2
 
 
 def _coerce_entry(kind: ScalarKind, cls, value):
@@ -558,6 +565,7 @@ class PDBlock(_Record):
     __slots__ = ("kind", "size")
 
     def __init__(self, kind: ScalarKind, size: int):
+        _kind_row(kind)  # reject a bad kind here, not when .dimension reads it
         if size < 1:
             raise InvalidInput("block size must be positive")
         if kind is ScalarKind.OCTONION and size != 3:

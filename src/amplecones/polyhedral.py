@@ -59,15 +59,20 @@ def _coordinates(v) -> tuple:
     return tuple(v)
 
 
-def _integer_vector(v: tuple) -> tuple[int, ...]:
-    """v times the lcm of its coordinates' denominators, or InvalidInput
-    when a coordinate is not a finite rational number."""
+def _rationals(v: tuple) -> list[Fraction]:
+    """The coordinates of v as Fractions, or InvalidInput when one is not a
+    finite rational number."""
     try:
-        fracs = [Fraction(c) for c in v]
+        return [Fraction(c) for c in v]
     except (TypeError, ValueError, OverflowError):
         raise InvalidInput(
             f"coordinates of {format_point(v)} must be finite rational numbers"
         ) from None
+
+
+def _integer_vector(v: tuple) -> tuple[int, ...]:
+    """v times the lcm of its coordinates' denominators."""
+    fracs = _rationals(v)
     lcm = math.lcm(*(f.denominator for f in fracs))
     return tuple(int(f * lcm) for f in fracs)
 

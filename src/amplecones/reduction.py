@@ -29,7 +29,7 @@ from .errors import (
     _Record,
     format_point,
 )
-from .polyhedral import PolyhedralCone, primitive_vector
+from .polyhedral import PolyhedralCone, _coordinates, _integer_vector, _rationals, primitive_vector
 from .polyhedral import cone_intersection  # noqa: F401 (bench/tracing.py patches it)
 
 
@@ -130,18 +130,23 @@ def minkowski_reduce(G: IntegralForm) -> tuple[IntegralForm, UnimodularMatrix]:
 
 
 def _fraction_matrix(rows):
-    out = [tuple(Fraction(c) for c in row) for row in rows]
-    if len(out) != 2 or any(len(r) != 2 for r in out):
+    rows = [_coordinates(row) for row in _coordinates(rows)]
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ShapeMismatch("expected a 2 x 2 matrix")
-    return tuple(out)
+    return tuple(tuple(_rationals(r)) for r in rows)
 
 
 def _integer_direction(v):
     """The integer direction (u, w) of a rational point (x, y): a positive
     multiple of it, so u has the sign of x and a*x^2 - b*y^2 the sign of
     A*u^2 - B*w^2."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    return x.numerator * y.denominator, y.numerator * x.denominator
+    if type(v) is not tuple:
+        v = _coordinates(v)
+    if len(v) != 2:
+        raise ShapeMismatch(f"point {format_point(v)} does not live in the plane")
+    if set(map(type, v)) != {int}:
+        v = _integer_vector(v)
+    return v
 
 
 def _mat_vec(m, v):
@@ -159,13 +164,14 @@ class GroupAction2D(_Record):
     are kept, which is all that ray computations need, and the integer pair
     (A, B) = (a, b) * den(a) * den(b), so that an integer direction (x, y)
     with x > 0 lies in the open cone exactly when A*x^2 > B*y^2.  Two
-    actions are equal when their generators and (a, b) are.
+    actions are equal when their generators and (a, b) are.  Entries,
+    (a, b) and points pass the coordinate check of ``polyhedral``.
     """
 
     __slots__ = ("generator", "a", "b", "_fwd", "_bwd", "_form")
 
     def __init__(self, generator, a, b) -> None:
-        a, b = Fraction(a), Fraction(b)
+        a, b = _rationals((a, b))
         if a <= 0 or b <= 0:
             raise InvalidInput("cone parameters a, b must be positive")
         rows = _fraction_matrix(generator)
@@ -190,10 +196,6 @@ class GroupAction2D(_Record):
         form = (a.numerator * b.denominator, b.numerator * a.denominator)
         self._set(generator=rows, a=a, b=b, _fwd=fwd, _bwd=bwd, _form=form)
 
-    def form_value(self, v) -> Fraction:
-        x1, x2 = Fraction(v[0]), Fraction(v[1])
-        return self.a * x1 * x1 - self.b * x2 * x2
-
     def open_member(self, v) -> bool:
         u, w = _integer_direction(v)
         A, B = self._form
@@ -203,21 +205,6 @@ class GroupAction2D(_Record):
         u, w = _integer_direction(v)
         A, B = self._form
         return u >= 0 and A * u * u >= B * w * w
-
-    def apply(self, v, k: int = 1):
-        """g^k applied to a rational vector, exactly."""
-        x = (Fraction(v[0]), Fraction(v[1]))
-        m = self.generator
-        if k < 0:
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            m = (
-                (m[1][1] / det, -m[0][1] / det),
-                (-m[1][0] / det, m[0][0] / det),
-            )
-            k = -k
-        for _ in range(k):
-            x = _mat_vec(m, x)
-        return x
 
     def ray_image(self, ray, k: int = 1) -> tuple[int, ...]:
         """Primitive integer direction of g^k applied to a ray."""
@@ -336,13 +323,6 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
     return dict(zip(range(-max_word, max_word + 1), rows)), open_low, open_high
 
 
-def _direction(p, action: GroupAction2D):
-    """The positive integer direction of a rational point of the open cone."""
-    if not action.open_member(p):
-        raise NotInCone(f"point {format_point(p)} is outside the open cone")
-    return _integer_direction(p)
-
-
 def _locate(p, table):
     """The first k from -max_word up with the integer direction p in g^k pi,
     or None.  On an open side a cross product must be >= 1, that is > 0."""
@@ -365,8 +345,11 @@ def translate_locate(
     assigned to the translate on whose lower boundary it sits, so locating
     commutes with the action.  The rays of pi must lie in the closed cone.
     """
-    p = (Fraction(p[0]), Fraction(p[1]))
-    k = _locate(_direction(p, action), _translates(pi, action, max_word))
+    p = _coordinates(p)
+    direction = _integer_direction(p)
+    if not action.open_member(direction):
+        raise NotInCone(f"point {format_point(p)} is outside the open cone")
+    k = _locate(direction, _translates(pi, action, max_word))
     if k is None:
         raise NotFundamental(
             f"translates g^k pi with |k| <= {max_word} miss the point {format_point(p)}"

@@ -1,15 +1,14 @@
 """Exact arithmetic over the coefficient rings used everywhere in the library.
 
-Four scalar families, all with arbitrary-precision integer backbones:
+Three scalar families beside :class:`fractions.Fraction`, all with
+arbitrary-precision integer backbones:
 
-* ``Rational`` -- an alias of :class:`fractions.Fraction` (eagerly reduced,
-  positive denominator, structural equality for free);
 * :class:`QuadIrrational` -- elements a + b*sqrt(d) of a real quadratic field,
   with d a fixed squarefree integer >= 2;
 * :class:`GaussianRational` -- elements of Q(i);
 * :class:`RationalQuaternion` -- the rational Hamilton quaternions.
 
-The last three share one base class, ``_RationalAlgebra``: each stores a
+The three share one base class, ``_RationalAlgebra``: each stores a
 tuple of integer numerators over one positive common denominator, in lowest
 terms, and does its arithmetic on those integers; results come from a
 private trusted constructor, and a ``Fraction`` is built only where a
@@ -28,8 +27,6 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInput, PerfectSquareInput, _Record
-
-Rational = Fraction
 
 _RationalLike = (int, Fraction)
 
@@ -315,24 +312,6 @@ class QuadIrrational(_RationalAlgebra):
         a, b = num
         return a * a - self.d * b * b
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self._make((1, 0), 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(d)."""
         a, b = self._num  # over a positive denominator
@@ -346,9 +325,6 @@ class QuadIrrational(_RationalAlgebra):
 
     def is_rational(self) -> bool:
         return not self._num[1]
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __repr__(self):
         return f"QuadIrrational({self.d}, {self.a!r}, {self.b!r})"

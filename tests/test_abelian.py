@@ -207,13 +207,6 @@ class TestSurface:
 
             assert data.rational_polyhedral == is_square_rational(a / b)
 
-    def test_membership_predicate(self):
-        data = surface_nef_data(1, 2)
-        assert data.contains(1, 0)
-        assert data.contains(3, 2)  # 9 - 8 > 0
-        assert not data.contains(1, 1)
-        assert not data.contains(-1, 0)
-
     def test_validation(self):
         with pytest.raises(InvalidInput):
             surface_nef_data(0, 1)

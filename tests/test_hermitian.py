@@ -88,6 +88,19 @@ class TestConstruction:
             with pytest.raises(Unsupported):
                 build()
 
+    @pytest.mark.parametrize("kind", ["R", "C", None, 1])
+    def test_kind_must_be_a_scalar_kind(self, kind):
+        for build in (
+            lambda: AlgebraMatrix(kind, [[1]]),
+            lambda: HermitianMatrix(kind, [[1]]),
+            lambda: AlgebraMatrix.identity(kind, 2),
+            lambda: hermitian_basis(kind, 2),
+            lambda: hermitian_dimension(kind, 2),
+            lambda: PDBlock(kind, 2),
+        ):
+            with pytest.raises(InvalidInput, match=f"unknown scalar kind {kind!r}"):
+                build()
+
     def test_identity_matches_constructor(self):
         for kind in MATRIX_KINDS:
             cls_of_kind = _KINDS[kind].cls

@@ -115,17 +115,24 @@ class TestGroupAction2D:
             # preserves the form and the sheet, but reflects rays
             GroupAction2D([[3, -4], [2, -3]], 1, 2)
 
-    def test_apply_and_ray_image(self):
+    def test_ray_image(self):
         _, action = d2_setup()
-        assert action.apply((1, 0)) == (3, 2)
-        assert action.apply((3, 2), -1) == (1, 0)
+        assert action.ray_image((1, 0)) == (3, 2)
+        assert action.ray_image((3, 2), -1) == (1, 0)
         assert action.ray_image((2, 0), 1) == (3, 2)
         assert action.ray_image((1, 0), 2) == (17, 12)
+
+    def test_membership_predicate(self):
+        action = GroupAction2D([[3, 4], [2, 3]], 1, 2)
+        assert action.open_member((1, 0))
+        assert action.open_member((3, 2))  # 9 - 8 > 0
+        assert not action.open_member((1, 1))
+        assert not action.open_member((-1, 0))
 
     def test_scaled_form_accepted(self):
         # preserving the form only up to a positive scalar is allowed
         action = GroupAction2D([[2, 0], [0, 2]], 1, 2)
-        assert action.apply((1, 0)) == (2, 0)
+        assert action.ray_image((1, 0)) == (1, 0)
 
     def test_rational_generator_entries(self):
         # a positive rational multiple of g induces the same action on rays
@@ -135,6 +142,45 @@ class TestGroupAction2D:
         assert action.ray_image((1, 0), -1) == (3, -2)
         pi = PolyhedralCone(2, [(1, 0), (3, 2)])
         assert translate_locate((17, 12), pi, action) == 2
+
+
+NAN = float("nan")
+
+
+BAD_PLANAR_INPUT = {
+    "text-rows": lambda pi, g: GroupAction2D(["34", "23"], 1, 2),
+    "text-generator": lambda pi, g: GroupAction2D("3423", 1, 2),
+    "nan-entry": lambda pi, g: GroupAction2D([[3, 4], [2, NAN]], 1, 2),
+    "none-entry": lambda pi, g: GroupAction2D([[3, 4], [None, 3]], 1, 2),
+    "nan-a": lambda pi, g: GroupAction2D([[3, 4], [2, 3]], NAN, 2),
+    "none-b": lambda pi, g: GroupAction2D([[3, 4], [2, 3]], 1, None),
+    "locate-text": lambda pi, g: translate_locate("10", pi, g),
+    "locate-nan": lambda pi, g: translate_locate((NAN, 0), pi, g),
+    "locate-none": lambda pi, g: translate_locate((1, None), pi, g),
+    "open-text": lambda pi, g: g.open_member("10"),
+    "open-nan": lambda pi, g: g.open_member((NAN, 0)),
+    "open-none": lambda pi, g: g.open_member((None, 0)),
+    "closed-text": lambda pi, g: g.closed_member("10"),
+    "closed-nan": lambda pi, g: g.closed_member((1, NAN)),
+    "closed-none": lambda pi, g: g.closed_member((1, None)),
+    "domain-nan": lambda pi, g: real_mult_fundamental_domain(2, (NAN, 0)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_PLANAR_INPUT.values(), ids=BAD_PLANAR_INPUT)
+def test_planar_input_must_be_finite_rational_coordinates(call):
+    # text is not read one character per coordinate, and NaN or None is
+    # reported like any other invalid coordinate
+    pi, g = d2_setup()
+    with pytest.raises(InvalidInput):
+        call(pi, g)
+
+
+def test_planar_coordinates_given_as_text_still_parse():
+    pi, g = d2_setup()
+    assert GroupAction2D([["3", 4], [2, "3"]], "1", 2) == g
+    assert g.open_member(("1/2", 0)) and not g.closed_member(("-1/2", 0))
+    assert translate_locate(("17/2", 6), pi, g) == 2
 
 
 class TestTranslateLocate:
@@ -165,7 +211,7 @@ class TestTranslateLocate:
         action = GroupAction2D([[5, 6], [Fraction(8, 3), 5]], a, b)
         pi = PolyhedralCone(2, [(1, 0), action.ray_image((1, 0))])
         for p in ((3, 2), (Fraction(3, 2), 1), (3, -2)):
-            assert action.form_value(p) == 0
+            assert a * p[0] * p[0] - b * p[1] * p[1] == 0
             with pytest.raises(NotInCone, match=r"outside the open cone"):
                 translate_locate(p, pi, action)
         assert translate_locate((2, 1), pi, action) == 0
@@ -186,14 +232,14 @@ class TestTranslateLocate:
         for action in (boundary, d2_setup()[1]):
             verdicts = set()
             for p in points:
-                want = p[0] >= 0 and action.form_value(p) >= 0
+                want = p[0] >= 0 and action.a * p[0] * p[0] - action.b * p[1] * p[1] >= 0
                 assert action.closed_member(p) == want, p
                 verdicts.add(want)
             assert verdicts == {True, False}
 
     def test_bound_exhaustion(self):
         pi, action = d2_setup()
-        far = action.apply((1, Fraction(1, 3)), 9)
+        far = action.ray_image((3, 1), 9)  # the direction of (1, 1/3)
         with pytest.raises(NotFundamental):
             translate_locate(far, pi, action, max_word=4)
 
@@ -233,15 +279,15 @@ class TestTranslateLocate:
                 continue
             checked += 1
             k = translate_locate(p, pi, action)
-            back = action.apply(p, -k)
+            back = action.ray_image(p, -k)
             assert poly_member(pi, back)
             if poly_member(pi, back, interior=True):
                 for off in (1, -1):
                     assert not poly_member(
-                        pi, action.apply(p, -(k + off)), interior=True
+                        pi, action.ray_image(p, -(k + off)), interior=True
                     )
             for j in (-3, -1, 1, 3):
-                shifted = action.apply(p, j)
+                shifted = action.ray_image(p, j)
                 assert translate_locate(shifted, pi, action) == k + j
 
 

@@ -21,7 +21,15 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import InvalidInput, NotInCone, ShapeMismatch, _Record, format_point
+from .errors import (
+    InvalidInput,
+    NotInCone,
+    ShapeMismatch,
+    _integer,
+    _rationals,
+    _Record,
+    format_point,
+)
 from .hermitian import (
     AlgebraMatrix,
     ConeSpec,
@@ -71,8 +79,7 @@ class AlbertRealType(_Record):
     def __init__(self, form: AlbertForm, m: int):
         if not isinstance(form, AlbertForm):
             raise InvalidInput(f"unknown Albert form {form!r}")
-        if m < 1:
-            raise InvalidInput("number of simple summands m must be positive")
+        _integer(m, "m", 1, "number of simple summands m must be positive")
         self._set(form=form, m=m)
 
 
@@ -80,8 +87,7 @@ class SimpleFactor(_Record):
     __slots__ = ("id", "albert", "multiplicity")
 
     def __init__(self, id: str, albert: AlbertRealType, multiplicity: int):
-        if multiplicity < 1:
-            raise InvalidInput("factor multiplicity must be positive")
+        _integer(multiplicity, "multiplicity", 1, "factor multiplicity must be positive")
         self._set(id=id, albert=albert, multiplicity=multiplicity)
 
 
@@ -102,6 +108,7 @@ class Block(_Record):
     __slots__ = ("kind", "size", "origin")
 
     def __init__(self, kind: ScalarKind, size: int, origin: str):
+        _integer(size, "size", 1, "block size must be positive")
         self._set(kind=kind, size=size, origin=origin)
 
     @property
@@ -190,12 +197,13 @@ class SurfaceConeData(_Record):
     __slots__ = ("a", "b", "rational_polyhedral", "rays")
 
     def __init__(self, a: Fraction, b: Fraction, rational_polyhedral: bool, rays):
+        a, b = _rationals((a, b), "parameters a, b")
         self._set(a=a, b=b, rational_polyhedral=rational_polyhedral, rays=tuple(rays))
 
 
 def surface_nef_data(a, b) -> SurfaceConeData:
     """Boundary-ray data for the form diag(a, -b), exact in both regimes."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rationals((a, b), "parameters a, b")
     if a <= 0 or b <= 0:
         raise InvalidInput("intersection form needs positive a and b")
     ratio = a / b

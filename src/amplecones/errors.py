@@ -1,7 +1,11 @@
-"""Exception hierarchy shared by every module of the library, the
-formatting of points in its messages, and ``_Record``, the immutable base
-of every value type: the only code in the package that assigns to a slot."""
+"""Exception hierarchy shared by every module of the library, the readers
+through which every public entry point reads its arguments (``_integer``,
+``_rationals``, and ``_coordinates`` and ``_integer_point`` for points),
+the formatting of points in its messages, and ``_Record``, the immutable
+base of every value type: the only code in the package that assigns to a
+slot."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -74,6 +78,73 @@ def format_point(v) -> str:
     return "(" + ", ".join(map(_format_coordinate, v)) + ")"
 
 
+def _repr(value) -> str:
+    """repr(value), except that an int too long for ``str``, alone or in a
+    Fraction, list or tuple, is printed by its size in bits, so that the
+    repr of a value never raises."""
+    if type(value) in (list, tuple):
+        text = ", ".join(map(_repr, value))
+        if type(value) is list:
+            return f"[{text}]"
+        return f"({text},)" if len(value) == 1 else f"({text})"
+    if type(value) is Fraction:
+        num, den = map(_format_integer, value.as_integer_ratio())
+        return f"Fraction({num}, {den})"
+    return _format_integer(value) if type(value) is int else repr(value)
+
+
+def _integer(value, name: str, low: int | None = None, message: str = "") -> int:
+    """``value``, if it is an int that is not a bool and, when ``low`` is
+    given, at least ``low``.  Another type raises InvalidInput naming the
+    argument ``name``; a value below ``low`` raises InvalidInput with
+    ``message``, in which ``{}`` stands for the value."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise InvalidInput(f"{name} must be an int, not {type(value).__name__}")
+    if low is not None and value < low:
+        raise InvalidInput(message.format(_format_integer(value)))
+    return value
+
+
+def _rationals(values: tuple, name: str = "coordinates") -> list[Fraction]:
+    """``values`` as Fractions.  Whatever ``Fraction`` reads is accepted:
+    ints, Fractions, finite floats and Decimals, and text such as "3/4".
+    Anything else, NaN and the infinities raise InvalidInput."""
+    try:
+        return [Fraction(c) for c in values]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidInput(
+            f"{name} of {format_point(values)} must be finite rational numbers"
+        ) from None
+
+
+def _coordinates(v) -> tuple:
+    """The coordinates of the point ``v`` as a tuple.  Text is not a point,
+    since iterating it would read one coordinate per character, and neither
+    is a value that cannot be iterated."""
+    if not isinstance(v, (str, bytes, bytearray)):
+        try:
+            return tuple(v)
+        except TypeError:
+            pass
+    raise InvalidInput(f"a vector must be a sequence of coordinates, not {type(v).__name__}")
+
+
+def _integer_point(v, dim: int | None = None) -> tuple[int, ...]:
+    """The point v as ints: v itself when it is a tuple of ints, else v
+    times the lcm of its denominators, which keeps every sign and direction.
+    A point of a length other than ``dim``, when given, raises
+    ShapeMismatch."""
+    if type(v) is not tuple:
+        v = _coordinates(v)
+    if dim is not None and len(v) != dim:
+        raise ShapeMismatch(f"point {format_point(v)} does not live in dimension {dim}")
+    if set(map(type, v)) != {int}:
+        fracs = _rationals(v)
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        v = tuple(int(f * lcm) for f in fracs)
+    return v
+
+
 class _Record:
     """Base of the package's immutable values: the value records, the
     scalars, the matrices, the polyhedral cones and the unit action.
@@ -114,7 +185,7 @@ class _Record:
 
     def __repr__(self):
         fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+            f"{name}={_repr(getattr(self, name))}" for name in self.__slots__ if name[0] != "_"
         )
         return f"{type(self).__qualname__}({fields})"
 

@@ -50,6 +50,9 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
     Unsupported,
+    _coordinates,
+    _integer,
+    _rationals,
     _Record,
 )
 from .scalars import GaussianRational, RationalQuaternion, _RationalLike
@@ -115,8 +118,7 @@ def _kind(kind: ScalarKind) -> _Kind:
 def hermitian_dimension(kind: ScalarKind, r: int) -> int:
     """Real dimension of the space of r x r self-adjoint matrices over kind:
     r real diagonal entries and one scalar per pair above the diagonal."""
-    if r < 1:
-        raise InvalidInput(f"matrix size must be positive, got {r}")
+    _integer(r, "r", 1, "matrix size must be positive, got {}")
     if kind is ScalarKind.OCTONION and r != 3:
         raise Unsupported("the exceptional cone exists only in size 3")
     return r + _kind_row(kind).width * r * (r - 1) // 2
@@ -128,7 +130,7 @@ def _coerce_entry(kind: ScalarKind, cls, value):
         return value  # immutable, so no copy is needed
     if isinstance(value, _RationalLike):
         return cls(value)
-    raise ShapeMismatch(f"entry {value!r} does not belong to scalar kind {kind.value}")
+    raise ShapeMismatch(f"entry {value} does not belong to scalar kind {kind.value}")
 
 
 def _trusted(cls, kind: ScalarKind, rows, den: int):
@@ -209,7 +211,7 @@ class _Matrix(_Record):
     __slots__ = ("kind", "size", "_rows", "_den")
 
     def __init__(self, kind: ScalarKind, rows) -> None:
-        rows = [list(r) for r in rows]
+        rows = [_coordinates(r) for r in _coordinates(rows)]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeMismatch("matrix must be square and nonempty")
@@ -228,15 +230,14 @@ class _Matrix(_Record):
     def identity(cls, kind: ScalarKind, n: int):
         zero = (0,) * _kind(kind).width
         one = (1,) + zero[1:]
-        if n < 1:
-            raise ShapeMismatch("matrix must be square and nonempty")
+        _integer(n, "n", 1, "matrix must be square and nonempty")
         return _trusted(
             cls, kind, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), 1
         )
 
     @classmethod
     def diagonal(cls, kind: ScalarKind, values):
-        values = list(values)
+        values = _coordinates(values)
         return cls(
             kind,
             [
@@ -364,9 +365,6 @@ class HermitianMatrix(_Matrix):
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
 
-    def to_algebra(self) -> AlgebraMatrix:
-        return _trusted(AlgebraMatrix, self.kind, self._rows, self._den)
-
 
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     """Real part of Tr(x y*): the pairing making each matrix cone self-dual."""
@@ -465,6 +463,7 @@ def is_positive_semidefinite(D: HermitianMatrix) -> bool:
 
 def quadratic_value(D: HermitianMatrix, v) -> Fraction:
     """The (automatically real) value v* D v for a coordinate vector v."""
+    v = _coordinates(v)
     if len(v) != D.size:
         raise ShapeMismatch("vector length does not match matrix size")
     ops = _KINDS[D.kind]
@@ -543,7 +542,7 @@ class LorentzVector(_Record):
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(_rationals(_coordinates(coords)))
         if len(coords) < 2:
             raise InvalidInput("Lorentz vectors need at least two coordinates")
         self._set(coords=coords)
@@ -566,8 +565,7 @@ class PDBlock(_Record):
 
     def __init__(self, kind: ScalarKind, size: int):
         _kind_row(kind)  # reject a bad kind here, not when .dimension reads it
-        if size < 1:
-            raise InvalidInput("block size must be positive")
+        _integer(size, "size", 1, "block size must be positive")
         if kind is ScalarKind.OCTONION and size != 3:
             raise Unsupported("the exceptional block exists only in size 3")
         self._set(kind=kind, size=size)
@@ -581,8 +579,7 @@ class LorentzBlock(_Record):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if n < 1:
-            raise InvalidInput("Lorentz block needs n >= 1")
+        _integer(n, "n", 1, "Lorentz block needs n >= 1")
         self._set(n=n)
 
     @property
@@ -628,7 +625,7 @@ def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
             if block.kind is ScalarKind.OCTONION:
                 raise Unsupported("membership in the exceptional block is not provided")
             if not isinstance(part, HermitianMatrix):
-                raise ShapeMismatch(f"PD block needs a HermitianMatrix, got {part!r}")
+                raise ShapeMismatch(f"PD block needs a HermitianMatrix, got {part}")
             if part.kind is not block.kind or part.size != block.size:
                 raise ShapeMismatch(
                     f"component {part.kind.value}^{part.size} does not match "
@@ -641,7 +638,7 @@ def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
             )
         else:
             if not isinstance(part, LorentzVector):
-                raise ShapeMismatch(f"Lorentz block needs a LorentzVector, got {part!r}")
+                raise ShapeMismatch(f"Lorentz block needs a LorentzVector, got {part}")
             if len(part.coords) != block.n + 1:
                 raise ShapeMismatch(
                     f"Lorentz component has {len(part.coords)} coordinates, "
@@ -660,6 +657,7 @@ def hermitian_basis(kind: ScalarKind, r: int) -> list[HermitianMatrix]:
     unit u the skew combinations u(E_ij - E_ji); the count always equals
     hermitian_dimension(kind, r).
     """
+    count = hermitian_dimension(kind, r)  # validates kind and r
     basis = []
 
     def build(assign):
@@ -675,5 +673,5 @@ def hermitian_basis(kind: ScalarKind, r: int) -> list[HermitianMatrix]:
             basis.append(build({(i, j): 1, (j, i): 1}))
             for u in kind.imaginary_units:
                 basis.append(build({(i, j): u, (j, i): -u}))
-    assert len(basis) == hermitian_dimension(kind, r)
+    assert len(basis) == count
     return basis

@@ -31,11 +31,18 @@ private.  Intersections are supported up to ambient dimension 4.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from operator import and_, mul
 
-from .errors import InvalidInput, ShapeMismatch, UnsupportedDimension, _Record, format_point
+from .errors import (
+    InvalidInput,
+    ShapeMismatch,
+    UnsupportedDimension,
+    _integer,
+    _integer_point,
+    _Record,
+    _repr,
+)
 
 MAX_INTERSECTION_DIM = 4
 
@@ -43,38 +50,10 @@ MAX_INTERSECTION_DIM = 4
 def primitive_vector(v) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive factor to a primitive
     integer vector (orientation is preserved)."""
-    vt = v if type(v) is tuple else _coordinates(v)
-    if set(map(type, vt)) != {int}:
-        vt = _integer_vector(vt)
-    if not any(vt):
+    v = _integer_point(v)
+    if not any(v):
         raise InvalidInput("zero vector has no primitive representative")
-    return _primitive(vt)
-
-
-def _coordinates(v) -> tuple:
-    """The coordinates of a point or generator as a tuple.  Text is not a
-    vector: iterating it would read one coordinate per character."""
-    if isinstance(v, (str, bytes, bytearray)):
-        raise InvalidInput(f"a vector must be a sequence of coordinates, not {type(v).__name__}")
-    return tuple(v)
-
-
-def _rationals(v: tuple) -> list[Fraction]:
-    """The coordinates of v as Fractions, or InvalidInput when one is not a
-    finite rational number."""
-    try:
-        return [Fraction(c) for c in v]
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(
-            f"coordinates of {format_point(v)} must be finite rational numbers"
-        ) from None
-
-
-def _integer_vector(v: tuple) -> tuple[int, ...]:
-    """v times the lcm of its coordinates' denominators."""
-    fracs = _rationals(v)
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    return tuple(int(f * lcm) for f in fracs)
+    return _primitive(v)
 
 
 def _primitive(v) -> tuple[int, ...]:
@@ -190,16 +169,8 @@ class PolyhedralCone(_Record):
     __slots__ = ("dim", "rays", "_equations", "_facets", "_masks")
 
     def __init__(self, dim: int, rays) -> None:
-        if dim < 1:
-            raise InvalidInput("ambient dimension must be positive")
-        normalized = []
-        for ray in rays:
-            ray = _coordinates(ray)
-            if len(ray) != dim:
-                raise ShapeMismatch(
-                    f"ray {format_point(ray)} does not live in dimension {dim}"
-                )
-            normalized.append(primitive_vector(ray))
+        _integer(dim, "dim", 1, "ambient dimension must be positive")
+        normalized = [primitive_vector(_integer_point(ray, dim)) for ray in rays]
         if not normalized:
             raise InvalidInput("a polyhedral cone needs at least one ray")
         unoriented = set()
@@ -249,7 +220,7 @@ class PolyhedralCone(_Record):
         return hash((self.dim, frozenset(self.rays)))
 
     def __repr__(self):
-        return f"PolyhedralCone({self.dim}, {[list(r) for r in self.rays]})"
+        return f"PolyhedralCone({self.dim}, {_repr([list(r) for r in self.rays])})"
 
 
 def _transpose(columns, n: int) -> list[int]:
@@ -306,14 +277,7 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     coordinate that is not a finite rational, or a point given as text,
     raises InvalidInput.
     """
-    if type(v) is not tuple:
-        v = _coordinates(v)
-    if len(v) != cone.dim:
-        raise ShapeMismatch(
-            f"point {format_point(v)} does not live in dimension {cone.dim}"
-        )
-    if set(map(type, v)) != {int}:
-        v = _integer_vector(v)
+    v = _integer_point(v, cone.dim)
     if interior:
         # a pointed cone has a facet, and the origin gives 0 on every one
         if cone._equations:

@@ -26,10 +26,14 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
     ShapeMismatch,
+    _coordinates,
+    _integer,
+    _integer_point,
+    _rationals,
     _Record,
     format_point,
 )
-from .polyhedral import PolyhedralCone, _coordinates, _integer_vector, _rationals, primitive_vector
+from .polyhedral import PolyhedralCone, primitive_vector
 from .polyhedral import cone_intersection  # noqa: F401 (bench/tracing.py patches it)
 
 
@@ -39,13 +43,12 @@ class IntegralForm(_Record):
     __slots__ = ("g11", "g12", "g22")
 
     def __init__(self, g11: int, g12: int, g22: int):
+        for name, value in zip(self.__slots__, (g11, g12, g22)):
+            _integer(value, name)
         if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
-            raise NotPositiveDefinite(f"form ({g11}, {g12}, {g22}) is not positive definite")
+            form = format_point((g11, g12, g22))
+            raise NotPositiveDefinite(f"form {form} is not positive definite")
         self._set(g11=g11, g12=g12, g22=g22)
-
-    @property
-    def det(self) -> int:
-        return self.g11 * self.g22 - self.g12 * self.g12
 
     def transformed(self, u: "UnimodularMatrix") -> "IntegralForm":
         """The equivalent form U^T G U."""
@@ -66,6 +69,8 @@ class UnimodularMatrix(_Record):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        for name, value in zip(self.__slots__, (a, b, c, d)):
+            _integer(value, name)
         if a * d - b * c != 1:
             raise InvalidInput("matrix is not in SL(2, Z)")
         self._set(a=a, b=b, c=c, d=d)
@@ -129,26 +134,6 @@ def minkowski_reduce(G: IntegralForm) -> tuple[IntegralForm, UnimodularMatrix]:
     return g, u
 
 
-def _fraction_matrix(rows):
-    rows = [_coordinates(row) for row in _coordinates(rows)]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ShapeMismatch("expected a 2 x 2 matrix")
-    return tuple(tuple(_rationals(r)) for r in rows)
-
-
-def _integer_direction(v):
-    """The integer direction (u, w) of a rational point (x, y): a positive
-    multiple of it, so u has the sign of x and a*x^2 - b*y^2 the sign of
-    A*u^2 - B*w^2."""
-    if type(v) is not tuple:
-        v = _coordinates(v)
-    if len(v) != 2:
-        raise ShapeMismatch(f"point {format_point(v)} does not live in the plane")
-    if set(map(type, v)) != {int}:
-        v = _integer_vector(v)
-    return v
-
-
 def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
@@ -171,10 +156,12 @@ class GroupAction2D(_Record):
     __slots__ = ("generator", "a", "b", "_fwd", "_bwd", "_form")
 
     def __init__(self, generator, a, b) -> None:
-        a, b = _rationals((a, b))
+        a, b = _rationals((a, b), "parameters a, b")
         if a <= 0 or b <= 0:
             raise InvalidInput("cone parameters a, b must be positive")
-        rows = _fraction_matrix(generator)
+        rows = tuple(tuple(_rationals(_coordinates(row))) for row in _coordinates(generator))
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise ShapeMismatch("expected a 2 x 2 matrix")
         det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
         if det == 0:
             raise InvalidInput("generator is singular")
@@ -197,19 +184,19 @@ class GroupAction2D(_Record):
         self._set(generator=rows, a=a, b=b, _fwd=fwd, _bwd=bwd, _form=form)
 
     def open_member(self, v) -> bool:
-        u, w = _integer_direction(v)
+        u, w = _integer_point(v, 2)
         A, B = self._form
         return u > 0 and A * u * u > B * w * w
 
     def closed_member(self, v) -> bool:
-        u, w = _integer_direction(v)
+        u, w = _integer_point(v, 2)
         A, B = self._form
         return u >= 0 and A * u * u >= B * w * w
 
     def ray_image(self, ray, k: int = 1) -> tuple[int, ...]:
         """Primitive integer direction of g^k applied to a ray."""
         v = primitive_vector(ray)
-        m = self._fwd if k >= 0 else self._bwd
+        m = self._fwd if _integer(k, "k") >= 0 else self._bwd
         for _ in range(abs(k)):
             v = _mat_vec(m, v)
         return primitive_vector(v)
@@ -239,6 +226,7 @@ class DomainReport:
     words_used: int = 0
 
     def __post_init__(self):
+        _integer(self.words_used, "words_used")
         if not self.covering_ok and not any(
             w.get("kind") == "uncovered" for w in self.witnesses
         ):
@@ -345,8 +333,9 @@ def translate_locate(
     assigned to the translate on whose lower boundary it sits, so locating
     commutes with the action.  The rays of pi must lie in the closed cone.
     """
+    _integer(max_word, "max_word")
     p = _coordinates(p)
-    direction = _integer_direction(p)
+    direction = _integer_point(p, 2)
     if not action.open_member(direction):
         raise NotInCone(f"point {format_point(p)} is outside the open cone")
     k = _locate(direction, _translates(pi, action, max_word))
@@ -382,8 +371,9 @@ def verify_fundamental_domain(
     b/a >= 1200^2 (d > 1,440,000 for real multiplication) every sample lies
     on the ray (1, 0).
     """
-    if samples < 1 or max_word < 1:
-        raise InvalidInput("samples and max_word must be positive")
+    _integer(samples, "samples", 1, "samples and max_word must be positive")
+    _integer(max_word, "max_word", 1, "samples and max_word must be positive")
+    _integer(seed, "seed")
     table = _translates(pi, action, max_word)
     rows = table[0]
     (low, high), (g_low, g_high) = rows[0], rows[1]

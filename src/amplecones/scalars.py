@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInput, PerfectSquareInput, _Record
+from .errors import InvalidInput, PerfectSquareInput, _integer, _rationals, _Record
 
 _RationalLike = (int, Fraction)
 
@@ -40,7 +40,7 @@ def is_perfect_square(n: int) -> bool:
 
 def is_square_rational(q) -> bool:
     """Is the positive rational q the square of a rational number?"""
-    q = Fraction(q)
+    (q,) = _rationals((q,), "value")
     if q <= 0:
         raise InvalidInput(f"expected a positive rational, got {q}")
     return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
@@ -75,12 +75,11 @@ def squarefree_part(n: int) -> tuple[int, int]:
 
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n (n >= 1)."""
-    return n >= 1 and squarefree_part(n)[0] == 1
+    return _integer(n, "n") >= 1 and squarefree_part(n)[0] == 1
 
 
 def _check_sqrt_input(d: int) -> None:
-    if not isinstance(d, int) or d < 2:
-        raise InvalidInput(f"radicand must be an integer >= 2, got {d!r}")
+    _integer(d, "radicand", 2, "radicand must be an integer >= 2, got {}")
     if is_perfect_square(d):
         raise PerfectSquareInput(f"{d} is a perfect square")
 
@@ -115,7 +114,7 @@ class _RationalAlgebra(_Record):
     __slots__ = ("_num", "_den")
 
     def __init__(self, *coeffs) -> None:
-        nums, dens = zip(*[Fraction(c).as_integer_ratio() for c in coeffs])
+        nums, dens = zip(*[f.as_integer_ratio() for f in _rationals(coeffs, "coefficients")])
         # each coefficient is in lowest terms, so over the lcm of their
         # denominators the numerators and the denominator stay coprime
         den = math.lcm(*dens)
@@ -356,7 +355,7 @@ class GaussianRational(_RationalAlgebra):
     def __init__(self, re, im=0) -> None:
         super().__init__(re, im)
 
-    re = real = property(lambda self: self._fraction(0))
+    re = property(lambda self: self._fraction(0))
     im = property(lambda self: self._fraction(1))
 
     @staticmethod
@@ -383,7 +382,7 @@ class RationalQuaternion(_RationalAlgebra):
     def __init__(self, w, x=0, y=0, z=0) -> None:
         super().__init__(w, x, y, z)
 
-    w = real = property(lambda self: self._fraction(0))
+    w = property(lambda self: self._fraction(0))
     x = property(lambda self: self._fraction(1))
     y = property(lambda self: self._fraction(2))
     z = property(lambda self: self._fraction(3))
@@ -415,7 +414,7 @@ class UnitElement(_Record):
     __slots__ = ("value", "norm")
 
     def __init__(self, value: QuadIrrational, norm: int):
-        if norm not in (1, -1):
+        if _integer(norm, "norm") not in (1, -1):
             raise InvalidInput(f"unit norm must be +-1, got {norm}")
         if value.a.denominator != 1 or value.b.denominator != 1:
             raise InvalidInput("unit must lie in Z[sqrt(d)]")
@@ -467,6 +466,6 @@ def is_totally_positive(x: QuadIrrational) -> bool:
 
 def dirichlet_rank(r1: int, r2: int) -> int:
     """Rank r1 + r2 - 1 of the unit group of a field with signature (r1, r2)."""
-    if r1 < 0 or r2 < 0 or r1 + r2 < 1:
+    if _integer(r1, "r1") < 0 or _integer(r2, "r2") < 0 or r1 + r2 < 1:
         raise InvalidInput(f"signature ({r1}, {r2}) is not a number field signature")
     return r1 + r2 - 1

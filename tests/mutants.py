@@ -1,0 +1,128 @@
+"""Mutation checks for the library's safety code.
+
+Each row names a file under ``src/amplecones``, an exact piece of its text,
+the text that replaces it, and the pytest selection that must catch the
+change.  For each row the script copies ``src/``, ``tests/``, README.md and
+pyproject.toml to a temporary directory, applies the one change there,
+never to the working tree, and runs the selection on the copy in a
+subprocess.  A mutant survives when its selection passes.
+
+Run it from anywhere; it finds the repository from its own path:
+
+    python tests/mutants.py           # every row
+    python tests/mutants.py ID ...    # the named rows
+
+It exits nonzero when a mutant survives, when a row's old text does not
+occur exactly once in its file (a refactor that moved the code is then
+flagged, not skipped), or when a selection fails on the unchanged copy.
+Its name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+READERS = ["tests/test_readers.py", "tests/test_arguments.py"]
+
+# (id, file under src/amplecones, exact old text, new text, pytest selection)
+MUTANTS = [
+    (
+        "integer-reader-accepts-bool",
+        "errors.py",
+        "(isinstance(value, bool) or not isinstance(value, int))",
+        "(not isinstance(value, int))",
+        READERS,
+    ),
+    (
+        "rational-reader-lets-nan-and-type-errors-escape",
+        "errors.py",
+        "except (TypeError, ValueError, OverflowError, ZeroDivisionError):",
+        "except (OverflowError, ZeroDivisionError):",
+        READERS,
+    ),
+    (
+        "point-reader-lets-non-iterables-escape",
+        "errors.py",
+        "        except TypeError:\n            pass\n",
+        "        except ZeroDivisionError:\n            pass\n",
+        READERS,
+    ),
+    (
+        "integer-reader-bound-off-by-one",
+        "errors.py",
+        "if low is not None and value < low:",
+        "if low is not None and value < low - 1:",
+        ["tests/test_records.py"],
+    ),
+    (
+        "repr-prints-a-huge-int-with-str",
+        "errors.py",
+        "return _format_integer(value) if type(value) is int else repr(value)",
+        "return repr(value)",
+        ["tests/test_records.py"],
+    ),
+]
+
+
+def _copy(target: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, target / name, ignore=ignore)
+    for name in ("README.md", "pyproject.toml"):
+        shutil.copy2(ROOT / name, target / name)
+
+
+def _passes(copy: Path, selection) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
+        cwd=copy,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return result.returncode == 0
+
+
+def run(rows) -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="amplecones-mutants-") as tmp:
+        baseline = Path(tmp) / "baseline"
+        _copy(baseline)
+        selections = sorted({path for *_, selection in rows for path in selection})
+        if not _passes(baseline, selections):
+            print(f"baseline: selection fails on the unchanged code: {selections}")
+            return 1
+        for index, (ident, name, old, new, selection) in enumerate(rows):
+            copy = Path(tmp) / f"mutant{index}"
+            _copy(copy)
+            path = copy / "src" / "amplecones" / name
+            text = path.read_text(encoding="utf-8")
+            found = text.count(old)
+            if found != 1:
+                print(f"{ident}: old text occurs {found} times in {name}")
+                failures += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            survived = _passes(copy, selection)
+            print(f"{ident}: {'SURVIVED' if survived else 'killed'}")
+            failures += survived
+            shutil.rmtree(copy)
+    return 1 if failures else 0
+
+
+def main(argv) -> int:
+    rows = [row for row in MUTANTS if not argv or row[0] in argv]
+    unknown = set(argv) - {row[0] for row in MUTANTS}
+    if unknown:
+        print(f"unknown mutant ids: {sorted(unknown)}")
+        return 2
+    return run(rows)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

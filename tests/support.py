@@ -241,7 +241,7 @@ def ref_act(m, d) -> tuple:
 
 
 def _real_part(value) -> Fraction:
-    return value if isinstance(value, Fraction) else value.real
+    return scalar_tuple(value)[0]
 
 
 def ref_trace_pairing(x, y) -> Fraction:

@@ -1,0 +1,55 @@
+"""Properties of the argument readers in ``amplecones.errors``."""
+
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from amplecones import GaussianRational, InvalidInput
+from amplecones.errors import _integer, _rationals
+
+FINITE = st.one_of(
+    st.integers(),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.decimals(min_value=-(10**30), max_value=10**30, places=30),
+)
+NOT_RATIONAL = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), Decimal("NaN"), None, object(), "abc", 1j, (1,)]
+)
+
+
+@given(st.integers(), st.integers(-10, 10))
+def test_integer_reader_returns_every_int_at_or_above_the_bound(n, low):
+    if n >= low:
+        assert _integer(n, "n", low, "below") is n
+    else:
+        with pytest.raises(InvalidInput, match="^below$"):
+            _integer(n, "n", low, "below")
+    assert _integer(n, "n") is n
+
+
+@given(st.one_of(st.booleans(), st.floats(), st.fractions(), st.text(), st.none()))
+def test_integer_reader_rejects_every_other_type(value):
+    with pytest.raises(InvalidInput, match=f"^n must be an int, not {type(value).__name__}$"):
+        _integer(value, "n", 0, "below")
+
+
+@given(st.lists(FINITE, max_size=4))
+def test_rational_reader_equals_fraction_on_finite_input(values):
+    assert _rationals(tuple(values)) == [Fraction(c) for c in values]
+
+
+@given(st.lists(FINITE, max_size=3), st.integers(0, 3), NOT_RATIONAL)
+def test_rational_reader_rejects_nan_infinities_and_non_numbers(values, index, bad):
+    values.insert(index, bad)
+    with pytest.raises(InvalidInput, match="must be finite rational numbers"):
+        _rationals(tuple(values))
+
+
+@given(st.one_of(st.integers(), st.fractions(), st.floats(allow_nan=False, allow_infinity=False)))
+def test_gaussian_rational_reads_what_fraction_reads(x):
+    assert GaussianRational(x) == GaussianRational(Fraction(x))
+    assert GaussianRational(0, x) == GaussianRational(0, Fraction(x))

@@ -39,6 +39,7 @@ from amplecones import (
     UnitElement,
     Unsupported,
     real_mult_fundamental_domain,
+    surface_nef_data,
 )
 from amplecones.abelian import AlbertForm
 
@@ -157,6 +158,29 @@ def test_other_classes_are_unequal(record):
 def test_repr_is_unchanged(record):
     _, _, text, rec = record
     assert repr(rec) == text
+
+
+_HUGE = f"<{(10**5000).bit_length()}-bit integer>"  # 10**5000 is past str()'s digit limit
+
+
+@pytest.mark.parametrize(
+    "make,text",
+    [
+        (lambda: IntegralForm(10**5000, 0, 1), f"IntegralForm(g11={_HUGE}, g12=0, g22=1)"),
+        (
+            lambda: PolyhedralCone(2, [(10**5000, 1), (1, 0)]),
+            f"PolyhedralCone(2, [[{_HUGE}, 1], [1, 0]])",
+        ),
+        (
+            lambda: surface_nef_data("1e5000", 1),
+            f"SurfaceConeData(a=Fraction({_HUGE}, 1), b=Fraction(1, 1), rational_polyhedral=True, "
+            f"rays=((1, {10**2500}), (1, -{10**2500})))",
+        ),
+    ],
+    ids=["IntegralForm", "PolyhedralCone", "SurfaceConeData"],
+)
+def test_repr_prints_an_integer_past_the_digit_limit_by_its_size(make, text):
+    assert repr(make()) == text
 
 
 def test_list_arguments_are_stored_as_tuples(record):

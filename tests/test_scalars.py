@@ -511,8 +511,6 @@ class TestIntegerRepresentation:
                 self._check(make, names, value, expected)
 
             assert x.norm() == ref_norm(p, mul) and type(x.norm()) is Fraction
-            if not isinstance(x, QuadIrrational):
-                assert x.real == p[0] and type(x.real) is Fraction
             assert bool(x) is any(p)
             f, real = Fraction(r), make(*rr)
             assert real == r and r == real and real == f

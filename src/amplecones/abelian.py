@@ -25,6 +25,7 @@ from .errors import (
     InvalidInput,
     NotInCone,
     ShapeMismatch,
+    _coordinates,
     _integer,
     _rationals,
     _Record,
@@ -95,7 +96,7 @@ class AbelianVarietyModel(_Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(factors)
+        factors = _coordinates(factors, "a model", "simple factors")
         if not factors:
             raise InvalidInput("a model needs at least one simple factor")
         ids = [f.id for f in factors]
@@ -120,7 +121,7 @@ class BlockDecomposition(_Record):
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        self._set(blocks=tuple(blocks))
+        self._set(blocks=_coordinates(blocks, "a decomposition", "blocks"))
 
 
 def endo_real_decomposition(model: AbelianVarietyModel) -> BlockDecomposition:
@@ -168,6 +169,8 @@ def aut_action(
     divisors: list[HermitianMatrix],
 ) -> list[HermitianMatrix]:
     """Blockwise D -> M* D M; shapes must match the decomposition."""
+    matrices = _coordinates(matrices, "matrices", "matrices")
+    divisors = _coordinates(divisors, "divisors", "divisors")
     if len(matrices) != len(decomp.blocks) or len(divisors) != len(decomp.blocks):
         raise ShapeMismatch("one matrix and one divisor block per decomposition block")
     out = []

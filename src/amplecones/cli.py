@@ -28,6 +28,8 @@ _DEFAULT_MAX_WORD = 12
 # bound on --k-range and --max-word: the translate table has 2 * bound + 1
 # rows whose integers grow linearly in bits, so its size is quadratic in it
 _MAX_WORD = 64
+# bound on --samples: a sample costs about 8 microseconds, so a run stays near a second
+_MAX_SAMPLES = 100_000
 # bound on the exponent of a rational such as 1.5e3: Fraction builds
 # 10**exponent before any check runs, so an exponent of millions costs
 # minutes; 4300 is Python's default limit on the digits of a printed integer
@@ -78,12 +80,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise AmpleconesError(f"cannot parse rational {text!r}: zero denominator") from None
 
 
-def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    return tuple(_parse_fraction(part) for part in text.split(","))
-
-
-def _parse_rays(text: str) -> list[tuple[Fraction, ...]]:
-    return [_parse_vector(chunk) for chunk in text.split(";") if chunk]
+def _parse_vector(text: str, count: int | None = None, message: str = "") -> tuple[Fraction, ...]:
+    """The comma-separated rationals of ``text``; when ``count`` is given,
+    any other number of them raises ``message``."""
+    parts = text.split(",")
+    if count is not None and len(parts) != count:
+        raise AmpleconesError(message)
+    return tuple(map(_parse_fraction, parts))
 
 
 def _load_model(path: str) -> abelian.AbelianVarietyModel:
@@ -97,40 +100,36 @@ def _load_model(path: str) -> abelian.AbelianVarietyModel:
     return abelian.model_from_json_dict(data)
 
 
-def _cmd_decompose(args) -> int:
-    decomp = abelian.endo_real_decomposition(_load_model(args.model))
-    payload = {
-        "blocks": [
-            {"kind": b.kind.value, "size": b.size, "origin": b.origin}
-            for b in decomp.blocks
-        ]
-    }
-    _emit_json(payload, args.output)
-    return 0
+def _blocks_report(model) -> dict:
+    blocks = abelian.endo_real_decomposition(model).blocks
+    return {"blocks": [{"kind": b.kind.value, "size": b.size, "origin": b.origin} for b in blocks]}
 
 
-def _cmd_picard(args) -> int:
-    _emit_json(
-        {"picard_number": abelian.picard_number(_load_model(args.model))},
-        args.output,
-    )
-    return 0
-
-
-def _cmd_amplecone(args) -> int:
-    spec = abelian.ample_cone(_load_model(args.model))
+def _cone_report(model) -> dict:
+    spec = abelian.ample_cone(model)
     # abelian.ample_cone builds PD blocks only
     blocks = [
         {"type": "pd", "kind": b.kind.value, "size": b.size, "dim": b.dimension}
         for b in spec.blocks
     ]
-    _emit_json({"dimension": spec.dimension, "blocks": blocks}, args.output)
-    return 0
+    return {"dimension": spec.dimension, "blocks": blocks}
 
 
-def _cmd_bauer(args) -> int:
-    verdict = abelian.bauer_rational_polyhedral(_load_model(args.model))
-    _emit_json({"rational_polyhedral": verdict}, args.output)
+# the subcommands that read a model file: name -> (help, report of the model)
+_MODEL_REPORTS = {
+    "decompose": ("matrix blocks of the real endomorphism algebra", _blocks_report),
+    "picard": ("Picard number of a model", lambda m: {"picard_number": abelian.picard_number(m)}),
+    "amplecone": ("ample cone block structure of a model", _cone_report),
+    "bauer": (
+        "is the nef cone rational polyhedral?",
+        lambda m: {"rational_polyhedral": abelian.bauer_rational_polyhedral(m)},
+    ),
+}
+
+
+def _cmd_model(args) -> int:
+    _, report = _MODEL_REPORTS[args.command]  # argparse stores the subcommand's name
+    _emit_json(report(_load_model(args.model)), args.output)
     return 0
 
 
@@ -176,21 +175,24 @@ def _require_squarefree_d(d: int) -> None:
         raise AmpleconesError(f"--d must be a squarefree integer >= 2, got {d}")
 
 
-def _require_max_word(max_word: int) -> None:
-    if not 1 <= max_word <= _MAX_WORD:
-        raise AmpleconesError(f"--max-word must be between 1 and {_MAX_WORD}, got {max_word}")
+def _require_range(flag: str, value: int, low: int, high: int = _MAX_WORD) -> None:
+    if not low <= value <= high:
+        raise AmpleconesError(f"{flag} must be between {low} and {high}, got {value}")
+
+
+def _require_sampling(args) -> None:
+    _require_range("--max-word", args.max_word, 1)
+    _require_range("--samples", args.samples, 1, _MAX_SAMPLES)
 
 
 def _funddomain_pieces(args):
     _require_squarefree_d(args.d)
-    ray = _parse_vector(args.ray)
-    if len(ray) != 2:
-        raise AmpleconesError("--ray wants two coordinates x1,x2")
+    ray = _parse_vector(args.ray, 2, "--ray wants two coordinates x1,x2")
     return abelian.real_mult_fundamental_domain(args.d, ray)
 
 
 def _cmd_funddomain(args) -> int:
-    _require_max_word(args.max_word)
+    _require_sampling(args)
     pi, action = _funddomain_pieces(args)
     report = reduction.verify_fundamental_domain(
         pi, action, samples=args.samples, max_word=args.max_word, seed=args.seed
@@ -206,21 +208,15 @@ def _cmd_funddomain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_max_word(args.max_word)
+    _require_sampling(args)
     _require_squarefree_d(args.d)
-    rays = _parse_rays(args.pi)
+    rays = [_parse_vector(chunk) for chunk in args.pi.split(";") if chunk]
     if not rays:
         raise AmpleconesError("--pi wants rays like '1,0;3,2'")
     pi = PolyhedralCone(2, rays)
     if args.g is not None:
-        entries = args.g.split(",")
-        if len(entries) != 4:
-            raise AmpleconesError("--g wants four entries a,b,c,d (row major)")
-        matrix = [
-            [_parse_fraction(entries[0]), _parse_fraction(entries[1])],
-            [_parse_fraction(entries[2]), _parse_fraction(entries[3])],
-        ]
-        action = reduction.GroupAction2D(matrix, 1, args.d)
+        a, b, c, d = _parse_vector(args.g, 4, "--g wants four entries a,b,c,d (row major)")
+        action = reduction.GroupAction2D([[a, b], [c, d]], 1, args.d)
     else:
         _, action = abelian.real_mult_fundamental_domain(args.d, pi.rays[0])
     report = reduction.verify_fundamental_domain(
@@ -240,8 +236,7 @@ def render_svg(pi: PolyhedralCone, g: reduction.GroupAction2D, k_range: int) -> 
     """
     if pi.dim != 2:
         raise UnsupportedDimension("rendering draws planar cones only")
-    if not 0 <= k_range <= _MAX_WORD:
-        raise AmpleconesError(f"--k-range must be between 0 and {_MAX_WORD}, got {k_range}")
+    _require_range("--k-range", k_range, 0)
     width = height = 420.0
     origin_x, origin_y = 30.0, height / 2.0
     radius = 360.0
@@ -305,34 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sampling(p):
         p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=_DEFAULT_SAMPLES)
+        p.add_argument(
+            "--samples", type=int, default=_DEFAULT_SAMPLES, help=f"1 to {_MAX_SAMPLES}"
+        )
         p.add_argument("--max-word", dest="max_word", type=int, default=_DEFAULT_MAX_WORD)
 
-    p = sub.add_parser("decompose", help="matrix blocks of the real endomorphism algebra")
-    p.add_argument("--model", required=True, help="model JSON file")
-    add_output(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("picard", help="Picard number of a model")
-    p.add_argument("--model", required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_picard)
-
-    p = sub.add_parser("amplecone", help="ample cone block structure of a model")
-    p.add_argument("--model", required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_amplecone)
+    for name, (summary, _) in _MODEL_REPORTS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--model", required=True, help="model JSON file")
+        add_output(p)
+        p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("surface", help="boundary rays for the form diag(a, -b)")
     p.add_argument("--a", required=True, help="rational like 3/4")
     p.add_argument("--b", required=True, help="rational like 3/4")
     add_output(p)
     p.set_defaults(func=_cmd_surface)
-
-    p = sub.add_parser("bauer", help="is the nef cone rational polyhedral?")
-    p.add_argument("--model", required=True)
-    add_output(p)
-    p.set_defaults(func=_cmd_bauer)
 
     p = sub.add_parser("reduce", help="reduce a positive-definite binary form")
     p.add_argument("--form", required=True, help="g11,g12,g22")
@@ -375,10 +358,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except AmpleconesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (AmpleconesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Exception hierarchy shared by every module of the library, the readers
 through which every public entry point reads its arguments (``_integer``,
-``_rationals``, and ``_coordinates`` and ``_integer_point`` for points),
-the formatting of points in its messages, and ``_Record``, the immutable
-base of every value type: the only code in the package that assigns to a
-slot."""
+``_rationals``, ``_coordinates`` for points and other sequences, and
+``_integer_point``), the formatting of points in its messages, and
+``_Record``, the immutable base of every value type: the only code in the
+package that assigns to a slot."""
 
 import math
 import sys
@@ -117,16 +117,17 @@ def _rationals(values: tuple, name: str = "coordinates") -> list[Fraction]:
         ) from None
 
 
-def _coordinates(v) -> tuple:
-    """The coordinates of the point ``v`` as a tuple.  Text is not a point,
-    since iterating it would read one coordinate per character, and neither
-    is a value that cannot be iterated."""
+def _coordinates(v, name: str = "a vector", items: str = "coordinates") -> tuple:
+    """The coordinates of the point ``v`` as a tuple, or the items of any
+    other sequence argument, which the message calls ``name`` and ``items``.
+    Text is not a sequence here, since iterating it would read one item per
+    character, and neither is a value that cannot be iterated."""
     if not isinstance(v, (str, bytes, bytearray)):
         try:
             return tuple(v)
         except TypeError:
             pass
-    raise InvalidInput(f"a vector must be a sequence of coordinates, not {type(v).__name__}")
+    raise InvalidInput(f"{name} must be a sequence of {items}, not {type(v).__name__}")
 
 
 def _integer_point(v, dim: int | None = None) -> tuple[int, ...]:

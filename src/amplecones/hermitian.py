@@ -54,6 +54,7 @@ from .errors import (
     _integer,
     _rationals,
     _Record,
+    format_point,
 )
 from .scalars import GaussianRational, RationalQuaternion, _RationalLike
 
@@ -550,6 +551,9 @@ class LorentzVector(_Record):
     def __repr__(self):
         return f"LorentzVector({list(self.coords)})"
 
+    def __str__(self):
+        return f"LorentzVector{format_point(self.coords)}"
+
 
 def lorentz_member(v: LorentzVector, *, closed: bool = False) -> bool:
     """x0 > sqrt(x1^2 + ... + xn^2), decided without square roots."""
@@ -593,12 +597,12 @@ class ConeSpec(_Record):
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(blocks)
+        blocks = _coordinates(blocks, "a cone", "blocks")
         if not blocks:
             raise InvalidInput("a cone needs at least one block")
         for b in blocks:
             if not isinstance(b, (PDBlock, LorentzBlock)):
-                raise InvalidInput(f"unknown block descriptor {b!r}")
+                raise InvalidInput(f"unknown block descriptor {b}")
         self._set(blocks=blocks)
 
     @property
@@ -615,7 +619,7 @@ def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
     ``parts`` pairs each PD block with a HermitianMatrix and each Lorentz
     block with a LorentzVector, in block order.
     """
-    parts = list(parts)
+    parts = _coordinates(parts, "parts", "block components")
     if len(parts) != len(spec.blocks):
         raise ShapeMismatch(
             f"expected {len(spec.blocks)} block components, got {len(parts)}"

@@ -26,7 +26,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInput, PerfectSquareInput, _integer, _rationals, _Record
+from .errors import (
+    InvalidInput,
+    PerfectSquareInput,
+    _format_coordinate,
+    _format_integer,
+    _integer,
+    _rationals,
+    _Record,
+    format_point,
+)
 
 _RationalLike = (int, Fraction)
 
@@ -42,7 +51,7 @@ def is_square_rational(q) -> bool:
     """Is the positive rational q the square of a rational number?"""
     (q,) = _rationals((q,), "value")
     if q <= 0:
-        raise InvalidInput(f"expected a positive rational, got {q}")
+        raise InvalidInput(f"expected a positive rational, got {_format_coordinate(q)}")
     return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
 
 
@@ -81,13 +90,13 @@ def is_squarefree(n: int) -> bool:
 def _check_sqrt_input(d: int) -> None:
     _integer(d, "radicand", 2, "radicand must be an integer >= 2, got {}")
     if is_perfect_square(d):
-        raise PerfectSquareInput(f"{d} is a perfect square")
+        raise PerfectSquareInput(f"{_format_integer(d)} is a perfect square")
 
 
 def _check_order_input(d: int) -> None:
     _check_sqrt_input(d)
     if not is_squarefree(d):
-        raise InvalidInput(f"{d} is not squarefree")
+        raise InvalidInput(f"{_format_integer(d)} is not squarefree")
 
 
 class _RationalAlgebra(_Record):
@@ -415,7 +424,7 @@ class UnitElement(_Record):
 
     def __init__(self, value: QuadIrrational, norm: int):
         if _integer(norm, "norm") not in (1, -1):
-            raise InvalidInput(f"unit norm must be +-1, got {norm}")
+            raise InvalidInput(f"unit norm must be +-1, got {_format_integer(norm)}")
         if value.a.denominator != 1 or value.b.denominator != 1:
             raise InvalidInput("unit must lie in Z[sqrt(d)]")
         if value.norm() != norm:
@@ -467,5 +476,5 @@ def is_totally_positive(x: QuadIrrational) -> bool:
 def dirichlet_rank(r1: int, r2: int) -> int:
     """Rank r1 + r2 - 1 of the unit group of a field with signature (r1, r2)."""
     if _integer(r1, "r1") < 0 or _integer(r2, "r2") < 0 or r1 + r2 < 1:
-        raise InvalidInput(f"signature ({r1}, {r2}) is not a number field signature")
+        raise InvalidInput(f"signature {format_point((r1, r2))} is not a number field signature")
     return r1 + r2 - 1

@@ -1,4 +1,4 @@
-"""Mutation checks for the library's safety code.
+"""Mutation checks for the safety code of the library and its command line.
 
 Each row names a file under ``src/amplecones``, an exact piece of its text,
 the text that replaces it, and the pytest selection that must catch the
@@ -27,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 READERS = ["tests/test_readers.py", "tests/test_arguments.py"]
+CLI = ["tests/test_cli.py"]
+PICARD = 'lambda m: {"picard_number": abelian.picard_number(m)}'  # cli's picard report
 
 # (id, file under src/amplecones, exact old text, new text, pytest selection)
 MUTANTS = [
@@ -64,6 +66,29 @@ MUTANTS = [
         "return _format_integer(value) if type(value) is int else repr(value)",
         "return repr(value)",
         ["tests/test_records.py"],
+    ),
+    (
+        "sequence-reader-lets-none-through",
+        "errors.py",
+        "    if not isinstance(v, (str, bytes, bytearray)):\n",
+        "    if v is None:\n"
+        "        return ()\n"
+        "    if not isinstance(v, (str, bytes, bytearray)):\n",
+        READERS,
+    ),
+    (
+        "model-table-swaps-two-report-builders",
+        "cli.py",
+        f'{PICARD}),\n    "amplecone": ("ample cone block structure of a model", _cone_report)',
+        f'_cone_report),\n    "amplecone": ("ample cone block structure of a model", {PICARD})',
+        CLI,
+    ),
+    (
+        "range-check-lower-bound-exclusive",
+        "cli.py",
+        "if not low <= value <= high:",
+        "if not low < value <= high:",
+        CLI,
     ),
 ]
 

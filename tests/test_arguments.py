@@ -1,10 +1,12 @@
 """Hostile arguments at every public entry point.
 
-Each public callable with an integer, rational or point parameter reads it
-through one reader in ``amplecones.errors``, so every hostile value below
-ends in InvalidInput or ShapeMismatch, with a message that prints no
-``Fraction(``.  The sweep is driven by README's Public API list: a listed
-name that is neither swept nor exempt fails it, so new API gets covered.
+Each public callable with an integer, rational, point or sequence parameter
+reads it through one reader in ``amplecones.errors``, so every hostile value
+below ends in InvalidInput or ShapeMismatch, with a message that prints no
+``Fraction(``; a hostile sequence is rejected as not a sequence, before any
+later check could fire on an empty or misread one.  The sweep is driven by
+README's Public API list: a listed name that is neither swept nor exempt
+fails it, so new API gets covered.
 """
 
 import enum
@@ -25,12 +27,16 @@ HOSTILE = {
     "integer": (None, "7", 1.5, NAN, True, Fraction(7)),
     "rational": (None, NAN, float("inf"), object(), "abc"),
     "point": (None, 5, "10", b"10", (NAN, 0)),
+    "sequence": (None, 5, "ab"),
 }
 
 PI, ACTION = ac.real_mult_fundamental_domain(2, (1, 0))
 EYE = ac.HermitianMatrix.identity(K.REAL, 2)
 UNIT = ac.QuadIrrational(3, 2, 1)  # 2 + sqrt(3), of norm 1
 ALBERT = ac.AlbertRealType(AlbertForm.REAL_SPLIT, 1)
+SPEC = ac.ConeSpec([ac.PDBlock(K.REAL, 2)])
+DECOMPOSITION = ac.BlockDecomposition([ac.Block(K.REAL, 2, "E")])
+MATRIX = ac.AlgebraMatrix.identity(K.REAL, 2)
 
 
 def matrix_rows(cls):
@@ -68,6 +74,8 @@ SWEEP = {
     "is_squarefree": [("integer", "n", ac.is_squarefree)],
     "AlgebraMatrix": matrix_rows(ac.AlgebraMatrix),
     "HermitianMatrix": matrix_rows(ac.HermitianMatrix),
+    "ConeSpec": [("sequence", "blocks", ac.ConeSpec)],
+    "cone_member": [("sequence", "parts", lambda x: ac.cone_member(SPEC, x))],
     "LorentzBlock": [("integer", "n", ac.LorentzBlock)],
     "LorentzVector": [("point", "coords", ac.LorentzVector)],
     "PDBlock": [("integer", "size", lambda x: ac.PDBlock(K.REAL, x))],
@@ -116,6 +124,12 @@ SWEEP = {
         ("integer", "max_word", lambda x: ac.verify_fundamental_domain(PI, ACTION, max_word=x)),
         ("integer", "seed", lambda x: ac.verify_fundamental_domain(PI, ACTION, 5, seed=x)),
     ],
+    "AbelianVarietyModel": [("sequence", "factors", ac.AbelianVarietyModel)],
+    "BlockDecomposition": [("sequence", "blocks", ac.BlockDecomposition)],
+    "aut_action": [
+        ("sequence", "matrices", lambda x: ac.aut_action(DECOMPOSITION, x, [EYE])),
+        ("sequence", "divisors", lambda x: ac.aut_action(DECOMPOSITION, [MATRIX], x)),
+    ],
     "AlbertRealType": [("integer", "m", lambda x: ac.AlbertRealType(AlbertForm.REAL_SPLIT, x))],
     "Block": [("integer", "size", lambda x: ac.Block(K.REAL, x, "E"))],
     "SimpleFactor": [("integer", "multiplicity", lambda x: ac.SimpleFactor("E", ALBERT, x))],
@@ -134,7 +148,7 @@ SWEEP = {
     ],
 }
 
-# public names with no integer, rational or point parameter, and why
+# public names with no integer, rational, point or sequence parameter, and why
 EXEMPT = {
     **dict.fromkeys(
         [
@@ -148,12 +162,11 @@ EXEMPT = {
     "AlbertForm": "an enumeration",
     **dict.fromkeys(
         [
-            "ConeSpec", "AbelianVarietyModel", "BlockDecomposition", "act", "cone_member",
-            "cone_intersection", "is_positive_definite", "is_positive_semidefinite",
+            "act", "cone_intersection", "is_positive_definite", "is_positive_semidefinite",
             "ldl_witness", "negative_certificate", "trace_inner_product", "lorentz_member",
-            "is_totally_positive", "minkowski_reduce", "ample_cone", "aut_action",
-            "bauer_rational_polyhedral", "endo_real_decomposition", "picard_number",
-            "rosati_fixed_basis", "model_to_json_dict",
+            "is_totally_positive", "minkowski_reduce", "ample_cone", "bauer_rational_polyhedral",
+            "endo_real_decomposition", "picard_number", "rosati_fixed_basis",
+            "model_to_json_dict",
         ],
         "takes values the library built: blocks, factors, matrices, cones, forms, models",
     ),
@@ -161,18 +174,22 @@ EXEMPT = {
 }
 
 ROWS = [
-    pytest.param(call, bad, id=f"{name}-{argument}-{kind}{i}")
+    pytest.param(kind, call, bad, id=f"{name}-{argument}-{kind}{i}")
     for name, rows in SWEEP.items()
     for kind, argument, call in rows
     for i, bad in enumerate(HOSTILE[kind])
 ]
 
 
-@pytest.mark.parametrize("call,bad", ROWS)
-def test_hostile_argument_raises_a_readable_amplecones_error(call, bad):
+@pytest.mark.parametrize("kind,call,bad", ROWS)
+def test_hostile_argument_raises_a_readable_amplecones_error(kind, call, bad):
     with pytest.raises((InvalidInput, ShapeMismatch)) as caught:
         call(bad)
-    assert "Fraction(" not in str(caught.value)
+    message = str(caught.value)
+    assert "Fraction(" not in message
+    if kind == "sequence":  # rejected by the reader, not by a later check
+        assert "must be a sequence of" in message
+        assert message.endswith(f", not {type(bad).__name__}")
 
 
 def test_every_listed_callable_is_swept_or_exempt():
@@ -195,6 +212,7 @@ def test_messages_print_scalars_as_p_over_q():
     half = Fraction(1, 2)
     spec = ac.ConeSpec([ac.PDBlock(K.REAL, 1), ac.LorentzBlock(1)])
     one = ac.HermitianMatrix.identity(K.REAL, 1)
+    vector = ac.LorentzVector([half, 0])
     for call, text in [
         (lambda: ac.fundamental_unit(Fraction(7)), "radicand must be an int, not Fraction"),
         (
@@ -205,6 +223,14 @@ def test_messages_print_scalars_as_p_over_q():
         (
             lambda: ac.cone_member(spec, [one, half]),
             "Lorentz block needs a LorentzVector, got 1/2",
+        ),
+        (
+            lambda: ac.cone_member(spec, [vector, vector]),
+            "PD block needs a HermitianMatrix, got LorentzVector(1/2, 0)",
+        ),
+        (
+            lambda: ac.ConeSpec([ac.LorentzBlock(1), vector]),
+            "unknown block descriptor LorentzVector(1/2, 0)",
         ),
     ]:
         with pytest.raises(ac.AmpleconesError) as caught:

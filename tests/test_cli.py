@@ -201,6 +201,17 @@ class TestExitCodes:
             argv = command + ["--max-word", "64", "--samples", "20", "--output", str(out)]
             assert main(argv) == 0
 
+    def test_samples_are_bounded(self, capsys):
+        # sampling costs linear time, so an oversized count exits before it starts
+        for command in (["funddomain", "--d", "2"], ["verify", "--d", "2", "--pi", "1,0;3,2"]):
+            for bad in ("100001", "0"):
+                assert main(command + ["--samples", bad]) == 2
+                err = capsys.readouterr().err
+                assert f"--samples must be between 1 and 100000, got {bad}" in err
+        start = time.perf_counter()
+        assert main(["verify", "--d", "2", "--pi", "1,0;3,2", "--samples", "20000000"]) == 2
+        assert time.perf_counter() - start < 1
+
     def test_pi_outside_closed_cone_is_two(self, capsys):
         assert main(["verify", "--d", "2", "--pi", "1,0;1,1"]) == 2
         assert "closed cone" in capsys.readouterr().err

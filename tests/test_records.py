@@ -29,6 +29,7 @@ from amplecones import (
     LorentzVector,
     NotPositiveDefinite,
     PDBlock,
+    PerfectSquareInput,
     PolyhedralCone,
     QuadIrrational,
     RationalQuaternion,
@@ -38,6 +39,9 @@ from amplecones import (
     UnimodularMatrix,
     UnitElement,
     Unsupported,
+    dirichlet_rank,
+    fundamental_unit,
+    is_square_rational,
     real_mult_fundamental_domain,
     surface_nef_data,
 )
@@ -181,6 +185,40 @@ _HUGE = f"<{(10**5000).bit_length()}-bit integer>"  # 10**5000 is past str()'s d
 )
 def test_repr_prints_an_integer_past_the_digit_limit_by_its_size(make, text):
     assert repr(make()) == text
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: fundamental_unit(10**5000), PerfectSquareInput, f"{_HUGE} is a perfect square"),
+        (
+            lambda: fundamental_unit(10**5001),
+            InvalidInput,
+            f"<{(10**5001).bit_length()}-bit integer> is not squarefree",
+        ),
+        (
+            lambda: dirichlet_rank(-(10**5000), 0),
+            InvalidInput,
+            f"signature (-{_HUGE}, 0) is not a number field signature",
+        ),
+        (
+            lambda: is_square_rational(-(10**5000)),
+            InvalidInput,
+            f"expected a positive rational, got -{_HUGE}",
+        ),
+        (
+            lambda: UnitElement(QuadIrrational(3, 2, 1), 10**5000),
+            InvalidInput,
+            f"unit norm must be +-1, got {_HUGE}",
+        ),
+    ],
+    ids=["fundamental_unit-square", "fundamental_unit-not-squarefree", "dirichlet_rank",
+         "is_square_rational", "UnitElement"],
+)
+def test_messages_print_an_integer_past_the_digit_limit_by_its_size(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_list_arguments_are_stored_as_tuples(record):

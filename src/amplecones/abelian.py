@@ -96,7 +96,7 @@ class AbelianVarietyModel(_Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = _coordinates(factors, "a model", "simple factors")
+        factors = _coordinates(factors, "a model", "simple factors", SimpleFactor)
         if not factors:
             raise InvalidInput("a model needs at least one simple factor")
         ids = [f.id for f in factors]
@@ -121,7 +121,7 @@ class BlockDecomposition(_Record):
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        self._set(blocks=_coordinates(blocks, "a decomposition", "blocks"))
+        self._set(blocks=_coordinates(blocks, "a decomposition", "blocks", Block))
 
 
 def endo_real_decomposition(model: AbelianVarietyModel) -> BlockDecomposition:
@@ -169,8 +169,10 @@ def aut_action(
     divisors: list[HermitianMatrix],
 ) -> list[HermitianMatrix]:
     """Blockwise D -> M* D M; shapes must match the decomposition."""
-    matrices = _coordinates(matrices, "matrices", "matrices")
-    divisors = _coordinates(divisors, "divisors", "divisors")
+    matrices = _coordinates(
+        matrices, "matrices", "matrices", (AlgebraMatrix, HermitianMatrix)
+    )
+    divisors = _coordinates(divisors, "divisors", "divisors", HermitianMatrix)
     if len(matrices) != len(decomp.blocks) or len(divisors) != len(decomp.blocks):
         raise ShapeMismatch("one matrix and one divisor block per decomposition block")
     out = []

@@ -117,16 +117,27 @@ def _rationals(values: tuple, name: str = "coordinates") -> list[Fraction]:
         ) from None
 
 
-def _coordinates(v, name: str = "a vector", items: str = "coordinates") -> tuple:
+def _coordinates(v, name: str = "a vector", items: str = "coordinates", cls=None) -> tuple:
     """The coordinates of the point ``v`` as a tuple, or the items of any
     other sequence argument, which the message calls ``name`` and ``items``.
     Text is not a sequence here, since iterating it would read one item per
-    character, and neither is a value that cannot be iterated."""
+    character, and neither is a value that cannot be iterated.  When
+    ``cls`` (a class or a tuple of classes) is given, every item must be an
+    instance of it."""
     if not isinstance(v, (str, bytes, bytearray)):
         try:
-            return tuple(v)
+            v = tuple(v)
         except TypeError:
             pass
+        else:
+            if cls is not None:
+                for i, item in enumerate(v):
+                    if not isinstance(item, cls):
+                        raise InvalidInput(
+                            f"{name} must be a sequence of {items}; "
+                            f"item {i} is of type {type(item).__name__}"
+                        )
+            return v
     raise InvalidInput(f"{name} must be a sequence of {items}, not {type(v).__name__}")
 
 
@@ -155,13 +166,16 @@ class _Record:
     slots that start with ``_`` hold state derived from them.  Every slot is
     filled by :meth:`_set`, the one trusted constructor of the package, once,
     in ``__init__`` or in a trusted builder that starts from
-    ``object.__new__``.  From the public slots this base gives equality with
-    values of the same class only, a hash of their values, a
-    ``Name(field=value, ...)`` repr, and copies and pickles that are rebuilt
-    through the public constructor, which validates again; assignment and
-    deletion of any attribute raise ``AttributeError``.  A type whose
-    public slots are not its constructor's parameters (a scalar, or a
-    matrix, which is built from rows), or whose equality is coarser (a
+    ``object.__new__``.  One slot is filled later, on first read:
+    ``HermitianMatrix._ldl``, the matrix's LDL* elimination, which the first
+    verdict on the matrix computes and every later one reads; equality,
+    hashing, copies and pickles ignore it.  From the public slots this base
+    gives equality with values of the same class only, a hash of their
+    values, a ``Name(field=value, ...)`` repr, and copies and pickles that
+    are rebuilt through the public constructor, which validates again;
+    assignment and deletion of any attribute raise ``AttributeError``.  A
+    type whose public slots are not its constructor's parameters (a scalar,
+    or a matrix, which is built from rows), or whose equality is coarser (a
     cone compares its rays as a set), overrides what differs.
     """
 

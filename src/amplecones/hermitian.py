@@ -14,16 +14,24 @@ equal matrices have identical state, and equality and hashing read it.
 ``entries`` builds the scalars on each read.  Sums, negation, ``star``,
 products, the action, the trace pairing, ``quadratic_value``, the LDL*
 elimination, invertibility and the self-adjointness check all run on these
-integers, with no per-kind branch.  Matrix products, the action and the
-trace pairing compute each output entry as an integer sum of tuple
-products and reduce the result to lowest terms once.  The action M* D M is
-fused, with no intermediate matrix reduced, and computes the upper triangle
-only.
+integers.  What differs between R, C and H sits in one table, ``_KINDS``,
+which gives each kind two integer kernels: ``dot``, which accumulates a sum
+of products of two rows of coefficient tuples in one pass, and ``update``,
+the elimination step p x + c y for an integer p.  Matrix products, the
+action, ``quadratic_value`` and the negative certificate compute each
+output entry with one ``dot`` call and reduce the result to lowest terms
+once; the trace pairing is one sum over the flattened coefficients.  The
+action M* D M is fused, with no intermediate matrix reduced, and computes
+the upper triangle only.
 
 Every verdict on the cone comes from one fraction-free LDL* elimination on
-those rows.  Each pivot of a Hermitian Schur complement is real, so it is
-central even in H, and the update S_ij <- p S_ij - S_ik S_kj scales the
-complement by p > 0 and keeps every pivot sign.  The elimination skips a
+those rows, run at most once per matrix: the first verdict on a
+HermitianMatrix stores the result in the matrix's private ``_ldl`` slot,
+and every later verdict on it reads that slot.  A verdict takes a
+HermitianMatrix only, so it never reads one triangle of a matrix that is
+not self-adjoint.  Each pivot of a Hermitian Schur complement is real, so
+it is central even in H, and the update S_ij <- p S_ij - S_ik S_kj scales
+the complement by p > 0 and keeps every pivot sign.  The elimination skips a
 zero pivot whose row is zero and stops at the first negative pivot, or zero
 pivot with a nonzero row.  Definiteness and semidefiniteness read only the
 pivot signs.  The witness D = L diag(delta) L* (a constructive homogeneity
@@ -51,6 +59,7 @@ from .errors import (
     SingularMatrix,
     Unsupported,
     _coordinates,
+    _format_coordinate,
     _integer,
     _rationals,
     _Record,
@@ -65,6 +74,10 @@ class ScalarKind(enum.Enum):
     QUATERNION = "H"
     OCTONION = "O"
 
+    # members are singletons, so hashing by identity agrees with equality
+    # and costs no Python-level call on each lookup in _KINDS
+    __hash__ = object.__hash__
+
     @property
     def imaginary_units(self):
         cls, width = _kind(self)[:2]
@@ -73,18 +86,73 @@ class ScalarKind(enum.Enum):
         )
 
 
+# The integer row kernels of each kind, on coefficient tuples; a product
+# is always taken in the order written, which matters over H.
+# dot(row, col) is sum_k row[k] col[k], accumulated in one pass with no
+# tuple built per term: every matrix product, the action, the quadratic
+# value and the negative certificate go through it.  update(p, c, x, y) is
+# p x + c y for an integer p: every step of the LDL* and invertibility
+# eliminations goes through it.  The C and H updates take c y from the
+# scalar classes' own products.
+
+
+def _dot_real(row, col) -> tuple:
+    total = 0
+    for (a,), (b,) in zip(row, col):
+        total += a * b
+    return (total,)
+
+
+def _dot_complex(row, col) -> tuple:
+    re = im = 0
+    for (a, b), (c, d) in zip(row, col):
+        re += a * c - b * d
+        im += a * d + b * c
+    return re, im
+
+
+def _dot_quaternion(row, col) -> tuple:
+    w = x = y = z = 0
+    for (a, b, c, d), (e, f, g, h) in zip(row, col):
+        w += a * e - b * f - c * g - d * h
+        x += a * f + b * e + c * h - d * g
+        y += a * g - b * h + c * e + d * f
+        z += a * h + b * g - c * f + d * e
+    return w, x, y, z
+
+
+def _update_real(p: int, c, x, y) -> tuple:
+    return (p * x[0] + c[0] * y[0],)
+
+
+def _update_complex(p: int, c, x, y, product=GaussianRational._product) -> tuple:
+    re, im = product(c, y)
+    return p * x[0] + re, p * x[1] + im
+
+
+def _update_quaternion(p: int, c, x, y, product=RationalQuaternion._product) -> tuple:
+    w, i, j, k = product(c, y)
+    return p * x[0] + w, p * x[1] + i, p * x[2] + j, p * x[3] + k
+
+
+def _conjugate(num: tuple) -> tuple:
+    return (num[0],) + tuple([-c for c in num[1:]])
+
+
 # What the matrix code needs to know about one scalar kind: its entry class
 # (None for octonions) and its dimension ``width`` over R.  ``split`` reads
-# an entry as (integer coefficient tuple, positive denominator), ``product``
-# multiplies two coefficient tuples, and ``build`` turns an integer tuple
-# over a positive denominator back into an entry in lowest terms.
-# Conjugation negates every coefficient but the first, and Re(a b*) is the
-# dot product of the coefficient tuples.
-_Kind = namedtuple("_Kind", "cls width split product build", defaults=(None, None, None))
+# an entry as (integer coefficient tuple, positive denominator), ``dot`` and
+# ``update`` are the kind's kernels, ``conj`` conjugates a coefficient tuple
+# (negates every coefficient but the first, which on R is the identity),
+# and ``build`` turns an integer tuple over a positive denominator back into
+# an entry in lowest terms.  Re(a b*) is the dot product of the coefficient
+# tuples.
+_Kind = namedtuple("_Kind", "cls width split dot update conj build", defaults=(None,) * 5)
 
 
-def _algebra_kind(cls, width: int) -> _Kind:
-    return _Kind(cls, width, attrgetter("_num", "_den"), cls._product, cls(0)._reduce)
+def _algebra_kind(cls, width: int, dot, update) -> _Kind:
+    split = attrgetter("_num", "_den")
+    return _Kind(cls, width, split, dot, update, _conjugate, cls(0)._reduce)
 
 
 # octonion arithmetic is not provided, so that kind has no class
@@ -93,11 +161,15 @@ _KINDS = {
         Fraction,
         1,
         lambda x: ((x.numerator,), x.denominator),
-        lambda p, q: (p[0] * q[0],),
+        _dot_real,
+        _update_real,
+        lambda num: num,
         lambda num, den: Fraction(num[0], den),
     ),
-    ScalarKind.COMPLEX: _algebra_kind(GaussianRational, 2),
-    ScalarKind.QUATERNION: _algebra_kind(RationalQuaternion, 4),
+    ScalarKind.COMPLEX: _algebra_kind(GaussianRational, 2, _dot_complex, _update_complex),
+    ScalarKind.QUATERNION: _algebra_kind(
+        RationalQuaternion, 4, _dot_quaternion, _update_quaternion
+    ),
     ScalarKind.OCTONION: _Kind(None, 8),
 }
 
@@ -173,25 +245,20 @@ def _from_integers(cls, kind: ScalarKind, nums, den: int):
     return _trusted(cls, kind, tuple(map(tuple, nums)), den)
 
 
-def _conjugate(num: tuple) -> tuple:
-    return (num[0],) + tuple([-c for c in num[1:]])
-
-
-def _dot(product, row, col) -> tuple:
-    """The integer coefficient tuple of sum_k row[k] col[k]."""
-    return tuple(map(sum, zip(*map(product, row, col))))
-
-
-def _product_rows(product, a, b):
+def _product_rows(dot, a, b):
     cols = list(zip(*b))
-    return [[_dot(product, row, col) for col in cols] for row in a]
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def _pairing(x, y) -> int:
     """Sum of Re(a b*) over paired entries of two integer coefficient
     matrices: the dot product of all their coefficients."""
     return sum(
-        sum(map(mul, p, q)) for rx, ry in zip(x, y) for p, q in zip(rx, ry)
+        map(
+            mul,
+            [c for row in x for num in row for c in num],
+            [c for row in y for num in row for c in num],
+        )
     )
 
 
@@ -277,11 +344,10 @@ class AlgebraMatrix(_Matrix):
         if not isinstance(other, _Matrix):
             return NotImplemented
         _require_same_space(self, other)
-        product = _KINDS[self.kind].product
         return _from_integers(
             AlgebraMatrix,
             self.kind,
-            _product_rows(product, self._rows, other._rows),
+            _product_rows(_KINDS[self.kind].dot, self._rows, other._rows),
             self._den * other._den,
         )
 
@@ -303,47 +369,53 @@ class AlgebraMatrix(_Matrix):
 
     def star(self) -> "AlgebraMatrix":
         """Conjugate transpose."""
-        rows = tuple(tuple(map(_conjugate, col)) for col in zip(*self._rows))
+        conj = _KINDS[self.kind].conj
+        rows = tuple(tuple(map(conj, col)) for col in zip(*self._rows))
         return _trusted(AlgebraMatrix, self.kind, rows, self._den)
 
     def is_invertible(self) -> bool:
-        """Fraction-free Gaussian elimination on the integer rows.
+        """Fraction-free Gaussian elimination on the integer rows."""
+        return _is_invertible(self)
 
-        Over the skew field H a row is cleared by a left multiple of the
-        pivot row: row_i <- N(p) row_i - (a_ic p*) row_k.  Since
-        p* = N(p) p^{-1}, this is N(p) (row_i - a_ic p^{-1} row_k), the
-        exact step times a positive integer, so each pivot column has the
-        zero pattern of exact elimination over the scalars, and so does the
-        verdict.  The product order matters: [[1, i], [j, -k]] is singular.
-        Each updated row is divided by the gcd of its coefficients.
-        """
-        product = _KINDS[self.kind].product
-        a = [list(row) for row in self._rows]
-        n = self.size
-        for col in range(n):
-            pivot_row = next((i for i in range(col, n) if any(a[i][col])), None)
-            if pivot_row is None:
-                return False
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            pivot = a[col]
-            p = pivot[col]
-            norm = sum([c * c for c in p])
-            p_star = _conjugate(p)
-            for i in range(col + 1, n):
-                row = a[i]
-                if not any(row[col]):
-                    continue
-                factor = product(row[col], p_star)
-                # columns up to col are never read again
-                new = [
-                    tuple([norm * x - y for x, y in zip(row[j], product(factor, pivot[j]))])
-                    for j in range(col + 1, n)
-                ]
-                g = math.gcd(*[c for num in new for c in num])
-                if g > 1:
-                    new = [tuple([c // g for c in num]) for num in new]
-                row[col + 1 :] = new
-        return True
+
+def _is_invertible(M: _Matrix) -> bool:
+    """Fraction-free Gaussian elimination on the integer rows of M.
+
+    Over the skew field H a row is cleared by a left multiple of the pivot
+    row: row_i <- N(p) row_i - (a_ic p*) row_k.  Since p* = N(p) p^{-1},
+    this is N(p) (row_i - a_ic p^{-1} row_k), the exact step times a
+    positive integer, so each pivot column has the zero pattern of exact
+    elimination over the scalars, and so does the verdict.  The product
+    order matters: [[1, i], [j, -k]] is singular.  Each updated row is
+    divided by the gcd of its coefficients.
+    """
+    ops = _KINDS[M.kind]
+    dot, update = ops.dot, ops.update
+    a = [list(row) for row in M._rows]
+    n = M.size
+    for col in range(n):
+        for r in range(col, n):
+            if any(a[r][col]):
+                break
+        else:
+            return False
+        a[col], a[r] = a[r], a[col]
+        pivot = a[col]
+        below = [row for row in a[col + 1 :] if any(row[col])]
+        if not below:
+            continue
+        p = pivot[col]
+        norm = sum([c * c for c in p])
+        p_star = (ops.conj(p),)
+        for row in below:
+            factor = tuple([-c for c in dot((row[col],), p_star)])  # -a_ic p*
+            # columns up to col are never read again
+            new = [update(norm, factor, row[j], pivot[j]) for j in range(col + 1, n)]
+            g = math.gcd(*[c for num in new for c in num])
+            if g > 1:
+                new = [tuple([c // g for c in num]) for num in new]
+            row[col + 1 :] = new
+    return True
 
 
 class HermitianMatrix(_Matrix):
@@ -351,29 +423,55 @@ class HermitianMatrix(_Matrix):
 
     The constructor verifies entries[i][j] == conj(entries[j][i]) on the
     integer rows, which share one denominator; in particular diagonal
-    entries have vanishing imaginary or vector part.
+    entries have vanishing imaginary or vector part.  The first verdict on
+    a matrix runs its LDL* elimination and keeps the result; equality,
+    hashing, copies and pickles ignore it.
     """
 
-    __slots__ = ()
+    # _ldl: the result of _eliminate, filled on the first verdict
+    __slots__ = ("_ldl",)
 
     def __init__(self, kind: ScalarKind, rows) -> None:
         super().__init__(kind, rows)
-        rows = self._rows
+        rows, conj = self._rows, _KINDS[kind].conj
         for i in range(self.size):
             for j in range(i, self.size):
-                if rows[i][j] != _conjugate(rows[j][i]):
+                if rows[i][j] != conj(rows[j][i]):
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
 
 
+def _hermitian(D, name: str) -> HermitianMatrix:
+    """``D``, if it is a HermitianMatrix; ShapeMismatch naming ``name`` if not."""
+    if not isinstance(D, HermitianMatrix):
+        # named, not printed: a matrix's repr is long, and it raises
+        # ValueError on an entry past the int-string limit
+        got = "an AlgebraMatrix" if isinstance(D, AlgebraMatrix) else _format_coordinate(D)
+        raise ShapeMismatch(f"{name} needs a HermitianMatrix, got {got}")
+    return D
+
+
 def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
     """Real part of Tr(x y*): the pairing making each matrix cone self-dual."""
+    _hermitian(x, "trace_inner_product")
+    _hermitian(y, "trace_inner_product")
     _require_same_space(x, y)
     return Fraction(_pairing(x._rows, y._rows), x._den * y._den)
 
 
 def _eliminate(D: HermitianMatrix):
+    """The LDL* elimination of D (see :func:`_elimination`): run on the first
+    verdict on D and kept in D's ``_ldl`` slot, from which every later
+    verdict on D reads it."""
+    result = getattr(D, "_ldl", None)
+    if result is None:
+        result = _elimination(D)
+        D._set(_ldl=result)
+    return result
+
+
+def _elimination(D: HermitianMatrix):
     """Fraction-free LDL* elimination of D's integer rows, stopped at the
     first sign of negativity.
 
@@ -388,17 +486,18 @@ def _eliminate(D: HermitianMatrix):
     Math. Comp. 1968).  Only the upper triangle is stored: S_ik is the
     conjugate of S_ki.
 
-    Returns ``(steps, failure)``.  ``steps[k]`` is ``(p, row, s_num,
-    s_den)``: the integer pivot, the entries S_kj with j > k (None for a zero
-    pivot whose row is zero, which is skipped), and the scale at that step,
-    so that the true pivot is p s_den / s_num and the multiplier L_ik is
-    S_ik / p.  ``failure`` is None exactly when D is positive semidefinite.
-    Otherwise it is ``(k, bad, s_bb, s_bk, s_num, s_den)`` for the step k
-    that breaks: ``bad`` is None for a negative pivot, and for a zero pivot
-    with a nonzero row it is the first row b with S_bk != 0, with the
-    integers S_bb (real) and S_bk.
+    Returns ``(steps, failure)``, all tuples.  ``steps[k]`` is ``(p, row,
+    s_num, s_den)``: the integer pivot, the entries S_kj with j > k (None for
+    a zero pivot whose row is zero, which is skipped), and the scale at that
+    step, so that the true pivot is p s_den / s_num and the multiplier L_ik
+    is S_ik / p.  ``failure`` is None exactly when D is positive
+    semidefinite.  Otherwise it is ``(k, bad, s_bb, s_bk, s_num, s_den)`` for
+    the step k that breaks: ``bad`` is None for a negative pivot, and for a
+    zero pivot with a nonzero row it is the first row b with S_bk != 0, with
+    the integers S_bb (real) and S_bk.
     """
-    product = _KINDS[D.kind].product
+    ops = _KINDS[D.kind]
+    update = ops.update
     s_num, s_den = D._den, 1
     n = D.size
     s = [list(row) for row in D._rows]  # only entries on or above the diagonal
@@ -409,17 +508,17 @@ def _eliminate(D: HermitianMatrix):
         if p > 0:
             coeffs = []
             for i in range(k + 1, n):
-                c = _conjugate(row[i])  # S_ik
+                c = (-row[i][0],) + row[i][1:]  # -S_ik = -conj(S_ki)
                 si = s[i]
                 for j in range(i, n):
-                    num = tuple([p * x - y for x, y in zip(si[j], product(c, row[j]))])
+                    num = update(p, c, si[j], row[j])
                     si[j] = num
                     coeffs.extend(num)
             g = math.gcd(*coeffs) or 1  # 0 when the block is zero
             if g != 1:
                 for i in range(k + 1, n):
                     s[i][i:] = [tuple([x // g for x in num]) for num in s[i][i:]]
-            steps.append((p, row[k + 1 :], s_num, s_den))
+            steps.append((p, tuple(row[k + 1 :]), s_num, s_den))
             s_num, s_den = s_num * p, s_den * g
             continue
         if p == 0:
@@ -427,43 +526,52 @@ def _eliminate(D: HermitianMatrix):
             if bad is None:
                 steps.append((p, None, s_num, s_den))
                 continue
-            return steps, (k, bad, s[bad][bad][0], _conjugate(row[bad]), s_num, s_den)
-        return steps, (k, None, None, None, s_num, s_den)
-    return steps, None
+            failure = (k, bad, s[bad][bad][0], ops.conj(row[bad]), s_num, s_den)
+            return tuple(steps), failure
+        return tuple(steps), (k, None, None, None, s_num, s_den)
+    return tuple(steps), None
+
+
+def _in_cone(D: HermitianMatrix, closed: bool) -> bool:
+    """Membership of D in the closed cone (no negative pivot and no zero
+    pivot with a nonzero row) or in the open one (every pivot positive)."""
+    steps, failure = _eliminate(D)
+    return failure is None and (closed or all(step[0] for step in steps))
 
 
 def is_positive_definite(D: HermitianMatrix) -> bool:
     """Membership in the open cone: all pivots of exact LDL* are positive."""
-    steps, failure = _eliminate(D)
-    return failure is None and all(step[0] for step in steps)
+    return _in_cone(_hermitian(D, "is_positive_definite"), False)
 
 
 def ldl_witness(D: HermitianMatrix):
     """Unit lower-triangular L and positive diagonal delta with
     D = L diag(delta) L*, i.e. act(L*, diag(delta)) = D exactly."""
-    steps, failure = _eliminate(D)
-    if failure is not None or not all(step[0] for step in steps):
+    if not _in_cone(_hermitian(D, "ldl_witness"), False):
         raise NotPositiveDefinite("matrix has a non-positive pivot")
+    steps = _eliminate(D)[0]
+    ops = _KINDS[D.kind]
     n = D.size
     den = math.lcm(*[step[0] for step in steps])
-    zero = (0,) * _KINDS[D.kind].width
+    zero = (0,) * ops.width
     lower = [[(den,) + zero[1:] if i == j else zero for j in range(n)] for i in range(n)]
     delta = []
     for k, (p, row, s_num, s_den) in enumerate(steps):
         delta.append(Fraction(p * s_den, s_num))
         scale = den // p
         for i, num in enumerate(row, k + 1):
-            lower[i][k] = tuple([scale * c for c in _conjugate(num)])  # S_ik / p over den
+            lower[i][k] = tuple([scale * c for c in ops.conj(num)])  # S_ik / p over den
     return _from_integers(AlgebraMatrix, D.kind, lower, den), tuple(delta)
 
 
 def is_positive_semidefinite(D: HermitianMatrix) -> bool:
     """Membership in the closed cone, with exact zero-pivot handling."""
-    return _eliminate(D)[1] is None
+    return _in_cone(_hermitian(D, "is_positive_semidefinite"), True)
 
 
 def quadratic_value(D: HermitianMatrix, v) -> Fraction:
     """The (automatically real) value v* D v for a coordinate vector v."""
+    _hermitian(D, "quadratic_value")
     v = _coordinates(v)
     if len(v) != D.size:
         raise ShapeMismatch("vector length does not match matrix size")
@@ -471,7 +579,7 @@ def quadratic_value(D: HermitianMatrix, v) -> Fraction:
     (vv,), v_den = _integer_rows(ops, [[_coerce_entry(D.kind, ops.cls, c) for c in v]])
     # v* D v = sum_i Re(v_i* w_i) for w = D v, and Re(v_i* w_i) = Re(w_i v_i*)
     # even over H, so it is the pairing of w and v as one-row matrices
-    w = [_dot(ops.product, row, vv) for row in D._rows]
+    w = [ops.dot(row, vv) for row in D._rows]
     return Fraction(_pairing([w], [vv]), D._den * v_den * v_den)
 
 
@@ -486,11 +594,10 @@ def negative_certificate(D: HermitianMatrix):
     multipliers as v = L^{-*} w, so that v* D v = w* S w < 0.  All of it runs
     on integer tuples over one denominator, and v is built once.
     """
-    steps, failure = _eliminate(D)
+    steps, failure = _eliminate(_hermitian(D, "negative_certificate"))
     if failure is None:
         return None
     ops = _KINDS[D.kind]
-    product, build = ops.product, ops.build
     k, bad, s_bb, s_bk, s_num, s_den = failure
     zero = (0,) * ops.width
     v = [zero] * D.size  # integer tuples over v_den
@@ -501,39 +608,43 @@ def negative_certificate(D: HermitianMatrix):
         # t = -(S_bb + s) / (2 N(S_bk)) conj(S_bk) on the integer S
         shift = s_bb * s_den + s_num
         v_den = 2 * s_den * sum([c * c for c in s_bk])
-        v[k] = tuple([-shift * c for c in _conjugate(s_bk)])
+        v[k] = tuple([-shift * c for c in ops.conj(s_bk)])
         v[bad] = (v_den,) + zero[1:]
     for i in reversed(range(k)):
         p, row = steps[i][:2]
         if row is None:
             continue  # a skipped step leaves a unit column of L, so v_i = 0
         # v_i = -sum_{j > i} conj(L_ji) v_j, and conj(L_ji) = S_ij / p
-        total = _dot(product, row, v[i + 1 :])
+        total = ops.dot(row, v[i + 1 :])
         v = [tuple([p * c for c in num]) for num in v]
         v[i] = tuple([-c for c in total])
         v_den *= p
-    return tuple([build(num, v_den) for num in v])
+    return tuple([ops.build(num, v_den) for num in v])
 
 
 def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
     """The cone automorphism D -> M* D M for invertible M."""
+    if not isinstance(M, _Matrix):
+        raise ShapeMismatch(f"act needs a matrix M, got {_format_coordinate(M)}")
+    _hermitian(D, "act")
     _require_same_space(M, D)
-    if not M.is_invertible():
+    if not _is_invertible(M):
         raise SingularMatrix("action matrix is singular")
-    product = _KINDS[D.kind].product
+    ops = _KINDS[D.kind]
+    dot, conj = ops.dot, ops.conj
     # column j of D M, and row i of M* (the conjugated column i of M)
-    dm_cols = list(zip(*_product_rows(product, D._rows, M._rows)))
-    m_star = [list(map(_conjugate, col)) for col in zip(*M._rows)]
+    dm_cols = list(zip(*_product_rows(dot, D._rows, M._rows)))
+    m_star = [list(map(conj, col)) for col in zip(*M._rows)]
     n = D.size
     nums = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            num = _dot(product, m_star[i], dm_cols[j])
+            num = dot(m_star[i], dm_cols[j])
             nums[i][j] = num
             if j != i:
                 # M* D M is self-adjoint, so entry (j, i) is exactly the
                 # conjugate of entry (i, j)
-                nums[j][i] = _conjugate(num)
+                nums[j][i] = conj(num)
     return _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
 
 
@@ -628,18 +739,13 @@ def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
         if isinstance(block, PDBlock):
             if block.kind is ScalarKind.OCTONION:
                 raise Unsupported("membership in the exceptional block is not provided")
-            if not isinstance(part, HermitianMatrix):
-                raise ShapeMismatch(f"PD block needs a HermitianMatrix, got {part}")
+            _hermitian(part, "PD block")
             if part.kind is not block.kind or part.size != block.size:
                 raise ShapeMismatch(
                     f"component {part.kind.value}^{part.size} does not match "
                     f"block {block.kind.value}^{block.size}"
                 )
-            ok = (
-                is_positive_semidefinite(part)
-                if closed
-                else is_positive_definite(part)
-            )
+            ok = _in_cone(part, closed)
         else:
             if not isinstance(part, LorentzVector):
                 raise ShapeMismatch(f"Lorentz block needs a LorentzVector, got {part}")

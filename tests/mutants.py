@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 READERS = ["tests/test_readers.py", "tests/test_arguments.py"]
 CLI = ["tests/test_cli.py"]
+HERMITIAN = ["tests/test_hermitian.py"]
 PICARD = 'lambda m: {"picard_number": abelian.picard_number(m)}'  # cli's picard report
 
 # (id, file under src/amplecones, exact old text, new text, pytest selection)
@@ -89,6 +90,33 @@ MUTANTS = [
         "if not low <= value <= high:",
         "if not low < value <= high:",
         CLI,
+    ),
+    (
+        "quaternion-kernel-k-component-sign-flipped",
+        "hermitian.py",
+        "        z += a * h + b * g - c * f + d * e\n",
+        "        z += a * h + b * g + c * f + d * e\n",
+        HERMITIAN,
+    ),
+    (
+        "complex-kernel-drops-cross-term",
+        "hermitian.py",
+        "        im += a * d + b * c\n",
+        "        im += a * d\n",
+        HERMITIAN,
+    ),
+    (
+        "elimination-cache-kept-in-one-module-variable",
+        "hermitian.py",
+        '    result = getattr(D, "_ldl", None)\n'
+        "    if result is None:\n"
+        "        result = _elimination(D)\n"
+        "        D._set(_ldl=result)\n",
+        "    global _LAST_LDL\n"
+        '    result = globals().get("_LAST_LDL")\n'
+        "    if result is None:\n"
+        "        result = _LAST_LDL = _elimination(D)\n",
+        HERMITIAN,
     ),
 ]
 

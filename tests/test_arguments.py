@@ -1,10 +1,12 @@
 """Hostile arguments at every public entry point.
 
 Each public callable with an integer, rational, point or sequence parameter
-reads it through one reader in ``amplecones.errors``, so every hostile value
-below ends in InvalidInput or ShapeMismatch, with a message that prints no
+reads it through one reader in ``amplecones.errors``, and each verdict on a
+Hermitian matrix checks that it got one, so every hostile value below ends
+in InvalidInput or ShapeMismatch, with a message that prints no
 ``Fraction(``; a hostile sequence is rejected as not a sequence, before any
-later check could fire on an empty or misread one.  The sweep is driven by
+later check could fire on an empty or misread one, and a hostile matrix as
+not a HermitianMatrix, before any triangle of it is read.  The sweep is driven by
 README's Public API list: a listed name that is neither swept nor exempt
 fails it, so new API gets covered.
 """
@@ -28,6 +30,8 @@ HOSTILE = {
     "rational": (None, NAN, float("inf"), object(), "abc"),
     "point": (None, 5, "10", b"10", (NAN, 0)),
     "sequence": (None, 5, "ab"),
+    # the last is not self-adjoint, though x^T B x = |x|^2 is positive definite
+    "matrix": (None, 5, ac.AlgebraMatrix(K.REAL, [[1, 5], [-5, 1]])),
 }
 
 PI, ACTION = ac.real_mult_fundamental_domain(2, (1, 0))
@@ -81,7 +85,19 @@ SWEEP = {
     "PDBlock": [("integer", "size", lambda x: ac.PDBlock(K.REAL, x))],
     "hermitian_basis": [("integer", "r", lambda x: ac.hermitian_basis(K.REAL, x))],
     "hermitian_dimension": [("integer", "r", lambda x: ac.hermitian_dimension(K.REAL, x))],
-    "quadratic_value": [("point", "v", lambda x: ac.quadratic_value(EYE, x))],
+    "quadratic_value": [
+        ("point", "v", lambda x: ac.quadratic_value(EYE, x)),
+        ("matrix", "D", lambda x: ac.quadratic_value(x, (1, 0))),
+    ],
+    "act": [("matrix", "D", lambda x: ac.act(MATRIX, x))],
+    "is_positive_definite": [("matrix", "D", ac.is_positive_definite)],
+    "is_positive_semidefinite": [("matrix", "D", ac.is_positive_semidefinite)],
+    "ldl_witness": [("matrix", "D", ac.ldl_witness)],
+    "negative_certificate": [("matrix", "D", ac.negative_certificate)],
+    "trace_inner_product": [
+        ("matrix", "x", lambda x: ac.trace_inner_product(x, EYE)),
+        ("matrix", "y", lambda x: ac.trace_inner_product(EYE, x)),
+    ],
     "PolyhedralCone": [
         ("integer", "dim", lambda x: ac.PolyhedralCone(x, [(1, 0)])),
         ("point", "ray", lambda x: ac.PolyhedralCone(2, [x, (1, 0)])),
@@ -148,7 +164,8 @@ SWEEP = {
     ],
 }
 
-# public names with no integer, rational, point or sequence parameter, and why
+# public names with no integer, rational, point, sequence or Hermitian
+# matrix parameter, and why
 EXEMPT = {
     **dict.fromkeys(
         [
@@ -162,9 +179,7 @@ EXEMPT = {
     "AlbertForm": "an enumeration",
     **dict.fromkeys(
         [
-            "act", "cone_intersection", "is_positive_definite", "is_positive_semidefinite",
-            "ldl_witness", "negative_certificate", "trace_inner_product", "lorentz_member",
-            "is_totally_positive", "minkowski_reduce", "ample_cone", "bauer_rational_polyhedral",
+            "cone_intersection", "lorentz_member", "is_totally_positive", "minkowski_reduce", "ample_cone", "bauer_rational_polyhedral",
             "endo_real_decomposition", "picard_number", "rosati_fixed_basis",
             "model_to_json_dict",
         ],
@@ -190,6 +205,36 @@ def test_hostile_argument_raises_a_readable_amplecones_error(kind, call, bad):
     if kind == "sequence":  # rejected by the reader, not by a later check
         assert "must be a sequence of" in message
         assert message.endswith(f", not {type(bad).__name__}")
+    if kind == "matrix":  # rejected before any entry is read
+        assert " needs a HermitianMatrix, got " in message
+
+
+@pytest.mark.parametrize(
+    "call,text",
+    [
+        (
+            lambda: ac.AbelianVarietyModel([5]),
+            "a model must be a sequence of simple factors; item 0 is of type int",
+        ),
+        (
+            lambda: ac.BlockDecomposition([ac.Block(K.REAL, 2, "E"), 5]),
+            "a decomposition must be a sequence of blocks; item 1 is of type int",
+        ),
+        (
+            lambda: ac.aut_action(DECOMPOSITION, [5], [EYE]),
+            "matrices must be a sequence of matrices; item 0 is of type int",
+        ),
+        (
+            lambda: ac.aut_action(DECOMPOSITION, [MATRIX], [MATRIX]),
+            "divisors must be a sequence of divisors; item 0 is of type AlgebraMatrix",
+        ),
+    ],
+    ids=["model-factor", "decomposition-block", "aut_action-matrix", "aut_action-divisor"],
+)
+def test_items_of_sequence_arguments_are_read(call, text):
+    with pytest.raises(InvalidInput) as caught:
+        call()
+    assert str(caught.value) == text
 
 
 def test_every_listed_callable_is_swept_or_exempt():

@@ -1,8 +1,12 @@
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amplecones import (
     AlgebraMatrix,
@@ -447,6 +451,161 @@ class TestFractionFreeElimination:
                             rows[b] = [value * c for value in rows[a]]
                         m = AlgebraMatrix(kind, rows)
                     assert m.is_invertible() == ref_is_invertible(matrix_tuples(m))
+
+
+WIDTH = {R: 1, C: 2, H: 4}
+SCALAR = {
+    R: lambda num: Fraction(num[0]),
+    C: lambda num: GaussianRational(*num),
+    H: lambda num: RationalQuaternion(*num),
+}
+
+
+def coefficients(value) -> tuple:
+    """The integer coefficient tuple of a scalar with integer coefficients."""
+    parts = scalar_tuple(value)
+    assert all(c.denominator == 1 for c in parts)
+    return tuple(c.numerator for c in parts)
+
+
+@st.composite
+def kernel_rows(draw, min_size=0):
+    """A kind and two rows of integer coefficient tuples of one length."""
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    number = st.tuples(*[st.integers(-(10**30), 10**30)] * WIDTH[kind])
+    n = draw(st.integers(min_size, 5))
+    rows = st.lists(number, min_size=n, max_size=n)
+    return kind, draw(rows), draw(rows)
+
+
+class TestKernels:
+    """Each kind's row kernels against the scalar classes' own * and +."""
+
+    @given(kernel_rows())
+    def test_dot_is_the_sum_of_scalar_products(self, case):
+        kind, row, col = case
+        scalar = SCALAR[kind]
+        want = sum((scalar(a) * scalar(b) for a, b in zip(row, col)), scalar((0,) * WIDTH[kind]))
+        assert _KINDS[kind].dot(row, col) == coefficients(want)
+
+    @given(kernel_rows(min_size=2), st.integers(-(10**30), 10**30))
+    def test_update_is_p_x_plus_c_y(self, case, p):
+        kind, (c, x, *_), (y, *_) = case
+        scalar = SCALAR[kind]
+        want = p * scalar(x) + scalar(c) * scalar(y)
+        assert _KINDS[kind].update(p, c, x, y) == coefficients(want)
+
+    def test_quaternion_kernels_keep_the_product_order(self):
+        one, i, j, k = [tuple(int(r == s) for s in range(4)) for r in range(4)]
+        minus_k = (0, 0, 0, -1)
+        dot, update = _KINDS[H].dot, _KINDS[H].update
+        assert dot([i], [j]) == k and dot([j], [i]) == minus_k
+        assert dot([i, j], [j, i]) == (0, 0, 0, 0)
+        assert dot([j, k], [k, i]) == (0, 1, 1, 0)  # jk + ki = i + j
+        assert dot([k, i], [j, k]) == (0, -1, -1, 0)  # kj + ik = -i - j
+        assert update(3, i, one, j) == (3, 0, 0, 1)
+        assert update(3, j, one, i) == (3, 0, 0, -1)
+        a, b = (1, 2, -3, 4), (-5, 6, 7, -8)
+        ab = coefficients(RationalQuaternion(*a) * RationalQuaternion(*b))
+        assert dot([a], [b]) == ab != dot([b], [a])
+
+
+def answer(verdict, x) -> str:
+    try:
+        return repr(verdict(x))
+    except NotPositiveDefinite:
+        return "NotPositiveDefinite"
+
+
+class TestCachedElimination:
+    """The first verdict on a HermitianMatrix keeps its LDL* elimination in
+    the matrix; later verdicts read it.  No order of calls, no copy and no
+    pickle may change an answer, and no two matrices may share the slot."""
+
+    VERDICTS = (is_positive_definite, is_positive_semidefinite, ldl_witness, negative_certificate)
+
+    @staticmethod
+    def _inputs(rng, kind, size):
+        m = random_invertible_matrix(rng, kind, size)
+        yield random_pd_matrix(rng, kind, size)
+        yield act(m, HermitianMatrix.diagonal(kind, [1] * (size - 1) + [0]))  # singular PSD
+        yield random_hermitian_matrix(rng, kind, size)
+        k = rng.randrange(size)
+        for head in ("negative", "zero-row", "zero-pivot"):
+            yield staged_hermitian(rng, kind, size, k, head)
+
+    def test_answers_do_not_depend_on_order_copies_or_pickles(self):
+        rng = random.Random(127)
+        orders = [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2)]
+        verdicts_seen = set()
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3, 4):
+                for x in self._inputs(rng, kind, size):
+                    # each verdict alone on its own fresh matrix
+                    want = [answer(f, HermitianMatrix(kind, x.entries)) for f in self.VERDICTS]
+                    verdicts_seen.add((want[0], want[1]))
+                    for order in orders:
+                        y = HermitianMatrix(kind, x.entries)
+                        before = hash(y)
+                        for _ in range(2):
+                            for index in order:
+                                assert answer(self.VERDICTS[index], y) == want[index]
+                        steps, failure = y._ldl
+                        assert type(steps) is tuple and all(type(step) is tuple for step in steps)
+                        assert failure is None or type(failure) is tuple
+                        assert hash(y) == before and y == x
+                        for twin in (copy.copy(y), copy.deepcopy(y), pickle.loads(pickle.dumps(y))):
+                            assert twin == y and hash(twin) == hash(y)
+                            assert getattr(twin, "_ldl", None) is None
+                            for index in reversed(order):
+                                assert answer(self.VERDICTS[index], twin) == want[index]
+        # definite, singular semidefinite and indefinite inputs all occurred
+        assert verdicts_seen == {("True", "True"), ("False", "True"), ("False", "False")}
+
+    def test_each_matrix_keeps_its_own_elimination(self):
+        pd = HermitianMatrix.identity(R, 2)
+        indefinite = HermitianMatrix(R, [[1, 2], [2, 1]])
+        assert is_positive_definite(pd) and not is_positive_definite(indefinite)
+        assert negative_certificate(pd) is None and negative_certificate(indefinite) is not None
+        assert pd._ldl is not indefinite._ldl
+        assert getattr(HermitianMatrix.identity(R, 2), "_ldl", None) is None
+
+
+class TestMatrixArguments:
+    """A verdict reads a HermitianMatrix and nothing else; the action reads
+    a matrix M of either class and a HermitianMatrix D."""
+
+    EYE = HermitianMatrix.identity(R, 2)
+    UPPER = AlgebraMatrix(R, [[1, 5], [0, 1]])  # not self-adjoint
+    SKEW = AlgebraMatrix(R, [[1, 5], [-5, 1]])  # x^T B x = |x|^2, but B is not symmetric
+    HUGE = AlgebraMatrix(R, [[10**5000]])  # its repr raises ValueError
+
+    @pytest.mark.parametrize("bad", [UPPER, SKEW, HUGE, None, 5])
+    def test_verdicts_need_a_hermitian_matrix(self, bad):
+        calls = [
+            (lambda x: act(AlgebraMatrix.identity(R, 2), x), "act"),
+            (is_positive_definite, "is_positive_definite"),
+            (is_positive_semidefinite, "is_positive_semidefinite"),
+            (ldl_witness, "ldl_witness"),
+            (negative_certificate, "negative_certificate"),
+            (lambda x: trace_inner_product(x, self.EYE), "trace_inner_product"),
+            (lambda x: trace_inner_product(self.EYE, x), "trace_inner_product"),
+            (lambda x: quadratic_value(x, (1, 0)), "quadratic_value"),
+        ]
+        for call, name in calls:
+            with pytest.raises(ShapeMismatch) as caught:
+                call(bad)
+            got = "an AlgebraMatrix" if isinstance(bad, AlgebraMatrix) else str(bad)
+            assert str(caught.value) == f"{name} needs a HermitianMatrix, got {got}"
+
+    def test_action_needs_a_matrix(self):
+        for bad in (None, 5, [[1, 0], [0, 1]]):
+            with pytest.raises(ShapeMismatch, match="^act needs a matrix M, got "):
+                act(bad, self.EYE)
+        d = HermitianMatrix(R, [[2, 1], [1, 3]])
+        shear = HermitianMatrix(R, [[1, 1], [1, 2]])
+        assert act(shear, d) == act(AlgebraMatrix(R, shear.entries), d)
+        assert act(HermitianMatrix.identity(R, 2), d) == d
 
 
 class TestPinnedOutputs:

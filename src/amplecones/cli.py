@@ -28,7 +28,8 @@ _DEFAULT_MAX_WORD = 12
 # bound on --k-range and --max-word: the translate table has 2 * bound + 1
 # rows whose integers grow linearly in bits, so its size is quadratic in it
 _MAX_WORD = 64
-# bound on --samples: a sample costs about 8 microseconds, so a run stays near a second
+# bound on --samples: a sample of the d = 2 domain costs about 2 microseconds,
+# so a run stays well under a second
 _MAX_SAMPLES = 100_000
 # bound on the exponent of a rational such as 1.5e3: Fraction builds
 # 10**exponent before any check runs, so an exponent of millions costs

@@ -63,6 +63,7 @@ from .errors import (
     _integer,
     _rationals,
     _Record,
+    _repr,
     format_point,
 )
 from .scalars import GaussianRational, RationalQuaternion, _RationalLike
@@ -203,7 +204,9 @@ def _coerce_entry(kind: ScalarKind, cls, value):
         return value  # immutable, so no copy is needed
     if isinstance(value, _RationalLike):
         return cls(value)
-    raise ShapeMismatch(f"entry {value} does not belong to scalar kind {kind.value}")
+    raise ShapeMismatch(
+        f"entry {_format_coordinate(value)} does not belong to scalar kind {kind.value}"
+    )
 
 
 def _trusted(cls, kind: ScalarKind, rows, den: int):
@@ -327,7 +330,7 @@ class _Matrix(_Record):
 
     def __repr__(self):
         rows = ", ".join(
-            "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
+            "[" + ", ".join(map(_format_coordinate, row)) + "]" for row in self.entries
         )
         return f"{type(self).__name__}({self.kind.value}, [{rows}])"
 
@@ -660,7 +663,7 @@ class LorentzVector(_Record):
         self._set(coords=coords)
 
     def __repr__(self):
-        return f"LorentzVector({list(self.coords)})"
+        return f"LorentzVector({_repr(list(self.coords))})"
 
     def __str__(self):
         return f"LorentzVector{format_point(self.coords)}"

@@ -290,11 +290,14 @@ def _orbit(v, action: GroupAction2D, max_word: int) -> list:
 
 
 def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
-    """(rows, open_low, open_high): rows maps k = -max_word..max_word, in
+    """(rows, open_low, open_high, up): rows maps k = -max_word..max_word, in
     that order, to (g^k low, g^k high) for the extreme rays of pi in slope
     order (closed-cone rays have x1 > 0).  If pi is cone{R, g(R)}, the side
     that g carries the other onto is open (flag 1), so the located index is
-    a well-defined, shift-equivariant function.
+    a well-defined, shift-equivariant function.  up is the step in k that
+    moves the translates toward larger slopes: the sign of g21, read off
+    the interior ray (1, 0), whose image is (g11, g21); 0 is the scalar
+    action.  A ray of pi would not do: a boundary ray is fixed by g.
     """
     if pi.dim != 2:
         raise ShapeMismatch("translate location works in the plane")
@@ -308,16 +311,41 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
         open_low = int(_cross(_mat_vec(action._fwd, high), low) == 0)
         open_high = int(_cross(_mat_vec(action._fwd, low), high) == 0)
     rows = zip(_orbit(low, action, max_word), _orbit(high, action, max_word))
-    return dict(zip(range(-max_word, max_word + 1), rows)), open_low, open_high
+    g21 = action._fwd[1][0]
+    up = (g21 > 0) - (g21 < 0)
+    return dict(zip(range(-max_word, max_word + 1), rows)), open_low, open_high, up
 
 
 def _locate(p, table):
-    """The first k from -max_word up with the integer direction p in g^k pi,
-    or None.  On an open side a cross product must be >= 1, that is > 0."""
-    rows, open_low, open_high = table
-    for k, (low, high) in rows.items():
-        if _cross(low, p) >= open_low and _cross(p, high) >= open_high:
+    """The least k in -max_word..max_word with the integer direction p in
+    g^k pi, or None.  On an open side a cross product must be >= 1, that
+    is > 0.
+
+    g translates the projectivized cone, so both ends of g^k pi move
+    monotonically in k and the k with p in g^k pi form an interval.  The
+    walk starts at k = 0 and steps toward p; it stops with None past
+    +-max_word, or when it must turn back (p lies in a gap), which the
+    scalar action (up = 0) does at once.  At the first translate holding p
+    it steps down to the least such k.
+    """
+    rows, open_low, open_high, up = table
+    k, came = 0, 0
+    while k in rows:
+        low, high = rows[k]
+        if _cross(low, p) < open_low:  # p lies below g^k pi
+            step = -up
+        elif _cross(p, high) < open_high:  # p lies above g^k pi
+            step = up
+        else:
+            while k - 1 in rows:
+                low, high = rows[k - 1]
+                if _cross(low, p) < open_low or _cross(p, high) < open_high:
+                    break
+                k -= 1
             return k
+        if step == -came:  # turning back, or no step at all
+            return None
+        k, came = k + step, step
     return None
 
 
@@ -327,8 +355,11 @@ def translate_locate(
     action: GroupAction2D,
     max_word: int = 24,
 ) -> int:
-    """The index k with g^(-k) p in pi, scanning |k| <= max_word.
+    """The least index k with |k| <= max_word and g^(-k) p in pi.
 
+    The translates g^k pi holding p form an interval of k, so the search
+    walks from k = 0 toward p and then down to the least such k; a gap
+    between translates, or an interval past max_word, raises NotFundamental.
     Cells are half open: a point on the shared ray of pi and g(pi) is
     assigned to the translate on whose lower boundary it sits, so locating
     commutes with the action.  The rays of pi must lie in the closed cone.
@@ -384,27 +415,26 @@ def verify_fundamental_domain(
         if _cross(a, b) > 0:
             witnesses.append({"kind": "uncovered", "point": _simplest_between(a, b)})
     getrandbits = random.Random(seed).getrandbits
-
-    def sampler(low, high):
-        # randint(low, high) of CPython: n.bit_length() bits, redrawn while >= n
-        n = high - low + 1
-        k = n.bit_length()
-
-        def draw():
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return low + r
-
-        return draw
-
-    numerator, signed_numerator, denominator = sampler(1, 60), sampler(-60, 60), sampler(1, 20)
     A, B = action._form
     words_used = 0
     accepted = 0
     while accepted < samples:
-        n1, d1 = numerator(), denominator()
-        n2, d2 = signed_numerator(), denominator()
+        # n1 = randint(1, 60), d1 = randint(1, 20), n2 = randint(-60, 60),
+        # d2 = randint(1, 20) as CPython draws them: n.bit_length() bits of
+        # the range size n, redrawn while >= n
+        n1 = getrandbits(6)
+        while n1 >= 60:
+            n1 = getrandbits(6)
+        d1 = getrandbits(5)
+        while d1 >= 20:
+            d1 = getrandbits(5)
+        n2 = getrandbits(7)
+        while n2 >= 121:
+            n2 = getrandbits(7)
+        d2 = getrandbits(5)
+        while d2 >= 20:
+            d2 = getrandbits(5)
+        n1, d1, n2, d2 = n1 + 1, d1 + 1, n2 - 60, d2 + 1
         # (x, y) is (n1/d1, n2/d2) scaled by d1*d2 > 0, and x >= 1, so this
         # test is open-cone membership and (x, y) its integer direction
         x, y = n1 * d2, n2 * d1

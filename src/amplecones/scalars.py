@@ -34,6 +34,7 @@ from .errors import (
     _integer,
     _rationals,
     _Record,
+    _repr,
     format_point,
 )
 
@@ -276,7 +277,7 @@ class _RationalAlgebra(_Record):
         return hash(self._fraction(0))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._fractions()))})"
+        return f"{type(self).__name__}({', '.join(map(_repr, self._fractions()))})"
 
 
 class QuadIrrational(_RationalAlgebra):
@@ -335,25 +336,25 @@ class QuadIrrational(_RationalAlgebra):
         return not self._num[1]
 
     def __repr__(self):
-        return f"QuadIrrational({self.d}, {self.a!r}, {self.b!r})"
+        return f"QuadIrrational({_format_integer(self.d)}, {_repr(self.a)}, {_repr(self.b)})"
 
     def __str__(self):
         if self.is_rational():
-            return str(self.a)
+            return _format_coordinate(self.a)
         b = self.b
-        root = f"√{self.d}"
+        root = f"√{_format_integer(self.d)}"
         if b == 1:
             tail = root
         elif b == -1:
             tail = f"-{root}"
         elif b.denominator == 1:
-            tail = f"{b}{root}"
+            tail = f"{_format_coordinate(b)}{root}"
         else:
-            tail = f"({b}){root}"
+            tail = f"({_format_coordinate(b)}){root}"
         if self.a == 0:
             return tail
         sign = "+" if b > 0 else ""
-        return f"{self.a}{sign}{tail}"
+        return f"{_format_coordinate(self.a)}{sign}{tail}"
 
 
 class GaussianRational(_RationalAlgebra):
@@ -373,9 +374,9 @@ class GaussianRational(_RationalAlgebra):
 
     def __str__(self):
         if self.im == 0:
-            return str(self.re)
+            return _format_coordinate(self.re)
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        return f"{_format_coordinate(self.re)}{sign}{_format_coordinate(abs(self.im))}i"
 
 
 class RationalQuaternion(_RationalAlgebra):
@@ -413,7 +414,7 @@ class RationalQuaternion(_RationalAlgebra):
             if coeff == 0:
                 continue
             sign = "+" if coeff > 0 and parts else ""
-            parts.append(f"{sign}{coeff}{unit}")
+            parts.append(f"{sign}{_format_coordinate(coeff)}{unit}")
         return "".join(parts) if parts else "0"
 
 

@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 READERS = ["tests/test_readers.py", "tests/test_arguments.py"]
 CLI = ["tests/test_cli.py"]
 HERMITIAN = ["tests/test_hermitian.py"]
+REDUCTION = ["tests/test_reduction.py"]
 PICARD = 'lambda m: {"picard_number": abelian.picard_number(m)}'  # cli's picard report
 
 # (id, file under src/amplecones, exact old text, new text, pytest selection)
@@ -117,6 +118,27 @@ MUTANTS = [
         "    if result is None:\n"
         "        result = _LAST_LDL = _elimination(D)\n",
         HERMITIAN,
+    ),
+    (
+        "locate-direction-read-off-the-lower-ray",
+        "reduction.py",
+        "    g21 = action._fwd[1][0]\n",
+        "    g21 = _cross(low, _mat_vec(action._fwd, low))\n",
+        REDUCTION,
+    ),
+    (
+        "locate-skips-the-step-down-to-the-least-k",
+        "reduction.py",
+        "            while k - 1 in rows:\n",
+        "            while False:\n",
+        REDUCTION,
+    ),
+    (
+        "sampler-redraw-bound-off-by-one",
+        "reduction.py",
+        "        while n1 >= 60:\n",
+        "        while n1 > 60:\n",
+        REDUCTION,
     ),
 ]
 

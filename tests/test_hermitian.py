@@ -578,7 +578,7 @@ class TestMatrixArguments:
     EYE = HermitianMatrix.identity(R, 2)
     UPPER = AlgebraMatrix(R, [[1, 5], [0, 1]])  # not self-adjoint
     SKEW = AlgebraMatrix(R, [[1, 5], [-5, 1]])  # x^T B x = |x|^2, but B is not symmetric
-    HUGE = AlgebraMatrix(R, [[10**5000]])  # its repr raises ValueError
+    HUGE = AlgebraMatrix(R, [[10**5000]])  # an entry past str()'s digit limit
 
     @pytest.mark.parametrize("bad", [UPPER, SKEW, HUGE, None, 5])
     def test_verdicts_need_a_hermitian_matrix(self, bad):

@@ -34,6 +34,7 @@ from amplecones import (
     QuadIrrational,
     RationalQuaternion,
     ScalarKind,
+    ShapeMismatch,
     SimpleFactor,
     SurfaceConeData,
     UnimodularMatrix,
@@ -180,8 +181,32 @@ _HUGE = f"<{(10**5000).bit_length()}-bit integer>"  # 10**5000 is past str()'s d
             f"SurfaceConeData(a=Fraction({_HUGE}, 1), b=Fraction(1, 1), rational_polyhedral=True, "
             f"rays=((1, {10**2500}), (1, -{10**2500})))",
         ),
+        (
+            lambda: GaussianRational(10**5000),
+            f"GaussianRational(Fraction({_HUGE}, 1), Fraction(0, 1))",
+        ),
+        (
+            lambda: RationalQuaternion(1, 10**5000),
+            f"RationalQuaternion(Fraction(1, 1), Fraction({_HUGE}, 1), Fraction(0, 1), Fraction(0, 1))",
+        ),
+        (
+            lambda: QuadIrrational(2, 10**5000, Fraction(1, 10**5000)),
+            f"QuadIrrational(2, Fraction({_HUGE}, 1), Fraction(1, {_HUGE}))",
+        ),
+        (lambda: HermitianMatrix(K.REAL, [[10**5000]]), f"HermitianMatrix(R, [[{_HUGE}]])"),
+        (
+            lambda: HermitianMatrix(K.COMPLEX, [[1, GaussianRational(0, 10**5000)],
+                                                [GaussianRational(0, -(10**5000)), 1]]),
+            f"HermitianMatrix(C, [[1, 0+{_HUGE}i], [0-{_HUGE}i, 1]])",
+        ),
+        (
+            lambda: LorentzVector([10**5000, Fraction(1, 2)]),
+            f"LorentzVector([Fraction({_HUGE}, 1), Fraction(1, 2)])",
+        ),
     ],
-    ids=["IntegralForm", "PolyhedralCone", "SurfaceConeData"],
+    ids=["IntegralForm", "PolyhedralCone", "SurfaceConeData", "GaussianRational",
+         "RationalQuaternion", "QuadIrrational", "HermitianMatrix-R", "HermitianMatrix-C",
+         "LorentzVector"],
 )
 def test_repr_prints_an_integer_past_the_digit_limit_by_its_size(make, text):
     assert repr(make()) == text
@@ -211,9 +236,25 @@ def test_repr_prints_an_integer_past_the_digit_limit_by_its_size(make, text):
             InvalidInput,
             f"unit norm must be +-1, got {_HUGE}",
         ),
+        (
+            lambda: AlgebraMatrix(K.REAL, [[GaussianRational(10**5000)]]),
+            ShapeMismatch,
+            f"entry {_HUGE} does not belong to scalar kind R",
+        ),
+        (
+            lambda: HermitianMatrix(K.REAL, [[RationalQuaternion(1, Fraction(1, 10**5000))]]),
+            ShapeMismatch,
+            f"entry 1+1/{_HUGE}i does not belong to scalar kind R",
+        ),
+        (
+            lambda: AlgebraMatrix(K.REAL, [[QuadIrrational(2, 0, -(10**5000))]]),
+            ShapeMismatch,
+            f"entry -{_HUGE}√2 does not belong to scalar kind R",
+        ),
     ],
     ids=["fundamental_unit-square", "fundamental_unit-not-squarefree", "dirichlet_rank",
-         "is_square_rational", "UnitElement"],
+         "is_square_rational", "UnitElement", "AlgebraMatrix-entry", "HermitianMatrix-entry",
+         "QuadIrrational-entry"],
 )
 def test_messages_print_an_integer_past_the_digit_limit_by_its_size(call, error, message):
     with pytest.raises(error) as caught:

@@ -519,6 +519,52 @@ class TestTranslateTable:
                 assert report.to_json_dict() == expected, (shape, seed)
 
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_reference_with_rational_boundary_rays(self, s):
+        # on x^2 - s^2 y^2 the boundary rays (s, -1) and (s, 1) are rational
+        # and fixed by every generator [[a, b s^2], [b, a]], so a candidate
+        # through one of them has an end that no translate moves; b of
+        # either sign moves the other end either way, and the identity
+        # moves neither
+        rng = random.Random(300 + s)
+        d = s * s
+        boundary = [(s, -1), (s, 1)]
+        generators = [[[1, 0], [0, 1]]]
+        for b in (1, -1, 2, -2):
+            a = s * abs(b) + rng.randint(1, 3)
+            generators.append([[a, b * d], [b, a]])
+        seen = collections.Counter()
+        for generator in generators:
+            action = GroupAction2D(generator, 1, d)
+            for _ in range(12):
+                ray = action.ray_image(_random_open_ray(rng, d), rng.randint(-2, 2))
+                rays = rng.choice([
+                    [boundary[0], ray],
+                    [ray, boundary[1]],
+                    boundary,
+                    [rng.choice(boundary)],
+                ])
+                pi = PolyhedralCone(2, rays)
+                max_word = rng.choice((1, 2, 4, 7))
+                points = [_random_open_ray(rng, d) for _ in range(3)]
+                points.append(action.ray_image(ray, rng.randint(-3, 3)))
+                for p in points:
+                    ours = _outcome(lambda: translate_locate(p, pi, action, max_word=max_word))
+                    theirs = _outcome(lambda: reference_translate_locate(p, pi, action, max_word))
+                    assert ours == theirs, (generator, pi, max_word, p)
+                    seen["missed" if isinstance(ours, tuple) else (ours > 0) - (ours < 0)] += 1
+                seed = rng.randrange(1000)
+                report = verify_fundamental_domain(pi, action, samples=6, max_word=max_word, seed=seed)
+                expected = reference_verify(pi, action, samples=6, max_word=max_word, seed=seed)
+                gap = _gap_witness(pi, action)
+                if gap is not None:
+                    expected["covering_ok"] = False
+                    expected["witnesses"].insert(0, gap)
+                assert report.to_json_dict() == expected, (generator, pi, max_word, seed)
+        # points are located below, at and above k = 0, and some are missed
+        assert set(seen) == {-1, 0, 1, "missed"}, seen
+
+
 class TestRealMultIntegration:
     def test_d3_generator(self):
         pi, action = real_mult_fundamental_domain(3, (1, 0))

@@ -65,6 +65,8 @@ def _format_coordinate(c) -> str:
     if isinstance(c, Fraction):
         text = _format_integer(c.numerator)
         return text if c.denominator == 1 else f"{text}/{_format_integer(c.denominator)}"
+    if type(c) in (list, tuple):
+        return _repr(c)
     return _format_integer(c) if isinstance(c, int) else str(c)
 
 

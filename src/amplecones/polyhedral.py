@@ -1,17 +1,17 @@
 """Exact rational polyhedral cones in low dimension.
 
 A cone is stored by its extreme rays (primitive integer vectors,
-orientation preserved, in the order they were given) and by its facet
-description, which the double description method computes once, at
-construction, over the integers.  A generator that is not extreme is
-dropped, so ``==`` and ``hash``, which compare the extreme rays, compare
-cones: a pointed cone is determined by its extreme rays.  Every question
-is answered from that description with integer dot products: closed and
-interior membership from facet signs, stopping at the first facet that
-decides the verdict, and the extreme rays of an intersection from double
-description of the two facet descriptions, whose adjacency test keeps
-exactly the extreme rays; a step whose normal is negative on no ray keeps
-the rays it has.
+orientation preserved, in the order they were given) and by one list of
+normals, an inequality description {x : <n, x> >= 0 for every normal n}
+of the cone, computed over the integers by the double description method.
+A generator that is not extreme is dropped, so ``==`` and ``hash``, which
+compare the extreme rays, compare cones: a pointed cone is determined by
+its extreme rays.  Every question is answered from the normals with
+integer dot products: closed and interior membership from their signs,
+stopping at the first normal that decides the verdict, and the extreme
+rays of an intersection from double description of the two operands'
+normals, whose adjacency test keeps exactly the extreme rays; a step
+whose normal is negative on no ray keeps the rays it has.
 
 Double description keeps each ray's incidence, the normals it is tight on,
 as the bits of an int, so the adjacency test is a few integer operations.
@@ -20,19 +20,19 @@ normals, read off the masks of the run that built it with no dot products;
 pointedness and the extreme generators come from the same masks.  An
 intersection starts its double description from the incidence of the
 operand with more normals, the state a run over those normals would reach,
-and processes only the other operand's normals.  A full-dimensional
-intersection reads its facets off the incidence of that run and runs no
-second, dual double description: its facets are the normals whose sets of
-tight rays are maximal, found by testing each distinct set, largest first,
-against the maximal sets already found.  The order of the stored facets is
-private.  Intersections are supported up to ambient dimension 4.
+and processes only the other operand's normals.  Every intersection, of
+any dimension, reads its normals off the incidence of that run and runs
+no second, dual double description: the normals tight on every ray are
+its implicit equations, and among the others, those whose sets of tight
+rays are maximal are its facets (Fukuda and Prodon, "Double description
+method revisited", 1996).  The order of the stored normals is private.
+Intersections are supported up to ambient dimension 4.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import and_, mul
+from operator import mul
 
 from .errors import (
     InvalidInput,
@@ -150,15 +150,14 @@ class PolyhedralCone(_Record):
     extreme generators in input order, so cones that are equal as sets
     compare and hash equal whatever redundant generators built them.
 
-    The facet description is computed once, at construction, by double
-    description of the dual cone {y : <y, r> >= 0 for every ray r}: its
-    lineality basis gives the equations (normals to the span of the cone)
-    and its extreme rays give the facet normals, all primitive integer
-    vectors.
+    The normals are computed once, at construction, by double description
+    of the dual cone {y : <y, r> >= 0 for every ray r}: each vector e of
+    its lineality basis, an equation of the span of the cone, gives the
+    pair of normals e, -e, and its extreme rays, the facet normals, follow.
+    All are primitive integer vectors.
 
     The cone also keeps its incidence: ``_masks[j]`` is a mask over its
-    normals, each equation as the pair e, -e and then the facets, in which
-    bit i is set when ``rays[j]`` is tight on normal i.  The dual run
+    normals in which bit i is set when ``rays[j]`` is tight on normal i.  The dual run
     yields it with no dot products, as a mask per facet over the
     generators.  The cone is pointed exactly when no generator is tight
     on every facet, and a generator is extreme exactly when it is the only
@@ -166,7 +165,7 @@ class PolyhedralCone(_Record):
     its double description from this incidence.
     """
 
-    __slots__ = ("dim", "rays", "_equations", "_facets", "_masks")
+    __slots__ = ("dim", "rays", "_normals", "_masks")
 
     def __init__(self, dim: int, rays) -> None:
         _integer(dim, "dim", 1, "ambient dimension must be positive")
@@ -196,15 +195,17 @@ class PolyhedralCone(_Record):
         # cone, so its negative lies in the cone as well
         if (1 << len(dual)) - 1 in rows:
             raise InvalidInput("cone closure contains a line")
-        eq = 2 * len(equations)
+        normals = []
+        for e in equations:
+            normals += [e, tuple([-c for c in e])]
+        eq = len(normals)
         tight = (1 << eq) - 1  # every ray is tight on e and -e
         # generator j is extreme when the smallest face through it is its ray
         extreme = [j for j in range(n) if spans[j] == 1 << j]
         self._set(
             dim=dim,
             rays=tuple([normalized[j] for j in extreme]),
-            _equations=tuple(equations),
-            _facets=tuple([f for f, _ in dual]),
+            _normals=tuple(normals + [f for f, _ in dual]),
             _masks=tuple([tight | rows[j] << eq for j in extreme]),
         )
 
@@ -236,32 +237,21 @@ def _transpose(columns, n: int) -> list[int]:
     return rows
 
 
-def _trusted(dim: int, rays, equations, facets, masks) -> PolyhedralCone:
-    """A PolyhedralCone from its extreme rays, its facet description and
-    its incidence masks, with no validation.
+def _trusted(dim: int, rays, normals, masks) -> PolyhedralCone:
+    """A PolyhedralCone from its extreme rays, normals and incidence masks,
+    with no validation.
 
     Only the library's own exact results come through here: the rays must
-    be the distinct primitive extreme rays of a pointed cone, the equations
-    and facets its description, and the masks as the constructor builds
-    them.  The public constructor keeps full validation.
+    be the distinct primitive extreme rays of a pointed cone, the normals
+    an inequality description of it, and masks[j] the normals tight on
+    rays[j].  The public constructor keeps full validation.
     """
     return object.__new__(PolyhedralCone)._set(
         dim=dim,
         rays=tuple(rays),
-        _equations=tuple(equations),
-        _facets=tuple(facets),
+        _normals=tuple(normals),
         _masks=tuple(masks),
     )
-
-
-def _normals(cone: PolyhedralCone) -> list:
-    """The normals the incidence of ``cone`` is taken over, in its order."""
-    normals = []
-    for e in cone._equations:
-        normals.append(e)
-        normals.append(tuple(-c for c in e))
-    normals.extend(cone._facets)
-    return normals
 
 
 def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
@@ -269,50 +259,46 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     mode: does v lie in the topological interior relative to the ambient
     space (empty unless the cone is full-dimensional)?
 
-    Both are read off the facet signs at v, or at v scaled to integers when
-    it has coordinates that are not ints (the signs do not change under
-    positive scaling): closed iff every equation gives 0 and every facet
-    gives >= 0; interior iff there are no equations and every facet gives
-    > 0.  The facets are read in turn, up to the first that decides.  A
+    Both are read off the signs of the normals at v, or at v scaled to
+    integers when it has coordinates that are not ints (the signs do not
+    change under positive scaling): closed iff every normal gives >= 0;
+    interior iff every normal gives > 0.  Both rules are exact for any
+    inequality description, and a point that passes the second has a
+    neighbourhood in the cone, so none does when the cone spans less.
+    The normals are read in turn, up to the first that decides.  A
     coordinate that is not a finite rational, or a point given as text,
     raises InvalidInput.
     """
     v = _integer_point(v, cone.dim)
     if interior:
-        # a pointed cone has a facet, and the origin gives 0 on every one
-        if cone._equations:
-            return False
-        for f in cone._facets:
-            if sum(map(mul, f, v)) <= 0:
+        for n in cone._normals:
+            if sum(map(mul, n, v)) <= 0:
                 return False
         return True
-    for e in cone._equations:
-        if sum(map(mul, e, v)):
-            return False
-    for f in cone._facets:
-        if sum(map(mul, f, v)) < 0:
+    for n in cone._normals:
+        if sum(map(mul, n, v)) < 0:
             return False
     return True
 
 
 def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
-    """The intersection, by double description on the two facet
-    descriptions, or None when the cones meet only at the origin.
+    """The intersection, by double description on the two operands'
+    normals, or None when the cones meet only at the origin.
 
     The run starts from the extreme rays and masks of the operand with more
     normals, the state double description reaches after them, and
-    processes only the other operand's normals.  A full-dimensional
-    intersection takes its facets from the incidence of that run: they are
-    the normals whose sets of tight rays are maximal under inclusion.  A
-    lower-dimensional one goes through the validating constructor, which
-    picks its equations and facets."""
+    processes only the other operand's normals.  The result, of any
+    dimension, takes its normals from the incidence of that run: every
+    distinct normal tight on all its rays, and, for each set of tight rays
+    that is maximal among the other normals, the least normal with that
+    set, so the normals do not depend on the operands' order."""
     if a.dim != b.dim:
         raise ShapeMismatch("cones live in different dimensions")
     if a.dim > MAX_INTERSECTION_DIM:
         raise UnsupportedDimension(
             f"intersections are supported up to dimension {MAX_INTERSECTION_DIM}"
         )
-    seed, other, start = _normals(a), _normals(b), a
+    seed, other, start = a._normals, b._normals, a
     if len(other) > len(seed):
         seed, other, start = other, seed, b
     normals = seed + other
@@ -323,22 +309,24 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
         return None
     rays.sort()
     vectors = [v for v, _ in rays]
-    masks = [m for _, m in rays]
-    if reduce(and_, masks):
-        # some normal is tight on every ray: the intersection spans less
-        return PolyhedralCone(a.dim, vectors)
-    # no normal is an implicit equation, so the intersection is
-    # full-dimensional; tight[i], column i of the incidence, holds the rays
-    # tight on normal i, and the facets are the normals where it is maximal
-    tight = _transpose(masks, len(normals))
-    # a strict superset has more bits, so it comes first and lies in a
+    # tight[i], column i of the incidence, holds the rays tight on normal i
+    tight = _transpose([m for _, m in rays], len(normals))
+    # the normals tight on every ray are the implicit equations; their cone
+    # is the orthogonal complement of the span, so they cut out the span
+    # together and each is kept as it is, with no basis picked
+    every = (1 << len(vectors)) - 1
+    kept = {n: t for n, t in zip(normals, tight) if t == every}
+    # the facets are the other normals whose tight sets are maximal; a
+    # strict superset has more bits, so it comes first and lies in a
     # maximal set already found
     maximal = []
-    for t in sorted(set(tight), key=int.bit_count, reverse=True):
+    for t in sorted(set(tight) - {every}, key=int.bit_count, reverse=True):
         if not any(m & t == t for m in maximal):
             maximal.append(t)
+    # one normal per maximal set, the least, whichever operand seeded
     facets = {}
     for n, t in zip(normals, tight):
-        if t in maximal and n not in facets:
-            facets[n] = t
-    return _trusted(a.dim, vectors, (), facets, _transpose(facets.values(), len(vectors)))
+        if t in maximal and (t not in facets or n < facets[t]):
+            facets[t] = n
+    kept.update((n, t) for t, n in facets.items())
+    return _trusted(a.dim, vectors, kept, _transpose(kept.values(), len(vectors)))

@@ -341,20 +341,17 @@ class QuadIrrational(_RationalAlgebra):
     def __str__(self):
         if self.is_rational():
             return _format_coordinate(self.a)
-        b = self.b
-        root = f"√{_format_integer(self.d)}"
-        if b == 1:
-            tail = root
-        elif b == -1:
-            tail = f"-{root}"
-        elif b.denominator == 1:
-            tail = f"{_format_coordinate(b)}{root}"
+        a, b = self.a, self.b
+        size = abs(b)
+        if size == 1:
+            coefficient = ""
+        elif size.denominator == 1:
+            coefficient = _format_coordinate(size)
         else:
-            tail = f"({_format_coordinate(b)}){root}"
-        if self.a == 0:
-            return tail
-        sign = "+" if b > 0 else ""
-        return f"{_format_coordinate(self.a)}{sign}{tail}"
+            coefficient = f"({_format_coordinate(size)})"
+        head = _format_coordinate(a) if a else ""
+        sign = "-" if b < 0 else "+" if a else ""
+        return f"{head}{sign}{coefficient}√{_format_integer(self.d)}"
 
 
 class GaussianRational(_RationalAlgebra):

@@ -30,6 +30,7 @@ READERS = ["tests/test_readers.py", "tests/test_arguments.py"]
 CLI = ["tests/test_cli.py"]
 HERMITIAN = ["tests/test_hermitian.py"]
 REDUCTION = ["tests/test_reduction.py"]
+POLYHEDRAL = ["tests/test_polyhedral.py"]
 PICARD = 'lambda m: {"picard_number": abelian.picard_number(m)}'  # cli's picard report
 
 # (id, file under src/amplecones, exact old text, new text, pytest selection)
@@ -139,6 +140,41 @@ MUTANTS = [
         "        while n1 >= 60:\n",
         "        while n1 > 60:\n",
         REDUCTION,
+    ),
+    (
+        "adjacency-pre-check-threshold-off-by-one",
+        "polyhedral.py",
+        "                if common.bit_count() < need:\n",
+        "                if common.bit_count() < need + 1:\n",
+        POLYHEDRAL,
+    ),
+    (
+        "double-description-leaves-zero-rays-unmarked",
+        "polyhedral.py",
+        "            elif s == 0:\n                r[1] |= bit\n",
+        "            elif s == 0:\n",
+        POLYHEDRAL,
+    ),
+    (
+        "intersection-drops-the-implicit-normals",
+        "polyhedral.py",
+        "    kept = {n: t for n, t in zip(normals, tight) if t == every}\n",
+        "    kept = {}\n",
+        POLYHEDRAL,
+    ),
+    (
+        "intersection-treats-implicit-normals-as-facets",
+        "polyhedral.py",
+        "    every = (1 << len(vectors)) - 1\n",
+        "    every = -1\n",
+        POLYHEDRAL,
+    ),
+    (
+        "intersection-keeps-the-first-normal-per-tight-set",
+        "polyhedral.py",
+        "if t in maximal and (t not in facets or n < facets[t]):",
+        "if t in maximal and t not in facets:",
+        POLYHEDRAL,
     ),
 ]
 

@@ -251,10 +251,15 @@ def test_repr_prints_an_integer_past_the_digit_limit_by_its_size(make, text):
             ShapeMismatch,
             f"entry -{_HUGE}√2 does not belong to scalar kind R",
         ),
+        (
+            lambda: AlgebraMatrix(K.REAL, [[[10**5000]]]),
+            ShapeMismatch,
+            f"entry [{_HUGE}] does not belong to scalar kind R",
+        ),
     ],
     ids=["fundamental_unit-square", "fundamental_unit-not-squarefree", "dirichlet_rank",
          "is_square_rational", "UnitElement", "AlgebraMatrix-entry", "HermitianMatrix-entry",
-         "QuadIrrational-entry"],
+         "QuadIrrational-entry", "list-entry"],
 )
 def test_messages_print_an_integer_past_the_digit_limit_by_its_size(call, error, message):
     with pytest.raises(error) as caught:

@@ -237,6 +237,17 @@ class TestQuadIrrational:
         with pytest.raises(InvalidInput):
             QuadIrrational(12, 1, 1)
 
+    def test_str_puts_the_sign_of_b_between_the_terms(self):
+        half = Fraction(1, 2)
+        table = {
+            (0, 1): "√2", (0, -1): "-√2", (0, 3): "3√2", (0, -3): "-3√2",
+            (0, half): "(1/2)√2", (0, -half): "-(1/2)√2",
+            (1, 1): "1+√2", (1, -1): "1-√2", (1, 3): "1+3√2", (1, -3): "1-3√2",
+            (1, half): "1+(1/2)√2", (1, -half): "1-(1/2)√2",
+        }
+        for (a, b), text in table.items():
+            assert str(QuadIrrational(2, a, b)) == text
+
     def test_results_do_not_recheck_the_radicand(self, monkeypatch):
         # only the public constructor factors d; arithmetic results reuse it
         from amplecones import scalars

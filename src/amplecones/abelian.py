@@ -37,6 +37,7 @@ from .hermitian import (
     HermitianMatrix,
     PDBlock,
     ScalarKind,
+    _kind,
     act,
     hermitian_basis,
     hermitian_dimension,
@@ -88,6 +89,10 @@ class SimpleFactor(_Record):
     __slots__ = ("id", "albert", "multiplicity")
 
     def __init__(self, id: str, albert: AlbertRealType, multiplicity: int):
+        if not isinstance(id, str):
+            raise InvalidInput("factor id must be a string")
+        if not isinstance(albert, AlbertRealType):
+            raise InvalidInput(f"albert must be an AlbertRealType, not {type(albert).__name__}")
         _integer(multiplicity, "multiplicity", 1, "factor multiplicity must be positive")
         self._set(id=id, albert=albert, multiplicity=multiplicity)
 
@@ -109,6 +114,7 @@ class Block(_Record):
     __slots__ = ("kind", "size", "origin")
 
     def __init__(self, kind: ScalarKind, size: int, origin: str):
+        _kind(kind)  # reject a bad kind here, not when .dimension reads it
         _integer(size, "size", 1, "block size must be positive")
         self._set(kind=kind, size=size, origin=origin)
 
@@ -305,8 +311,6 @@ def model_from_json_dict(data) -> AbelianVarietyModel:
             m = albert["m"]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"factor entry {item!r} is missing {exc}") from None
-        if not isinstance(fid, str):
-            raise InvalidInput("factor id must be a string")
         try:
             form = AlbertForm(form_name)
         except ValueError:

@@ -6,7 +6,6 @@ through which every public entry point reads its arguments (``_integer``,
 package that assigns to a slot."""
 
 import math
-import sys
 from fractions import Fraction
 
 
@@ -55,10 +54,10 @@ class PreconditionViolated(AmpleconesError):
 
 
 def _format_integer(n: int) -> str:
-    limit = sys.get_int_max_str_digits()
-    if limit and abs(n) >= 10**limit:  # str(n) would raise ValueError
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int-string limit, which stays as set
         return f"{'-' if n < 0 else ''}<{abs(n).bit_length()}-bit integer>"
-    return str(n)
 
 
 def _format_coordinate(c) -> str:

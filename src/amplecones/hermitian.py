@@ -39,9 +39,6 @@ certificate) is read off the recorded integer steps as the integer rows of
 L over the lcm of the pivots, and the negative certificate, a violating
 vector carried back through the multipliers, is built as scalars once.
 Invertibility is a fraction-free elimination on the same rows.
-
-The 27-dimensional exceptional cone is representable as a block tag only;
-every arithmetic operation on it raises :class:`~amplecones.errors.Unsupported`.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from .errors import (
     NotPositiveDefinite,
     ShapeMismatch,
     SingularMatrix,
-    Unsupported,
     _coordinates,
     _format_coordinate,
     _integer,
@@ -73,7 +69,6 @@ class ScalarKind(enum.Enum):
     REAL = "R"
     COMPLEX = "C"
     QUATERNION = "H"
-    OCTONION = "O"
 
     # members are singletons, so hashing by identity agrees with equality
     # and costs no Python-level call on each lookup in _KINDS
@@ -81,7 +76,7 @@ class ScalarKind(enum.Enum):
 
     @property
     def imaginary_units(self):
-        cls, width = _kind(self)[:2]
+        cls, width = _KINDS[self][:2]
         return tuple(
             cls(*[int(i == j) for j in range(width)]) for i in range(1, width)
         )
@@ -141,14 +136,13 @@ def _conjugate(num: tuple) -> tuple:
 
 
 # What the matrix code needs to know about one scalar kind: its entry class
-# (None for octonions) and its dimension ``width`` over R.  ``split`` reads
-# an entry as (integer coefficient tuple, positive denominator), ``dot`` and
-# ``update`` are the kind's kernels, ``conj`` conjugates a coefficient tuple
-# (negates every coefficient but the first, which on R is the identity),
-# and ``build`` turns an integer tuple over a positive denominator back into
-# an entry in lowest terms.  Re(a b*) is the dot product of the coefficient
-# tuples.
-_Kind = namedtuple("_Kind", "cls width split dot update conj build", defaults=(None,) * 5)
+# and its dimension ``width`` over R.  ``split`` reads an entry as (integer
+# coefficient tuple, positive denominator), ``dot`` and ``update`` are the
+# kind's kernels, ``conj`` conjugates a coefficient tuple (negates every
+# coefficient but the first, which on R is the identity), and ``build``
+# turns an integer tuple over a positive denominator back into an entry in
+# lowest terms.  Re(a b*) is the dot product of the coefficient tuples.
+_Kind = namedtuple("_Kind", "cls width split dot update conj build")
 
 
 def _algebra_kind(cls, width: int, dot, update) -> _Kind:
@@ -156,7 +150,6 @@ def _algebra_kind(cls, width: int, dot, update) -> _Kind:
     return _Kind(cls, width, split, dot, update, _conjugate, cls(0)._reduce)
 
 
-# octonion arithmetic is not provided, so that kind has no class
 _KINDS = {
     ScalarKind.REAL: _Kind(
         Fraction,
@@ -171,31 +164,21 @@ _KINDS = {
     ScalarKind.QUATERNION: _algebra_kind(
         RationalQuaternion, 4, _dot_quaternion, _update_quaternion
     ),
-    ScalarKind.OCTONION: _Kind(None, 8),
 }
 
 
-def _kind_row(kind: ScalarKind) -> _Kind:
+def _kind(kind: ScalarKind) -> _Kind:
     """The row of ``kind`` in _KINDS; InvalidInput if it is not a ScalarKind."""
     if not isinstance(kind, ScalarKind):
         raise InvalidInput(f"unknown scalar kind {kind!r}; expected a ScalarKind")
     return _KINDS[kind]
 
 
-def _kind(kind: ScalarKind) -> _Kind:
-    ops = _kind_row(kind)
-    if ops.cls is None:
-        raise Unsupported("octonion arithmetic is not provided")
-    return ops
-
-
 def hermitian_dimension(kind: ScalarKind, r: int) -> int:
     """Real dimension of the space of r x r self-adjoint matrices over kind:
     r real diagonal entries and one scalar per pair above the diagonal."""
     _integer(r, "r", 1, "matrix size must be positive, got {}")
-    if kind is ScalarKind.OCTONION and r != 3:
-        raise Unsupported("the exceptional cone exists only in size 3")
-    return r + _kind_row(kind).width * r * (r - 1) // 2
+    return r + _kind(kind).width * r * (r - 1) // 2
 
 
 def _coerce_entry(kind: ScalarKind, cls, value):
@@ -682,10 +665,8 @@ class PDBlock(_Record):
     __slots__ = ("kind", "size")
 
     def __init__(self, kind: ScalarKind, size: int):
-        _kind_row(kind)  # reject a bad kind here, not when .dimension reads it
+        _kind(kind)  # reject a bad kind here, not when .dimension reads it
         _integer(size, "size", 1, "block size must be positive")
-        if kind is ScalarKind.OCTONION and size != 3:
-            raise Unsupported("the exceptional block exists only in size 3")
         self._set(kind=kind, size=size)
 
     @property
@@ -740,8 +721,6 @@ def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
         )
     for block, part in zip(spec.blocks, parts):
         if isinstance(block, PDBlock):
-            if block.kind is ScalarKind.OCTONION:
-                raise Unsupported("membership in the exceptional block is not provided")
             _hermitian(part, "PD block")
             if part.kind is not block.kind or part.size != block.size:
                 raise ShapeMismatch(

@@ -176,6 +176,22 @@ MUTANTS = [
         "if t in maximal and t not in facets:",
         POLYHEDRAL,
     ),
+    (
+        "kind-check-accepts-any-value",
+        "hermitian.py",
+        "    if not isinstance(kind, ScalarKind):\n"
+        '        raise InvalidInput(f"unknown scalar kind {kind!r}; expected a ScalarKind")\n',
+        "",
+        HERMITIAN,
+    ),
+    (
+        "simple-factor-accepts-any-albert",
+        "abelian.py",
+        "        if not isinstance(albert, AlbertRealType):\n"
+        '            raise InvalidInput(f"albert must be an AlbertRealType, not {type(albert).__name__}")\n',
+        "",
+        ["tests/test_records.py", "tests/test_arguments.py"],
+    ),
 ]
 
 

@@ -1,8 +1,10 @@
 """Hostile arguments at every public entry point.
 
 Each public callable with an integer, rational, point or sequence parameter
-reads it through one reader in ``amplecones.errors``, and each verdict on a
-Hermitian matrix checks that it got one, so every hostile value below ends
+reads it through one reader in ``amplecones.errors``, each verdict on a
+Hermitian matrix checks that it got one, and each swept parameter that takes
+one class (text, an enum member or a record) checks its type, so every
+hostile value below ends
 in InvalidInput or ShapeMismatch, with a message that prints no
 ``Fraction(``; a hostile sequence is rejected as not a sequence, before any
 later check could fire on an empty or misread one, and a hostile matrix as
@@ -32,6 +34,8 @@ HOSTILE = {
     "sequence": (None, 5, "ab"),
     # the last is not self-adjoint, though x^T B x = |x|^2 is positive definite
     "matrix": (None, 5, ac.AlgebraMatrix(K.REAL, [[1, 5], [-5, 1]])),
+    # no instance of the one class a parameter takes: text, an enum or a record
+    "class": (None, 5, b"E", ["E"]),
 }
 
 PI, ACTION = ac.real_mult_fundamental_domain(2, (1, 0))
@@ -147,8 +151,15 @@ SWEEP = {
         ("sequence", "divisors", lambda x: ac.aut_action(DECOMPOSITION, [MATRIX], x)),
     ],
     "AlbertRealType": [("integer", "m", lambda x: ac.AlbertRealType(AlbertForm.REAL_SPLIT, x))],
-    "Block": [("integer", "size", lambda x: ac.Block(K.REAL, x, "E"))],
-    "SimpleFactor": [("integer", "multiplicity", lambda x: ac.SimpleFactor("E", ALBERT, x))],
+    "Block": [
+        ("integer", "size", lambda x: ac.Block(K.REAL, x, "E")),
+        ("class", "kind", lambda x: ac.Block(x, 2, "E")),
+    ],
+    "SimpleFactor": [
+        ("integer", "multiplicity", lambda x: ac.SimpleFactor("E", ALBERT, x)),
+        ("class", "id", lambda x: ac.SimpleFactor(x, ALBERT, 1)),
+        ("class", "albert", lambda x: ac.SimpleFactor("E", x, 1)),
+    ],
     "SurfaceConeData": [
         ("rational", "a", lambda x: ac.SurfaceConeData(x, 1, False, ())),
         ("rational", "b", lambda x: ac.SurfaceConeData(1, x, False, ())),

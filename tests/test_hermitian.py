@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from amplecones import (
     AlgebraMatrix,
+    Block,
     ConeSpec,
     GaussianRational,
     HermitianMatrix,
@@ -22,7 +23,6 @@ from amplecones import (
     ScalarKind,
     ShapeMismatch,
     SingularMatrix,
-    Unsupported,
     act,
     cone_member,
     hermitian_basis,
@@ -35,6 +35,7 @@ from amplecones import (
     quadratic_value,
     trace_inner_product,
 )
+from amplecones.abelian import _FORM_RULES
 from amplecones.hermitian import _KINDS, _integer_rows
 from support import (
     MATRIX_KINDS,
@@ -81,17 +82,6 @@ class TestConstruction:
         with pytest.raises(ShapeMismatch):
             AlgebraMatrix(R, [[GaussianRational(1, 0)]])
 
-    def test_octonion_entries_rejected(self):
-        with pytest.raises(Unsupported):
-            AlgebraMatrix(ScalarKind.OCTONION, [[1]])
-        for build in (
-            lambda: HermitianMatrix.identity(ScalarKind.OCTONION, 3),
-            lambda: AlgebraMatrix.diagonal(ScalarKind.OCTONION, [1, 1, 1]),
-            lambda: hermitian_basis(ScalarKind.OCTONION, 3),
-        ):
-            with pytest.raises(Unsupported):
-                build()
-
     @pytest.mark.parametrize("kind", ["R", "C", None, 1])
     def test_kind_must_be_a_scalar_kind(self, kind):
         for build in (
@@ -101,6 +91,7 @@ class TestConstruction:
             lambda: hermitian_basis(kind, 2),
             lambda: hermitian_dimension(kind, 2),
             lambda: PDBlock(kind, 2),
+            lambda: Block(kind, 2, "A"),
         ):
             with pytest.raises(InvalidInput, match=f"unknown scalar kind {kind!r}"):
                 build()
@@ -127,8 +118,6 @@ class TestConstruction:
                     cls.identity(R, n)
             with pytest.raises(ShapeMismatch):
                 cls.diagonal(C, [])
-            with pytest.raises(Unsupported):
-                cls.identity(ScalarKind.OCTONION, 3)
 
 
 class TestValueSemantics:
@@ -922,16 +911,6 @@ class TestConeSpec:
         with pytest.raises(ShapeMismatch):
             cone_member(spec, [])
 
-    def test_octonion_block_is_tag_only(self):
-        block = PDBlock(ScalarKind.OCTONION, 3)
-        assert block.dimension == 27
-        spec = ConeSpec([block])
-        assert spec.dimension == 27
-        with pytest.raises(Unsupported):
-            cone_member(spec, [HermitianMatrix.identity(R, 3)])
-        with pytest.raises(Unsupported):
-            PDBlock(ScalarKind.OCTONION, 2)
-
 
 class TestDimensions:
     def test_formulas(self):
@@ -939,11 +918,14 @@ class TestDimensions:
             assert hermitian_dimension(R, r) == r * (r + 1) // 2
             assert hermitian_dimension(C, r) == r * r
             assert hermitian_dimension(H, r) == r * (2 * r - 1)
-        assert hermitian_dimension(ScalarKind.OCTONION, 3) == 27
-        with pytest.raises(Unsupported):
-            hermitian_dimension(ScalarKind.OCTONION, 2)
         with pytest.raises(InvalidInput):
             hermitian_dimension(R, 0)
+
+    def test_every_kind_is_one_the_models_compute_with(self):
+        # the kinds of Albert's classification, each with an entry class
+        assert set(ScalarKind) == {kind for kind, _ in _FORM_RULES.values()}
+        assert set(_KINDS) == set(ScalarKind)
+        assert all(row.cls is not None for row in _KINDS.values())
 
     def test_imaginary_units(self):
         assert R.imaginary_units == ()
@@ -953,10 +935,6 @@ class TestDimensions:
             RationalQuaternion(0, 0, 1, 0),
             RationalQuaternion(0, 0, 0, 1),
         )
-        with pytest.raises(Unsupported):
-            ScalarKind.OCTONION.imaginary_units
-        with pytest.raises(Unsupported):
-            hermitian_basis(ScalarKind.OCTONION, 3)
 
     def test_basis_enumeration(self):
         for kind in MATRIX_KINDS:

@@ -39,7 +39,6 @@ from amplecones import (
     SurfaceConeData,
     UnimodularMatrix,
     UnitElement,
-    Unsupported,
     dirichlet_rank,
     fundamental_unit,
     is_square_rational,
@@ -312,6 +311,12 @@ def test_copies_compare_equal(make):
             "number of simple summands m must be positive",
         ),
         (lambda: SimpleFactor("E", _ALBERT, 0), InvalidInput, "factor multiplicity must be positive"),
+        (lambda: SimpleFactor(["E"], _ALBERT, 1), InvalidInput, "factor id must be a string"),
+        (
+            lambda: SimpleFactor("E", "x", 1),
+            InvalidInput,
+            "albert must be an AlbertRealType, not str",
+        ),
         (lambda: AbelianVarietyModel([]), InvalidInput, "a model needs at least one simple factor"),
         (
             lambda: AbelianVarietyModel([_FACTOR, _FACTOR]),
@@ -320,7 +325,6 @@ def test_copies_compare_equal(make):
         ),
         (lambda: LorentzVector((1,)), InvalidInput, "Lorentz vectors need at least two coordinates"),
         (lambda: PDBlock(K.REAL, 0), InvalidInput, "block size must be positive"),
-        (lambda: PDBlock(K.OCTONION, 2), Unsupported, "the exceptional block exists only in size 3"),
         (lambda: LorentzBlock(0), InvalidInput, "Lorentz block needs n >= 1"),
         (lambda: ConeSpec(()), InvalidInput, "a cone needs at least one block"),
         (lambda: ConeSpec((_BLOCK,)), InvalidInput, f"unknown block descriptor {_BLOCK!r}"),

@@ -32,7 +32,6 @@ from .hermitian import (
     AlgebraMatrix,
     ConeSpec,
     HermitianMatrix,
-    LorentzBlock,
     LorentzVector,
     PDBlock,
     ScalarKind,

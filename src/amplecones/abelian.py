@@ -50,7 +50,6 @@ from .scalars import (
     dirichlet_rank,
     fundamental_unit,
     is_square_rational,
-    is_totally_positive,
     squarefree_part,
 )
 
@@ -116,6 +115,8 @@ class Block(_Record):
     def __init__(self, kind: ScalarKind, size: int, origin: str):
         _kind(kind)  # reject a bad kind here, not when .dimension reads it
         _integer(size, "size", 1, "block size must be positive")
+        if not isinstance(origin, str):
+            raise InvalidInput("block origin must be a string")
         self._set(kind=kind, size=size, origin=origin)
 
     @property
@@ -236,41 +237,24 @@ def surface_nef_data(a, b) -> SurfaceConeData:
 def bauer_rational_polyhedral(model: AbelianVarietyModel) -> bool:
     """Is the nef cone rational polyhedral?  True exactly when every factor
     has multiplicity one and its own Picard number is one."""
-    for factor in model.factors:
-        if factor.multiplicity != 1:
-            return False
-        single = AbelianVarietyModel(
-            factors=(SimpleFactor(id=factor.id, albert=factor.albert, multiplicity=1),)
-        )
-        if picard_number(single) != 1:
-            return False
-    return True
+    # factor i adds m * dim Herm_{scale * n}(K) >= 1 to the Picard number,
+    # with equality exactly when m = n = scale = 1, so the sum equals the
+    # number of factors exactly when every factor passes the test above
+    return picard_number(model) == len(model.factors)
 
 
-def real_mult_fundamental_domain(
-    d: int,
-    ray,
-    square_unit: bool = True,
-) -> tuple[PolyhedralCone, GroupAction2D]:
+def real_mult_fundamental_domain(d: int, ray) -> tuple[PolyhedralCone, GroupAction2D]:
     """The rank-1 construction: a rational polyhedral cone between a rational
     ray R and g(R), where g multiplies by the square of the fundamental unit
     of Z[sqrt(d)] in the basis {1, sqrt(d)}.
 
-    Squaring makes the multiplier totally positive of norm +1, so g preserves
-    the quadratic cone {x1^2 - d*x2^2 > 0, x1 > 0} and fixes each boundary
-    ray.  With ``square_unit=False`` the fundamental unit itself is used; it
-    must already be totally positive of norm +1.
+    A unit u acts on NS as x -> u* x u = u^2 x, since the Rosati involution
+    is trivial on a totally real field, so the action is by the square.  The
+    square is totally positive of norm +1, so g preserves the quadratic cone
+    {x1^2 - d*x2^2 > 0, x1 > 0} and fixes each boundary ray.
     """
-    unit = fundamental_unit(d)  # validates d
-    if square_unit:
-        multiplier = unit.value * unit.value
-    else:
-        if unit.norm != 1 or not is_totally_positive(unit.value):
-            raise InvalidInput(
-                f"fundamental unit of Z[sqrt({d})] is not totally positive of "
-                "norm +1; keep square_unit=True"
-            )
-        multiplier = unit.value
+    unit = fundamental_unit(d).value  # validates d
+    multiplier = unit * unit
     p, q = multiplier.a, multiplier.b
     generator = [[p, d * q], [q, p]]
     action = GroupAction2D(generator, 1, d)

@@ -108,7 +108,6 @@ def _blocks_report(model) -> dict:
 
 def _cone_report(model) -> dict:
     spec = abelian.ample_cone(model)
-    # abelian.ample_cone builds PD blocks only
     blocks = [
         {"type": "pd", "kind": b.kind.value, "size": b.size, "dim": b.dimension}
         for b in spec.blocks
@@ -135,10 +134,9 @@ def _cmd_model(args) -> int:
 
 
 def _sqrt_text(n: int) -> str:
-    root = math.isqrt(n)
-    if root * root == n:
-        return str(root)
     s, d = squarefree_part(n)
+    if d == 1:
+        return str(s)
     prefix = "" if s == 1 else str(s)
     return f"{prefix}√{d}"
 

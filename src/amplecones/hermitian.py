@@ -2,8 +2,10 @@
 
 The open cone of positive-definite matrices in each Hermitian space is
 homogeneous and self-dual for the pairing Re Tr(x y*).  The invertible
-matrices act on it by D -> M* D M.  Direct sums of these cones and of Lorentz
-cones are described by :class:`ConeSpec`.
+matrices act on it by D -> M* D M.  Direct sums of these cones, the shape of
+every ample cone, are described by :class:`ConeSpec`.  The Lorentz cone,
+which the 2 x 2 real cone matches, has a standalone predicate,
+:func:`lorentz_member`, and is not a ConeSpec block.
 
 ``AlgebraMatrix`` and ``HermitianMatrix`` share one private base, which
 holds the coercing constructor, immutability, equality, hashing, ``repr``,
@@ -674,30 +676,16 @@ class PDBlock(_Record):
         return hermitian_dimension(self.kind, self.size)
 
 
-class LorentzBlock(_Record):
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        _integer(n, "n", 1, "Lorentz block needs n >= 1")
-        self._set(n=n)
-
-    @property
-    def dimension(self) -> int:
-        return self.n + 1
-
-
 class ConeSpec(_Record):
-    """Formal direct sum of positive-definite matrix cones and Lorentz cones."""
+    """Formal direct sum of positive-definite matrix cones, one PDBlock each:
+    by Albert's classification, every ample cone is one."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = _coordinates(blocks, "a cone", "blocks")
+        blocks = _coordinates(blocks, "a cone", "blocks", PDBlock)
         if not blocks:
             raise InvalidInput("a cone needs at least one block")
-        for b in blocks:
-            if not isinstance(b, (PDBlock, LorentzBlock)):
-                raise InvalidInput(f"unknown block descriptor {b}")
         self._set(blocks=blocks)
 
     @property
@@ -711,8 +699,7 @@ class ConeSpec(_Record):
 def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
     """Blockwise membership in the direct sum; every block must pass.
 
-    ``parts`` pairs each PD block with a HermitianMatrix and each Lorentz
-    block with a LorentzVector, in block order.
+    ``parts`` pairs each block with a HermitianMatrix, in block order.
     """
     parts = _coordinates(parts, "parts", "block components")
     if len(parts) != len(spec.blocks):
@@ -720,24 +707,13 @@ def cone_member(spec: ConeSpec, parts, *, closed: bool = False) -> bool:
             f"expected {len(spec.blocks)} block components, got {len(parts)}"
         )
     for block, part in zip(spec.blocks, parts):
-        if isinstance(block, PDBlock):
-            _hermitian(part, "PD block")
-            if part.kind is not block.kind or part.size != block.size:
-                raise ShapeMismatch(
-                    f"component {part.kind.value}^{part.size} does not match "
-                    f"block {block.kind.value}^{block.size}"
-                )
-            ok = _in_cone(part, closed)
-        else:
-            if not isinstance(part, LorentzVector):
-                raise ShapeMismatch(f"Lorentz block needs a LorentzVector, got {part}")
-            if len(part.coords) != block.n + 1:
-                raise ShapeMismatch(
-                    f"Lorentz component has {len(part.coords)} coordinates, "
-                    f"block needs {block.n + 1}"
-                )
-            ok = lorentz_member(part, closed=closed)
-        if not ok:
+        _hermitian(part, "PD block")
+        if part.kind is not block.kind or part.size != block.size:
+            raise ShapeMismatch(
+                f"component {part.kind.value}^{part.size} does not match "
+                f"block {block.kind.value}^{block.size}"
+            )
+        if not _in_cone(part, closed):
             return False
     return True
 

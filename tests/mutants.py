@@ -192,6 +192,28 @@ MUTANTS = [
         "",
         ["tests/test_records.py", "tests/test_arguments.py"],
     ),
+    (
+        "bauer-counts-with-ge",
+        "abelian.py",
+        "return picard_number(model) == len(model.factors)",
+        "return picard_number(model) >= len(model.factors)",
+        ["tests/test_abelian.py"],
+    ),
+    (
+        "block-accepts-any-origin",
+        "abelian.py",
+        "        if not isinstance(origin, str):\n"
+        '            raise InvalidInput("block origin must be a string")\n',
+        "",
+        ["tests/test_records.py", "tests/test_arguments.py"],
+    ),
+    (
+        "cone-member-ignores-closed",
+        "hermitian.py",
+        "_in_cone(part, closed)",
+        "_in_cone(part, False)",
+        HERMITIAN,
+    ),
 ]
 
 

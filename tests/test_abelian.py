@@ -226,12 +226,30 @@ class TestBauer:
             m = random_model(rng)
             verdict = bauer_rational_polyhedral(m)
             blocks = endo_real_decomposition(m).blocks
-            orthant = all(
-                isinstance(b, PDBlock) and b.dimension == 1
-                for b in ample_cone(m).blocks
-            )
+            orthant = all(b.dimension == 1 for b in ample_cone(m).blocks)
             origins_distinct = len({b.origin for b in blocks}) == len(blocks)
             assert verdict == (orthant and origins_distinct)
+
+    def test_every_small_model_against_the_factor_rule(self):
+        # the real dimension of the self-adjoint part of one simple summand
+        # of each form: Herm_1 over R, C, H, then Herm_2(R) and Herm_2(C)
+        summand_dimension = {
+            AlbertForm.REAL_SPLIT: 1,
+            AlbertForm.COMPLEX_SPLIT: 1,
+            AlbertForm.QUATERNION_SPLIT: 1,
+            AlbertForm.MAT2_REAL: 3,
+            AlbertForm.MAT2_COMPLEX: 4,
+        }
+        assert set(summand_dimension) == set(AlbertForm)
+        choices = [(form, m, n) for form in AlbertForm for m in (1, 2) for n in (1, 2)]
+        models = [(c,) for c in choices] + [(c, e) for c in choices for e in choices]
+        verdicts = set()
+        for chosen in models:
+            factors = [factor(f"X{i}", form, m, n) for i, (form, m, n) in enumerate(chosen)]
+            expected = all(n == 1 and m * summand_dimension[form] == 1 for form, m, n in chosen)
+            assert bauer_rational_polyhedral(model(*factors)) == expected, chosen
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestRealMultFundamentalDomain:
@@ -266,17 +284,6 @@ class TestRealMultFundamentalDomain:
         assert pi.rays[0] == (3, -2)
         report = verify_fundamental_domain(pi, action, samples=100, max_word=12, seed=0)
         assert report.covering_ok and report.disjoint_ok
-
-    def test_unsquared_unit_flag(self):
-        # for d = 3 the fundamental unit is already totally positive of
-        # norm +1, so the finer tiling also works
-        pi, action = real_mult_fundamental_domain(3, (1, 0), square_unit=False)
-        assert action.generator_json() == [[2, 3], [1, 2]]
-        report = verify_fundamental_domain(pi, action, samples=100, max_word=12, seed=0)
-        assert report.covering_ok and report.disjoint_ok
-
-        with pytest.raises(InvalidInput):
-            real_mult_fundamental_domain(2, (1, 0), square_unit=False)
 
     def test_input_validation(self):
         with pytest.raises(PerfectSquareInput):

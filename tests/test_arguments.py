@@ -84,7 +84,6 @@ SWEEP = {
     "HermitianMatrix": matrix_rows(ac.HermitianMatrix),
     "ConeSpec": [("sequence", "blocks", ac.ConeSpec)],
     "cone_member": [("sequence", "parts", lambda x: ac.cone_member(SPEC, x))],
-    "LorentzBlock": [("integer", "n", ac.LorentzBlock)],
     "LorentzVector": [("point", "coords", ac.LorentzVector)],
     "PDBlock": [("integer", "size", lambda x: ac.PDBlock(K.REAL, x))],
     "hermitian_basis": [("integer", "r", lambda x: ac.hermitian_basis(K.REAL, x))],
@@ -154,6 +153,7 @@ SWEEP = {
     "Block": [
         ("integer", "size", lambda x: ac.Block(K.REAL, x, "E")),
         ("class", "kind", lambda x: ac.Block(x, 2, "E")),
+        ("class", "origin", lambda x: ac.Block(K.REAL, 2, x)),
     ],
     "SimpleFactor": [
         ("integer", "multiplicity", lambda x: ac.SimpleFactor("E", ALBERT, x)),
@@ -266,7 +266,7 @@ def test_exempt_callables_take_no_annotated_integer():
 
 def test_messages_print_scalars_as_p_over_q():
     half = Fraction(1, 2)
-    spec = ac.ConeSpec([ac.PDBlock(K.REAL, 1), ac.LorentzBlock(1)])
+    spec = ac.ConeSpec([ac.PDBlock(K.REAL, 1), ac.PDBlock(K.REAL, 1)])
     one = ac.HermitianMatrix.identity(K.REAL, 1)
     vector = ac.LorentzVector([half, 0])
     for call, text in [
@@ -276,17 +276,14 @@ def test_messages_print_scalars_as_p_over_q():
             "entry 1/2 does not belong to scalar kind R",
         ),
         (lambda: ac.cone_member(spec, [half, half]), "PD block needs a HermitianMatrix, got 1/2"),
-        (
-            lambda: ac.cone_member(spec, [one, half]),
-            "Lorentz block needs a LorentzVector, got 1/2",
-        ),
+        (lambda: ac.cone_member(spec, [one, half]), "PD block needs a HermitianMatrix, got 1/2"),
         (
             lambda: ac.cone_member(spec, [vector, vector]),
             "PD block needs a HermitianMatrix, got LorentzVector(1/2, 0)",
         ),
         (
-            lambda: ac.ConeSpec([ac.LorentzBlock(1), vector]),
-            "unknown block descriptor LorentzVector(1/2, 0)",
+            lambda: ac.ConeSpec([ac.PDBlock(K.REAL, 1), vector]),
+            "a cone must be a sequence of blocks; item 1 is of type LorentzVector",
         ),
     ]:
         with pytest.raises(ac.AmpleconesError) as caught:

@@ -15,7 +15,6 @@ from amplecones import (
     GaussianRational,
     HermitianMatrix,
     InvalidInput,
-    LorentzBlock,
     LorentzVector,
     NotPositiveDefinite,
     PDBlock,
@@ -159,9 +158,9 @@ class TestValueSemantics:
             (HermitianMatrix.identity(H, 2), "HermitianMatrix(H, [[1, 0], [0, 1]])"),
             (LorentzVector([1, Fraction(-1, 2), 0]),
              "LorentzVector([Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1)])"),
-            (ConeSpec([PDBlock(C, 2), LorentzBlock(3)]),
+            (ConeSpec([PDBlock(C, 2), PDBlock(H, 3)]),
              "ConeSpec([PDBlock(kind=<ScalarKind.COMPLEX: 'C'>, size=2), "
-             "LorentzBlock(n=3)])"),
+             "PDBlock(kind=<ScalarKind.QUATERNION: 'H'>, size=3)])"),
         ]
         for value, text in cases:
             assert repr(value) == text
@@ -171,7 +170,7 @@ class TestValueSemantics:
             AlgebraMatrix.identity(R, 2): ("kind", "size", "entries"),
             HermitianMatrix.identity(C, 2): ("kind", "size", "entries"),
             LorentzVector([1, 0]): ("coords",),
-            ConeSpec([LorentzBlock(1)]): ("blocks",),
+            ConeSpec([PDBlock(R, 1)]): ("blocks",),
         }
         for value, names in values.items():
             for name in names + ("other",):
@@ -190,11 +189,11 @@ class TestValueSemantics:
                 LorentzVector(coords)
 
     def test_cone_spec_record(self):
-        spec = ConeSpec([PDBlock(R, 2), LorentzBlock(3)])
+        spec = ConeSpec([PDBlock(R, 2), PDBlock(C, 3)])
         assert type(spec.blocks) is tuple
-        same = ConeSpec(b for b in (PDBlock(R, 2), LorentzBlock(3)))
+        same = ConeSpec(b for b in (PDBlock(R, 2), PDBlock(C, 3)))
         assert spec == same and hash(spec) == hash(same)
-        assert spec != ConeSpec([LorentzBlock(3), PDBlock(R, 2)])
+        assert spec != ConeSpec([PDBlock(C, 3), PDBlock(R, 2)])
         assert (spec == spec.blocks) is False
         for blocks in ([], [PDBlock(R, 2), (R, 2)], [LorentzVector([1, 0])]):
             with pytest.raises(InvalidInput):
@@ -891,16 +890,9 @@ class TestConeSpec:
         pd2 = ConeSpec([PDBlock(R, 2)])
         assert cone_member(pd2, [HermitianMatrix(R, [[2, -1], [-1, 2]])])
 
-    def test_mixed_blocks(self):
-        spec = ConeSpec([PDBlock(C, 1), LorentzBlock(2)])
-        parts = [HermitianMatrix.identity(C, 1), LorentzVector([2, 1, 1])]
-        assert cone_member(spec, parts)
-        parts = [HermitianMatrix.identity(C, 1), LorentzVector([1, 1, 1])]
-        assert not cone_member(spec, parts)
-
     def test_dimension(self):
-        spec = ConeSpec([PDBlock(R, 2), PDBlock(C, 2), PDBlock(H, 2), LorentzBlock(3)])
-        assert spec.dimension == 3 + 4 + 6 + 4
+        spec = ConeSpec([PDBlock(R, 2), PDBlock(C, 2), PDBlock(H, 2), PDBlock(R, 1)])
+        assert spec.dimension == 3 + 4 + 6 + 1
 
     def test_shape_errors(self):
         spec = ConeSpec([PDBlock(R, 2)])

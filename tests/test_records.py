@@ -25,7 +25,6 @@ from amplecones import (
     HermitianMatrix,
     IntegralForm,
     InvalidInput,
-    LorentzBlock,
     LorentzVector,
     NotPositiveDefinite,
     PDBlock,
@@ -96,11 +95,11 @@ RECORDS = [
         "LorentzVector([Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)])",
     ),
     (PDBlock, {"kind": K.REAL, "size": 1}, "PDBlock(kind=<ScalarKind.REAL: 'R'>, size=1)"),
-    (LorentzBlock, {"n": 2}, "LorentzBlock(n=2)"),
     (
         ConeSpec,
-        {"blocks": (PDBlock(K.COMPLEX, 2), LorentzBlock(1))},
-        "ConeSpec([PDBlock(kind=<ScalarKind.COMPLEX: 'C'>, size=2), LorentzBlock(n=1)])",
+        {"blocks": (PDBlock(K.COMPLEX, 2), PDBlock(K.REAL, 1))},
+        "ConeSpec([PDBlock(kind=<ScalarKind.COMPLEX: 'C'>, size=2), "
+        "PDBlock(kind=<ScalarKind.REAL: 'R'>, size=1)])",
     ),
     (IntegralForm, {"g11": 2, "g12": 1, "g22": 3}, "IntegralForm(g11=2, g12=1, g22=3)"),
     (UnimodularMatrix, {"a": 5, "b": 2, "c": 7, "d": 3}, "UnimodularMatrix(a=5, b=2, c=7, d=3)"),
@@ -325,9 +324,13 @@ def test_copies_compare_equal(make):
         ),
         (lambda: LorentzVector((1,)), InvalidInput, "Lorentz vectors need at least two coordinates"),
         (lambda: PDBlock(K.REAL, 0), InvalidInput, "block size must be positive"),
-        (lambda: LorentzBlock(0), InvalidInput, "Lorentz block needs n >= 1"),
+        (lambda: Block(K.REAL, 2, ["A"]), InvalidInput, "block origin must be a string"),
         (lambda: ConeSpec(()), InvalidInput, "a cone needs at least one block"),
-        (lambda: ConeSpec((_BLOCK,)), InvalidInput, f"unknown block descriptor {_BLOCK!r}"),
+        (
+            lambda: ConeSpec((_BLOCK,)),
+            InvalidInput,
+            "a cone must be a sequence of blocks; item 0 is of type Block",
+        ),
         (lambda: IntegralForm(1, 2, 3), NotPositiveDefinite, "form (1, 2, 3) is not positive definite"),
         (lambda: UnimodularMatrix(1, 1, 1, 1), InvalidInput, "matrix is not in SL(2, Z)"),
         (lambda: UnitElement(QuadIrrational(5, 2, 1), 2), InvalidInput, "unit norm must be +-1, got 2"),

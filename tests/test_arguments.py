@@ -85,9 +85,18 @@ SWEEP = {
     "ConeSpec": [("sequence", "blocks", ac.ConeSpec)],
     "cone_member": [("sequence", "parts", lambda x: ac.cone_member(SPEC, x))],
     "LorentzVector": [("point", "coords", ac.LorentzVector)],
-    "PDBlock": [("integer", "size", lambda x: ac.PDBlock(K.REAL, x))],
-    "hermitian_basis": [("integer", "r", lambda x: ac.hermitian_basis(K.REAL, x))],
-    "hermitian_dimension": [("integer", "r", lambda x: ac.hermitian_dimension(K.REAL, x))],
+    "PDBlock": [
+        ("integer", "size", lambda x: ac.PDBlock(K.REAL, x)),
+        ("class", "kind", lambda x: ac.PDBlock(x, 2)),
+    ],
+    "hermitian_basis": [
+        ("integer", "r", lambda x: ac.hermitian_basis(K.REAL, x)),
+        ("class", "kind", lambda x: ac.hermitian_basis(x, 2)),
+    ],
+    "hermitian_dimension": [
+        ("integer", "r", lambda x: ac.hermitian_dimension(K.REAL, x)),
+        ("class", "kind", lambda x: ac.hermitian_dimension(x, 2)),
+    ],
     "quadratic_value": [
         ("point", "v", lambda x: ac.quadratic_value(EYE, x)),
         ("matrix", "D", lambda x: ac.quadratic_value(x, (1, 0))),
@@ -149,7 +158,10 @@ SWEEP = {
         ("sequence", "matrices", lambda x: ac.aut_action(DECOMPOSITION, x, [EYE])),
         ("sequence", "divisors", lambda x: ac.aut_action(DECOMPOSITION, [MATRIX], x)),
     ],
-    "AlbertRealType": [("integer", "m", lambda x: ac.AlbertRealType(AlbertForm.REAL_SPLIT, x))],
+    "AlbertRealType": [
+        ("integer", "m", lambda x: ac.AlbertRealType(AlbertForm.REAL_SPLIT, x)),
+        ("class", "form", lambda x: ac.AlbertRealType(x, 1)),
+    ],
     "Block": [
         ("integer", "size", lambda x: ac.Block(K.REAL, x, "E")),
         ("class", "kind", lambda x: ac.Block(x, 2, "E")),

@@ -25,8 +25,11 @@ from .scalars import is_squarefree, squarefree_part
 _DEFAULT_SEED = 0
 _DEFAULT_SAMPLES = 500
 _DEFAULT_MAX_WORD = 12
-# bound on --k-range and --max-word: the translate table has 2 * bound + 1
-# rows whose integers grow linearly in bits, so its size is quadratic in it
+# bound on --k-range and --max-word: the translate table builds a row only
+# when it is read, but render reads all 2 * bound + 1, and so does verify
+# when every translate overlaps pi (the scalar action, or a ray of pi fixed
+# by g) or a point lies far out; their integers grow linearly in bits, so
+# that work is quadratic in the bound
 _MAX_WORD = 64
 # bound on --samples: a sample of the d = 2 domain costs about 2 microseconds,
 # so a run stays well under a second
@@ -257,8 +260,9 @@ def render_svg(pi: PolyhedralCone, g: reduction.GroupAction2D, k_range: int) -> 
             f'x2="{fmt(x)}" y2="{fmt(y)}" stroke="#333333" stroke-width="1.5"/>'
         )
     wedges = []
-    orbits = [reduction._orbit(r, g, k_range) for r in pi.rays]
-    for k, rays in zip(range(-k_range, k_range + 1), zip(*orbits)):
+    rows = reduction._Translates(g, pi.rays)
+    for k in range(-k_range, k_range + 1):
+        rays = rows[k]
         # a common shift by a power of two keeps huge integer directions
         # within float range; smaller ones are drawn unshifted
         shifts = [max(0, max(map(abs, r)).bit_length() - 1023) for r in rays]

@@ -8,9 +8,14 @@ and a sampling verifier for the two fundamental-domain axioms: translates
 cover the open cone, and distinct translates have disjoint interiors.
 
 Both domain questions read one translate table, the candidate's extreme
-rays pushed through g^k by integer matrix-vector products.  The generator
-has det g > 0, so it moves every interior ray the same way and both
-questions are signs of 2 x 2 integer cross products.
+rays pushed through g^k by integer matrix-vector products.  A row is built
+on first read, so a question pays only for the translates it looks at.
+The generator has det g > 0, so it moves every interior ray the same way
+and both questions are signs of 2 x 2 integer cross products.  A
+non-scalar g acts on the projectivized cone as a translation, so whether
+pi and g^k pi overlap depends on |k| alone, and once it fails it fails
+for every larger |k|: the disjointness scan stops at the first step with
+no overlap.
 """
 
 from __future__ import annotations
@@ -280,24 +285,42 @@ def _simplest_between(u, v) -> list:
     return [q, p]
 
 
-def _orbit(v, action: GroupAction2D, max_word: int) -> list:
-    """Positive integer multiples of g^k v for k = -max_word..max_word."""
-    up, down = [v], [v]
-    for _ in range(max_word):
-        up.append(_mat_vec(action._fwd, up[-1]))
-        down.append(_mat_vec(action._bwd, down[-1]))
-    return down[:0:-1] + up
+class _Translates(dict):
+    """Row k of the translate table: the tuple of g^k r over a fixed tuple
+    of rays, built on first read.  Row 0 holds the rays; a missing row k
+    is built from the nearest built row toward k = 0, one product per ray
+    per step, and every row passed on the way is kept.  Built rows are
+    plain dict lookups.  The table has no bound of its own: its readers
+    keep |k| within theirs."""
+
+    __slots__ = ("_fwd", "_bwd")
+
+    def __init__(self, action: GroupAction2D, rays) -> None:
+        super().__init__({0: tuple(rays)})
+        self._fwd, self._bwd = action._fwd, action._bwd
+
+    def __missing__(self, k):
+        step, m = (1, self._fwd) if k > 0 else (-1, self._bwd)
+        j = k - step
+        while j not in self:
+            j -= step
+        row = self[j]
+        while j != k:
+            j += step
+            row = self[j] = tuple([_mat_vec(m, v) for v in row])
+        return row
 
 
-def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
-    """(rows, open_low, open_high, up): rows maps k = -max_word..max_word, in
-    that order, to (g^k low, g^k high) for the extreme rays of pi in slope
-    order (closed-cone rays have x1 > 0).  If pi is cone{R, g(R)}, the side
-    that g carries the other onto is open (flag 1), so the located index is
-    a well-defined, shift-equivariant function.  up is the step in k that
-    moves the translates toward larger slopes: the sign of g21, read off
-    the interior ray (1, 0), whose image is (g11, g21); 0 is the scalar
-    action.  A ray of pi would not do: a boundary ray is fixed by g.
+def _translates(pi: PolyhedralCone, action: GroupAction2D):
+    """(rows, open_low, open_high, up): rows maps k to (g^k low, g^k high)
+    for the extreme rays of pi in slope order (closed-cone rays have
+    x1 > 0), built only as far as it is read.  If pi is cone{R, g(R)}, the
+    side that g carries the other onto is open (flag 1), so the located
+    index is a well-defined, shift-equivariant function; the flags read
+    row 1.  up is the step in k that moves the translates toward larger
+    slopes: the sign of g21, read off the interior ray (1, 0), whose image
+    is (g11, g21); 0 is the scalar action.  A ray of pi would not do: a
+    boundary ray is fixed by g.
     """
     if pi.dim != 2:
         raise ShapeMismatch("translate location works in the plane")
@@ -306,17 +329,18 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D, max_word: int):
             raise PreconditionViolated(f"generator {ray} of pi is outside the closed cone")
     rays = sorted(pi.rays, key=lambda r: Fraction(r[1], r[0]))
     low, high = rays[0], rays[-1]
+    rows = _Translates(action, (low, high))
     open_low = open_high = 0
     if len(rays) == 2:  # both rays have x1 > 0, so collinear means equal rays
-        open_low = int(_cross(_mat_vec(action._fwd, high), low) == 0)
-        open_high = int(_cross(_mat_vec(action._fwd, low), high) == 0)
-    rows = zip(_orbit(low, action, max_word), _orbit(high, action, max_word))
+        g_low, g_high = rows[1]
+        open_low = int(_cross(g_high, low) == 0)
+        open_high = int(_cross(g_low, high) == 0)
     g21 = action._fwd[1][0]
     up = (g21 > 0) - (g21 < 0)
-    return dict(zip(range(-max_word, max_word + 1), rows)), open_low, open_high, up
+    return rows, open_low, open_high, up
 
 
-def _locate(p, table):
+def _locate(p, table, max_word: int):
     """The least k in -max_word..max_word with the integer direction p in
     g^k pi, or None.  On an open side a cross product must be >= 1, that
     is > 0.
@@ -330,14 +354,14 @@ def _locate(p, table):
     """
     rows, open_low, open_high, up = table
     k, came = 0, 0
-    while k in rows:
+    while -max_word <= k <= max_word:
         low, high = rows[k]
         if _cross(low, p) < open_low:  # p lies below g^k pi
             step = -up
         elif _cross(p, high) < open_high:  # p lies above g^k pi
             step = up
         else:
-            while k - 1 in rows:
+            while k > -max_word:
                 low, high = rows[k - 1]
                 if _cross(low, p) < open_low or _cross(p, high) < open_high:
                     break
@@ -369,7 +393,7 @@ def translate_locate(
     direction = _integer_point(p, 2)
     if not action.open_member(direction):
         raise NotInCone(f"point {format_point(p)} is outside the open cone")
-    k = _locate(direction, _translates(pi, action, max_word))
+    k = _locate(direction, _translates(pi, action), max_word)
     if k is None:
         raise NotFundamental(
             f"translates g^k pi with |k| <= {max_word} miss the point {format_point(p)}"
@@ -390,8 +414,12 @@ def verify_fundamental_domain(
     witness), and each of ``samples`` seeded rational points of the open
     cone lies in some g^k pi with |k| <= max_word.  Disjointness: for
     1 <= |k| <= max_word the interiors of pi and g^k pi do not meet (exact,
-    from the slope order of the table).  A gap or overlap witness is the
-    ray of the simplest slope strictly inside it.  The report is a
+    from the slope order of the table).  The scan takes k = s, then -s, for
+    s = 1, 2, ... and stops after the first s with no overlap, since no
+    larger |k| overlaps then.  Only the rows read are built: a few for a
+    fundamental pi, all 2 * max_word + 1 when every step overlaps (the
+    scalar action, or a ray of pi fixed by g).  A gap or overlap witness
+    is the ray of the simplest slope strictly inside it.  The report is a
     deterministic function of (pi, action, samples, max_word, seed); each
     sample's verdict is independent of the others.
 
@@ -405,7 +433,7 @@ def verify_fundamental_domain(
     _integer(samples, "samples", 1, "samples and max_word must be positive")
     _integer(max_word, "max_word", 1, "samples and max_word must be positive")
     _integer(seed, "seed")
-    table = _translates(pi, action, max_word)
+    table = _translates(pi, action)
     rows = table[0]
     (low, high), (g_low, g_high) = rows[0], rows[1]
     witnesses = []
@@ -441,18 +469,29 @@ def verify_fundamental_domain(
         if A * x * x <= B * y * y:
             continue
         accepted += 1
-        k = _locate((x, y), table)  # the route of translate_locate
+        k = _locate((x, y), table, max_word)  # the route of translate_locate
         if k is not None:
             words_used = max(words_used, abs(k))
         else:
             point = [_fraction_json(Fraction(n1, d1)), _fraction_json(Fraction(n2, d2))]
             witnesses.append({"kind": "uncovered", "point": point})
-    for k in [k for step in range(1, max_word + 1) for k in (step, -step)]:
-        low_k, high_k = rows[k]
-        lo = low_k if _cross(low, low_k) > 0 else low
-        hi = high_k if _cross(high_k, high) > 0 else high
-        if _cross(lo, hi) > 0:  # more than a ray in common: the interiors meet
-            witnesses.append({"kind": "overlap", "k": k, "point": _simplest_between(lo, hi)})
+    # pi and g^k pi overlap exactly when g^-k pi and pi do, and g moves pi
+    # by a fixed length on the projectivized cone, so they overlap exactly
+    # while |k| times that length is below the width of pi: the first step
+    # with no overlap ends the scan.  The scalar action (length 0) and a pi
+    # with a ray fixed by g (infinite width) overlap at every step, and a
+    # single ray at none.
+    for step in range(1, max_word + 1):
+        overlapped = False
+        for k in (step, -step):
+            low_k, high_k = rows[k]
+            lo = low_k if _cross(low, low_k) > 0 else low
+            hi = high_k if _cross(high_k, high) > 0 else high
+            if _cross(lo, hi) > 0:  # more than a ray in common: the interiors meet
+                witnesses.append({"kind": "overlap", "k": k, "point": _simplest_between(lo, hi)})
+                overlapped = True
+        if not overlapped:
+            break
 
     kinds = {w["kind"] for w in witnesses}
     return DomainReport(

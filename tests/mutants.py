@@ -130,8 +130,22 @@ MUTANTS = [
     (
         "locate-skips-the-step-down-to-the-least-k",
         "reduction.py",
-        "            while k - 1 in rows:\n",
+        "            while k > -max_word:\n",
         "            while False:\n",
+        REDUCTION,
+    ),
+    (
+        "disjointness-stops-after-first-step",
+        "reduction.py",
+        "        if not overlapped:\n            break\n",
+        "        break\n",
+        REDUCTION,
+    ),
+    (
+        "translate-row-below-zero-uses-forward-generator",
+        "reduction.py",
+        "step, m = (1, self._fwd) if k > 0 else (-1, self._bwd)",
+        "step, m = (1, self._fwd) if k > 0 else (-1, self._fwd)",
         REDUCTION,
     ),
     (

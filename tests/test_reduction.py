@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amplecones import (
     DomainReport,
@@ -26,7 +28,8 @@ from amplecones import (
     translate_locate,
     verify_fundamental_domain,
 )
-from amplecones.reduction import _simplest_between
+from amplecones import reduction
+from amplecones.reduction import _simplest_between, _translates
 from support import (
     form_lex_key,
     random_pd_form,
@@ -563,6 +566,100 @@ class TestTranslateTable:
                 assert report.to_json_dict() == expected, (generator, pi, max_word, seed)
         # points are located below, at and above k = 0, and some are missed
         assert set(seen) == {-1, 0, 1, "missed"}, seen
+
+    @pytest.mark.parametrize("max_word", [1, 2, 5, 12])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("w", [3, 4, 5])
+    def test_matches_reference_on_wide_candidates(self, w, inverse, max_word):
+        # cone{g^a R, g^(a+w) R} with both rays interior meets g^k of itself
+        # exactly for |k| < w, so the disjointness scan must run past
+        # step 1 and stop after step w; a centres the cone on R, which keeps
+        # the reference scan quick on the large units of d = 1000003
+        rng = random.Random(100 * w + 10 * inverse + max_word)
+        a = -(w // 2)
+        for d in SMALL_SQUAREFREE + (1000003,):
+            ray = _random_open_ray(rng, d)
+            _, action = real_mult_fundamental_domain(d, ray)
+            if inverse:
+                (p, dq), (q, _) = action.generator
+                action = GroupAction2D([[p, -dq], [-q, p]], 1, d)
+            pi = PolyhedralCone(2, [action.ray_image(ray, a), action.ray_image(ray, a + w)])
+            seed = rng.randrange(1000)
+            report = verify_fundamental_domain(pi, action, samples=4, max_word=max_word, seed=seed)
+            expected = reference_verify(pi, action, samples=4, max_word=max_word, seed=seed)
+            gap = _gap_witness(pi, action)
+            if gap is not None:
+                expected["covering_ok"] = False
+                expected["witnesses"].insert(0, gap)
+            assert report.to_json_dict() == expected, (d, pi, action.generator, max_word, seed)
+            overlaps = [x["k"] for x in report.witnesses if x["kind"] == "overlap"]
+            reach = min(w - 1, max_word)
+            assert overlaps == [k for s in range(1, reach + 1) for k in (s, -s)], d
+
+
+def _power(m, k: int):
+    """m^k for k >= 0 by repeated squaring."""
+    result, base = ((1, 0), (0, 1)), m
+    while k:
+        if k & 1:
+            result = _matmul(result, base)
+        base, k = _matmul(base, base), k >> 1
+    return result
+
+
+def _matmul(m, n):
+    return tuple(
+        tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def _apply(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+class TestLazyTranslates:
+    """The translate table builds row k on first read; its rows must be the
+    eager products whatever order they are read in, and a verification of
+    a fundamental domain must read only a few of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SMALL_SQUAREFREE + (1000003,)),
+        st.booleans(),
+        st.permutations(range(-24, 25)),
+        st.randoms(use_true_random=False),
+    )
+    def test_rows_are_eager_products_in_any_read_order(self, d, inverse, order, rng):
+        ray = _random_open_ray(rng, d)
+        _, action = real_mult_fundamental_domain(d, ray)
+        if inverse:
+            (p, dq), (q, _) = action.generator
+            action = GroupAction2D([[p, -dq], [-q, p]], 1, d)
+        pi = PolyhedralCone(2, [ray, action.ray_image(ray, rng.randint(1, 3))])
+        rows = _translates(pi, action)[0]
+        (low, high), read = rows[0], {0}
+        for k in [9, 3, *order]:
+            m = _power(action._fwd if k >= 0 else action._bwd, abs(k))
+            assert rows[k] == (_apply(m, low), _apply(m, high)), (d, k)
+            read.add(k)
+            # rows are built only between k = 0 and the farthest row read
+            assert set(rows) <= set(range(min(read), max(read) + 1))
+
+    def test_domain_verification_builds_few_rows(self, monkeypatch):
+        products = 0
+        mat_vec = reduction._mat_vec
+
+        def counting(m, v):
+            nonlocal products
+            products += 1
+            return mat_vec(m, v)
+
+        monkeypatch.setattr(reduction, "_mat_vec", counting)
+        pi, action = real_mult_fundamental_domain(1000003, (1, 0))
+        report = verify_fundamental_domain(pi, action, samples=100, max_word=64, seed=0)
+        assert report.ok
+        # building every row |k| <= 64 for both rays takes 258 products
+        assert products <= 8
 
 
 class TestRealMultIntegration:

@@ -253,9 +253,9 @@ def real_mult_fundamental_domain(d: int, ray) -> tuple[PolyhedralCone, GroupActi
     square is totally positive of norm +1, so g preserves the quadratic cone
     {x1^2 - d*x2^2 > 0, x1 > 0} and fixes each boundary ray.
     """
-    unit = fundamental_unit(d).value  # validates d
-    multiplier = unit * unit
-    p, q = multiplier.a, multiplier.b
+    # validates d; a unit h + k sqrt(d) of Z[sqrt(d)] has denominator 1
+    h, k = fundamental_unit(d).value._num
+    p, q = h * h + d * k * k, 2 * h * k  # (h + k sqrt(d))^2
     generator = [[p, d * q], [q, p]]
     action = GroupAction2D(generator, 1, d)
     if not action.open_member(ray):

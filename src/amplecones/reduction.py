@@ -20,6 +20,7 @@ no overlap.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .errors import (
     _Record,
     format_point,
 )
-from .polyhedral import PolyhedralCone, primitive_vector
+from .polyhedral import PolyhedralCone, _primitive, primitive_vector
 from .polyhedral import cone_intersection  # noqa: F401 (bench/tracing.py patches it)
 
 
@@ -149,13 +150,15 @@ class GroupAction2D(_Record):
 
     The generator must preserve the form a*x1^2 - b*x2^2 up to a positive
     scalar, map the x1 > 0 sheet to itself and have det > 0, so that it
-    keeps the orientation of rays.  Internally a primitive integer scaling
-    of the generator and its adjugate (a positive multiple of the inverse)
-    are kept, which is all that ray computations need, and the integer pair
-    (A, B) = (a, b) * den(a) * den(b), so that an integer direction (x, y)
-    with x > 0 lies in the open cone exactly when A*x^2 > B*y^2.  Two
-    actions are equal when their generators and (a, b) are.  Entries,
-    (a, b) and points pass the coordinate check of ``polyhedral``.
+    keeps the orientation of rays.  Every check reads integers: the
+    primitive integer multiple of the generator and the pair
+    (A, B) = (a, b) * den(a) * den(b), positive multiples of g and of
+    (a, b), which keep every verdict.  Those integers and the adjugate of
+    the generator (a positive multiple of the inverse) are kept, which is
+    all that ray computations need; an integer direction (x, y) with x > 0
+    lies in the open cone exactly when A*x^2 > B*y^2.  Two actions are
+    equal when their generators and (a, b) are.  Entries, (a, b) and
+    points pass the coordinate check of ``polyhedral``.
     """
 
     __slots__ = ("generator", "a", "b", "_fwd", "_bwd", "_form")
@@ -167,26 +170,27 @@ class GroupAction2D(_Record):
         rows = tuple(tuple(_rationals(_coordinates(row))) for row in _coordinates(generator))
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ShapeMismatch("expected a 2 x 2 matrix")
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        ratios = [f.as_integer_ratio() for f in rows[0] + rows[1]]
+        den = math.lcm(*[q for _, q in ratios])
+        g11, g12, g21, g22 = [p * (den // q) for p, q in ratios]
+        det = g11 * g22 - g12 * g21
         if det == 0:
             raise InvalidInput("generator is singular")
-        # form preservation up to a positive scalar mu
-        g11, g12, g21, g22 = rows[0][0], rows[0][1], rows[1][0], rows[1][1]
-        q11 = a * g11 * g11 - b * g21 * g21
-        q12 = a * g11 * g12 - b * g21 * g22
-        q22 = a * g12 * g12 - b * g22 * g22
-        mu = q11 / a
-        if mu <= 0 or q12 != 0 or q22 != -mu * b:
+        g11, g12, g21, g22 = _primitive((g11, g12, g21, g22))
+        # form preservation up to a positive scalar mu = q11 / A
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        q11 = A * g11 * g11 - B * g21 * g21
+        q12 = A * g11 * g12 - B * g21 * g22
+        q22 = A * g12 * g12 - B * g22 * g22
+        if q11 <= 0 or q12 != 0 or q22 * A != -q11 * B:
             raise InvalidInput("generator does not preserve the quadratic cone")
         if g11 <= 0:
             raise InvalidInput("generator swaps the two sheets of the cone")
         if det < 0:
             raise InvalidInput("generator reverses orientation (det < 0)")
-        f = primitive_vector(rows[0] + rows[1])
-        fwd = ((f[0], f[1]), (f[2], f[3]))
-        bwd = ((f[3], -f[1]), (-f[2], f[0]))
-        form = (a.numerator * b.denominator, b.numerator * a.denominator)
-        self._set(generator=rows, a=a, b=b, _fwd=fwd, _bwd=bwd, _form=form)
+        fwd = ((g11, g12), (g21, g22))
+        bwd = ((g22, -g12), (-g21, g11))
+        self._set(generator=rows, a=a, b=b, _fwd=fwd, _bwd=bwd, _form=(A, B))
 
     def open_member(self, v) -> bool:
         u, w = _integer_point(v, 2)
@@ -232,8 +236,9 @@ class DomainReport:
 
     def __post_init__(self):
         _integer(self.words_used, "words_used")
+        witnesses = _coordinates(self.witnesses, "witnesses", "dicts", dict)
         if not self.covering_ok and not any(
-            w.get("kind") == "uncovered" for w in self.witnesses
+            w.get("kind") == "uncovered" for w in witnesses
         ):
             raise InvalidInput("covering failure requires a witness point")
 
@@ -353,17 +358,18 @@ def _locate(p, table, max_word: int):
     it steps down to the least such k.
     """
     rows, open_low, open_high, up = table
+    x, y = p
     k, came = 0, 0
     while -max_word <= k <= max_word:
-        low, high = rows[k]
-        if _cross(low, p) < open_low:  # p lies below g^k pi
+        (lx, ly), (hx, hy) = rows[k]
+        if lx * y - ly * x < open_low:  # p lies below g^k pi
             step = -up
-        elif _cross(p, high) < open_high:  # p lies above g^k pi
+        elif x * hy - y * hx < open_high:  # p lies above g^k pi
             step = up
         else:
             while k > -max_word:
-                low, high = rows[k - 1]
-                if _cross(low, p) < open_low or _cross(p, high) < open_high:
+                (lx, ly), (hx, hy) = rows[k - 1]
+                if lx * y - ly * x < open_low or x * hy - y * hx < open_high:
                     break
                 k -= 1
             return k
@@ -447,9 +453,10 @@ def verify_fundamental_domain(
     words_used = 0
     accepted = 0
     while accepted < samples:
-        # n1 = randint(1, 60), d1 = randint(1, 20), n2 = randint(-60, 60),
-        # d2 = randint(1, 20) as CPython draws them: n.bit_length() bits of
-        # the range size n, redrawn while >= n
+        # randint(1, 60), randint(1, 20), randint(-60, 60) and
+        # randint(1, 20) as CPython draws them, less their offsets 1, 1,
+        # -60 and 1: n.bit_length() bits of the range size n, redrawn
+        # while >= n
         n1 = getrandbits(6)
         while n1 >= 60:
             n1 = getrandbits(6)
@@ -462,10 +469,10 @@ def verify_fundamental_domain(
         d2 = getrandbits(5)
         while d2 >= 20:
             d2 = getrandbits(5)
-        n1, d1, n2, d2 = n1 + 1, d1 + 1, n2 - 60, d2 + 1
-        # (x, y) is (n1/d1, n2/d2) scaled by d1*d2 > 0, and x >= 1, so this
-        # test is open-cone membership and (x, y) its integer direction
-        x, y = n1 * d2, n2 * d1
+        # the sample is (n1 + 1)/(d1 + 1), (n2 - 60)/(d2 + 1); (x, y) is it
+        # scaled by (d1 + 1)*(d2 + 1) > 0, and x >= 1, so this test is
+        # open-cone membership and (x, y) its integer direction
+        x, y = (n1 + 1) * (d2 + 1), (n2 - 60) * (d1 + 1)
         if A * x * x <= B * y * y:
             continue
         accepted += 1
@@ -473,7 +480,10 @@ def verify_fundamental_domain(
         if k is not None:
             words_used = max(words_used, abs(k))
         else:
-            point = [_fraction_json(Fraction(n1, d1)), _fraction_json(Fraction(n2, d2))]
+            point = [
+                _fraction_json(Fraction(n1 + 1, d1 + 1)),
+                _fraction_json(Fraction(n2 - 60, d2 + 1)),
+            ]
             witnesses.append({"kind": "uncovered", "point": point})
     # pi and g^k pi overlap exactly when g^-k pi and pi do, and g moves pi
     # by a fixed length on the projectivized cone, so they overlap exactly

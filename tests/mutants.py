@@ -156,6 +156,27 @@ MUTANTS = [
         REDUCTION,
     ),
     (
+        "generator-check-skips-the-off-diagonal-term",
+        "reduction.py",
+        "if q11 <= 0 or q12 != 0 or q22 * A != -q11 * B:",
+        "if q11 <= 0 or q22 * A != -q11 * B:",
+        REDUCTION,
+    ),
+    (
+        "locate-upper-cross-sign-flipped",
+        "reduction.py",
+        "        elif x * hy - y * hx < open_high:  # p lies above g^k pi\n",
+        "        elif y * hx - x * hy < open_high:  # p lies above g^k pi\n",
+        REDUCTION,
+    ),
+    (
+        "sampler-offset-on-the-wrong-denominator",
+        "reduction.py",
+        "x, y = (n1 + 1) * (d2 + 1), (n2 - 60) * (d1 + 1)",
+        "x, y = (n1 + 1) * (d1 + 1), (n2 - 60) * (d2 + 1)",
+        REDUCTION,
+    ),
+    (
         "adjacency-pre-check-threshold-off-by-one",
         "polyhedral.py",
         "                if common.bit_count() < need:\n",

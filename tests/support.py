@@ -556,7 +556,35 @@ def caratheodory_member(rays, v, dim: int) -> bool:
     return False
 
 
-# --- reference translate location and domain verification ------------------
+# --- reference generator check, translate location and domain verification --
+
+def reference_generator_check(generator, a, b):
+    """GroupAction2D's checks on the Fraction entries of the generator and
+    on (a, b) as given, in its order: the message of the first check that
+    fails, or (fwd, bwd, form) for an accepted generator, with fwd its
+    primitive integer multiple, bwd the adjugate of fwd and form (a, b)
+    scaled by den(a) * den(b)."""
+    a, b = Fraction(a), Fraction(b)
+    (g11, g12), (g21, g22) = [[Fraction(c) for c in row] for row in generator]
+    det = g11 * g22 - g12 * g21
+    if det == 0:
+        return "generator is singular"
+    # form preservation up to a positive scalar mu
+    q11 = a * g11 * g11 - b * g21 * g21
+    q12 = a * g11 * g12 - b * g21 * g22
+    q22 = a * g12 * g12 - b * g22 * g22
+    mu = q11 / a
+    if mu <= 0 or q12 != 0 or q22 != -mu * b:
+        return "generator does not preserve the quadratic cone"
+    if g11 <= 0:
+        return "generator swaps the two sheets of the cone"
+    if det < 0:
+        return "generator reverses orientation (det < 0)"
+    f = primitive_vector((g11, g12, g21, g22))
+    fwd = ((f[0], f[1]), (f[2], f[3]))
+    bwd = ((f[3], -f[1]), (-f[2], f[0]))
+    return fwd, bwd, (a.numerator * b.denominator, b.numerator * a.denominator)
+
 
 def _reference_upper_ray(pi, action):
     """The ray of a two-ray pi that the action carries the other ray onto."""
@@ -604,20 +632,24 @@ def _fraction_json(f: Fraction):
 def simplest_slope(low: Fraction, high: Fraction) -> list:
     """The ray [q, p] of the simplest rational p/q strictly between low and
     high: the first one met descending the Stern-Brocot tree from 1/1.
-    Runs of steps in one direction are taken at once."""
+    Runs of steps in one direction are taken at once, on the integers
+    ln/ld = low and hn/hd = high, so the walk is the continued fraction
+    of the interval."""
     if low < 0 < high:
         return [1, 0]
     if high <= 0:
         q, p = simplest_slope(-high, -low)
         return [q, -p]
+    ln, ld = low.numerator, low.denominator
+    hn, hd = high.numerator, high.denominator
     (lp, lq), (rp, rq) = (0, 1), (1, 0)  # the interval's bounds in the tree
     while True:
         p, q = lp + rp, lq + rq
-        if Fraction(p, q) <= low:  # right while the mediant stays <= low
-            k = (low * lq - lp) // (rp - low * rq)
+        if p * ld <= ln * q:  # right while the mediant stays <= low
+            k = (ln * lq - lp * ld) // (rp * ld - ln * rq)
             lp, lq = lp + k * rp, lq + k * rq
-        elif Fraction(p, q) >= high:  # left while it stays >= high
-            k = (rp - high * rq) // (high * lq - lp)
+        elif p * hd >= hn * q:  # left while it stays >= high
+            k = (rp * hd - hn * rq) // (hn * lq - lp * hd)
             rp, rq = rp + k * lp, rq + k * lq
         else:
             return [q, p]

@@ -119,7 +119,10 @@ SWEEP = {
         ("point", "v interior", lambda x: ac.poly_member(PI, x, interior=True)),
     ],
     "primitive_vector": [("point", "v", ac.primitive_vector)],
-    "DomainReport": [("integer", "words_used", lambda x: ac.DomainReport(True, True, (), x))],
+    "DomainReport": [
+        ("integer", "words_used", lambda x: ac.DomainReport(True, True, (), x)),
+        ("sequence", "witnesses", lambda x: ac.DomainReport(True, True, x)),
+    ],
     "GroupAction2D": [
         ("point", "generator", lambda x: ac.GroupAction2D(x, 1, 2)),
         ("point", "generator row", lambda x: ac.GroupAction2D([x, (2, 3)], 1, 2)),
@@ -251,8 +254,15 @@ def test_hostile_argument_raises_a_readable_amplecones_error(kind, call, bad):
             lambda: ac.aut_action(DECOMPOSITION, [MATRIX], [MATRIX]),
             "divisors must be a sequence of divisors; item 0 is of type AlgebraMatrix",
         ),
+        (
+            lambda: ac.DomainReport(False, True, [5]),
+            "witnesses must be a sequence of dicts; item 0 is of type int",
+        ),
     ],
-    ids=["model-factor", "decomposition-block", "aut_action-matrix", "aut_action-divisor"],
+    ids=[
+        "model-factor", "decomposition-block", "aut_action-matrix", "aut_action-divisor",
+        "domain-report-witness",
+    ],
 )
 def test_items_of_sequence_arguments_are_read(call, text):
     with pytest.raises(InvalidInput) as caught:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amplecones import (
@@ -33,6 +33,7 @@ from amplecones.reduction import _simplest_between, _translates
 from support import (
     form_lex_key,
     random_pd_form,
+    reference_generator_check,
     reference_translate_locate,
     reference_verify,
     simplest_slope,
@@ -109,6 +110,33 @@ def d2_setup():
     return pi, action
 
 
+_RATIONAL = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+_POSITIVE = st.fractions(min_value=Fraction(1, 9), max_value=12, max_denominator=9)
+
+
+@st.composite
+def _generator_cases(draw):
+    """(generator, a, b): random rational matrices, and generators that
+    preserve a*x1^2 - b*x2^2 up to the scalar t^2 - a*b*u^2 (of either
+    sign, or positive for t = 1 + a*b*u^2), with or without a reflection,
+    rescaled by a nonzero rational c, or with a zero row; (a, b) is then
+    rescaled by a positive s."""
+    a, b, s = draw(_POSITIVE), draw(_POSITIVE), draw(_POSITIVE)
+    u = draw(_RATIONAL)
+    t = 1 + a * b * u * u if draw(st.booleans()) else draw(_RATIONAL)
+    c = draw(_RATIONAL.filter(bool))
+    shape = draw(st.sampled_from(["random", "automorph", "reflection", "zero-row"]))
+    if shape == "random":
+        generator = [[draw(_RATIONAL), draw(_RATIONAL)], [draw(_RATIONAL), draw(_RATIONAL)]]
+    elif shape == "automorph":
+        generator = [[c * t, c * b * u], [c * a * u, c * t]]
+    elif shape == "reflection":  # the automorph times diag(1, -1): det = -c^2 (t^2 - a*b*u^2)
+        generator = [[c * t, -c * b * u], [c * a * u, -c * t]]
+    else:
+        generator = [[t, u], [0, 0]] if c > 0 else [[0, 0], [t, u]]
+    return generator, a * s, b * s
+
+
 class TestGroupAction2D:
     def test_validation(self):
         GroupAction2D([[3, 4], [2, 3]], 1, 2)  # fine
@@ -149,6 +177,34 @@ class TestGroupAction2D:
         assert action.ray_image((1, 0), -1) == (3, -2)
         pi = PolyhedralCone(2, [(1, 0), (3, 2)])
         assert translate_locate((17, 12), pi, action) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_generator_cases())
+    @example(case=([[Fraction(3, 2), 2], [1, Fraction(3, 2)]], 1, 2))  # rescaled by 1/2
+    @example(case=([[-3, -4], [-2, -3]], 1, 2))  # rescaled by -1: swaps the sheets
+    @example(case=([[Fraction(-3, 7), Fraction(-4, 7)], [Fraction(-2, 7), Fraction(-3, 7)]], 1, 2))
+    @example(case=([[3, -4], [2, -3]], 1, 2))  # det < 0
+    @example(case=([[3, 4], [2, 3]], 3, 6))  # (a, b) rescaled by 3
+    @example(case=([[5, 6], [Fraction(8, 3), 5]], Fraction(1, 2), Fraction(9, 8)))
+    @example(case=([[2, 0], [0, 2]], 1, 2))  # the scalar action
+    @example(case=([[1, 1], [0, 1]], 1, 2))  # does not preserve the form
+    @example(case=([[7, 1], [5, 5]], 1, 1))  # q11 = -q22 > 0, but q12 != 0
+    @example(case=([[0, 0], [2, 3]], 1, 2))  # zero rows
+    @example(case=([[3, 4], [0, 0]], 1, 2))
+    @example(case=([[0, 0], [0, 0]], 1, 2))
+    def test_integer_check_agrees_with_the_fraction_check(self, case):
+        # every check reads a positive integer multiple of g and of (a, b);
+        # the reference reads the Fractions as given
+        generator, a, b = case
+        expected = reference_generator_check(generator, a, b)
+        if isinstance(expected, str):
+            with pytest.raises(InvalidInput) as caught:
+                GroupAction2D(generator, a, b)
+            assert str(caught.value) == expected
+        else:
+            action = GroupAction2D(generator, a, b)
+            assert (action._fwd, action._bwd, action._form) == expected
+            assert action.generator == tuple(tuple(map(Fraction, row)) for row in generator)
 
 
 NAN = float("nan")

@@ -1,12 +1,18 @@
 """Exception hierarchy shared by every module of the library, the readers
 through which every public entry point reads its arguments (``_integer``,
-``_rationals``, ``_coordinates`` for points and other sequences, and
-``_integer_point``), the formatting of points in its messages, and
-``_Record``, the immutable base of every value type: the only code in the
-package that assigns to a slot."""
+``_rationals``, the one reader of rationals, ``_coordinates`` for points and
+other sequences, and ``_integer_point``), the formatting of points in its
+messages, and ``_Record``, the immutable base of every value type: the only
+code in the package that assigns to a slot."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
+
+# bound on the exponent of a rational written as text or a Decimal: Fraction
+# builds 10**exponent before any check runs, which takes seconds past a
+# million; 4300 is Python's default limit on the digits of a printed integer
+_MAX_EXPONENT = 4300
 
 
 class AmpleconesError(Exception):
@@ -60,12 +66,20 @@ def _format_integer(n: int) -> str:
         return f"{'-' if n < 0 else ''}<{abs(n).bit_length()}-bit integer>"
 
 
+def _sequence(value, item) -> str:
+    """A list or tuple as Python writes it, with ``item`` formatting each entry."""
+    text = ", ".join(map(item, value))
+    if type(value) is list:
+        return f"[{text}]"
+    return f"({text},)" if len(value) == 1 else f"({text})"
+
+
 def _format_coordinate(c) -> str:
     if isinstance(c, Fraction):
         text = _format_integer(c.numerator)
         return text if c.denominator == 1 else f"{text}/{_format_integer(c.denominator)}"
     if type(c) in (list, tuple):
-        return _repr(c)
+        return _sequence(c, _format_coordinate)
     return _format_integer(c) if isinstance(c, int) else str(c)
 
 
@@ -84,10 +98,7 @@ def _repr(value) -> str:
     Fraction, list or tuple, is printed by its size in bits, so that the
     repr of a value never raises."""
     if type(value) in (list, tuple):
-        text = ", ".join(map(_repr, value))
-        if type(value) is list:
-            return f"[{text}]"
-        return f"({text},)" if len(value) == 1 else f"({text})"
+        return _sequence(value, _repr)
     if type(value) is Fraction:
         num, den = map(_format_integer, value.as_integer_ratio())
         return f"Fraction({num}, {den})"
@@ -108,14 +119,44 @@ def _integer(value, name: str, low: int | None = None, message: str = "") -> int
 
 def _rationals(values: tuple, name: str = "coordinates") -> list[Fraction]:
     """``values`` as Fractions.  Whatever ``Fraction`` reads is accepted:
-    ints, Fractions, finite floats and Decimals, and text such as "3/4".
-    Anything else, NaN and the infinities raise InvalidInput."""
+    ints, Fractions, finite floats and Decimals, and text such as "3/4" or
+    "1.5e-3" whose exponent is at most 4300 in absolute value.  Anything
+    else, NaN and the infinities raise InvalidInput."""
     try:
-        return [Fraction(c) for c in values]
+        return [
+            c if type(c) is Fraction
+            else Fraction(c if type(c) is int else _bounded(c, name, values))
+            for c in values
+        ]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InvalidInput(
             f"{name} of {format_point(values)} must be finite rational numbers"
         ) from None
+
+
+def _bounded(c, name: str, values: tuple):
+    """``c``, unless it is text or a Decimal written with an exponent past
+    ``_MAX_EXPONENT`` in absolute value, such as "1e5000" or Decimal("1E+5000")."""
+    if isinstance(c, (str, Decimal)):
+        _, _, exponent = str(c).lower().partition("e")
+        try:
+            too_large = abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:  # no exponent, or one that Fraction rejects too
+            too_large = False
+        if too_large:
+            raise InvalidInput(
+                f"{name} of {format_point(values)} must be written with exponents "
+                f"of at most {_MAX_EXPONENT} in absolute value"
+            )
+    return c
+
+
+def _common_denominator(fracs) -> tuple[tuple[int, ...], int]:
+    """Fractions as integer numerators over ``den``, the lcm of their
+    denominators; no prime divides den and every numerator."""
+    ratios = [f.as_integer_ratio() for f in fracs]
+    den = math.lcm(*[q for _, q in ratios])
+    return tuple([p * (den // q) for p, q in ratios]), den
 
 
 def _coordinates(v, name: str = "a vector", items: str = "coordinates", cls=None) -> tuple:
@@ -152,9 +193,7 @@ def _integer_point(v, dim: int | None = None) -> tuple[int, ...]:
     if dim is not None and len(v) != dim:
         raise ShapeMismatch(f"point {format_point(v)} does not live in dimension {dim}")
     if set(map(type, v)) != {int}:
-        fracs = _rationals(v)
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        v = tuple(int(f * lcm) for f in fracs)
+        v, _ = _common_denominator(_rationals(v))
     return v
 
 

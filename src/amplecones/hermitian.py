@@ -314,10 +314,8 @@ class _Matrix(_Record):
         return hash((self.kind, self._den, self._rows))
 
     def __repr__(self):
-        rows = ", ".join(
-            "[" + ", ".join(map(_format_coordinate, row)) + "]" for row in self.entries
-        )
-        return f"{type(self).__name__}({self.kind.value}, [{rows}])"
+        rows = _format_coordinate([list(row) for row in self.entries])
+        return f"{type(self).__name__}({self.kind.value}, {rows})"
 
     def __reduce__(self):
         return type(self), (self.kind, self.entries)

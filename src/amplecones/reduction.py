@@ -20,7 +20,6 @@ no overlap.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +31,7 @@ from .errors import (
     NotPositiveDefinite,
     PreconditionViolated,
     ShapeMismatch,
+    _common_denominator,
     _coordinates,
     _integer,
     _integer_point,
@@ -170,9 +170,7 @@ class GroupAction2D(_Record):
         rows = tuple(tuple(_rationals(_coordinates(row))) for row in _coordinates(generator))
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ShapeMismatch("expected a 2 x 2 matrix")
-        ratios = [f.as_integer_ratio() for f in rows[0] + rows[1]]
-        den = math.lcm(*[q for _, q in ratios])
-        g11, g12, g21, g22 = [p * (den // q) for p, q in ratios]
+        (g11, g12, g21, g22), _ = _common_denominator(rows[0] + rows[1])
         det = g11 * g22 - g12 * g21
         if det == 0:
             raise InvalidInput("generator is singular")

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .errors import (
     InvalidInput,
     PerfectSquareInput,
+    _common_denominator,
     _format_coordinate,
     _format_integer,
     _integer,
@@ -124,12 +125,7 @@ class _RationalAlgebra(_Record):
     __slots__ = ("_num", "_den")
 
     def __init__(self, *coeffs) -> None:
-        nums, dens = zip(*[f.as_integer_ratio() for f in _rationals(coeffs, "coefficients")])
-        # each coefficient is in lowest terms, so over the lcm of their
-        # denominators the numerators and the denominator stay coprime
-        den = math.lcm(*dens)
-        if den != 1:
-            nums = tuple([n * (den // d) for n, d in zip(nums, dens)])
+        nums, den = _common_denominator(_rationals(coeffs, "coefficients"))
         self._set(_num=nums, _den=den)
 
     def _make(self, num: tuple, den: int):

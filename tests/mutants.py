@@ -50,6 +50,20 @@ MUTANTS = [
         READERS,
     ),
     (
+        "rational-reader-exponent-bound-off-by-one",
+        "errors.py",
+        "too_large = abs(int(exponent)) > _MAX_EXPONENT",
+        "too_large = abs(int(exponent)) >= _MAX_EXPONENT",
+        READERS,
+    ),
+    (
+        "rational-reader-skips-decimal-exponent",
+        "errors.py",
+        "if isinstance(c, (str, Decimal)):",
+        "if isinstance(c, str):",
+        READERS,
+    ),
+    (
         "point-reader-lets-non-iterables-escape",
         "errors.py",
         "        except TypeError:\n            pass\n",

@@ -4,17 +4,20 @@ Each public callable with an integer, rational, point or sequence parameter
 reads it through one reader in ``amplecones.errors``, each verdict on a
 Hermitian matrix checks that it got one, and each swept parameter that takes
 one class (text, an enum member or a record) checks its type, so every
-hostile value below ends
-in InvalidInput or ShapeMismatch, with a message that prints no
-``Fraction(``; a hostile sequence is rejected as not a sequence, before any
-later check could fire on an empty or misread one, and a hostile matrix as
-not a HermitianMatrix, before any triangle of it is read.  The sweep is driven by
-README's Public API list: a listed name that is neither swept nor exempt
-fails it, so new API gets covered.
+hostile value below ends in InvalidInput or ShapeMismatch within a second,
+with a message that prints no ``Fraction(``.  A rational or point written
+with a huge exponent is rejected before ``Fraction`` builds it; a hostile
+sequence is rejected as not a sequence, before any later check could fire
+on an empty or misread one, and a hostile matrix as not a HermitianMatrix,
+before any triangle of it is read.  The sweep is driven by README's Public
+API list: a listed name that is neither swept nor exempt fails it, so new
+API gets covered.
 """
 
 import enum
 import inspect
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,11 +32,12 @@ NAN = float("nan")
 
 HOSTILE = {
     "integer": (None, "7", 1.5, NAN, True, Fraction(7)),
-    "rational": (None, NAN, float("inf"), object(), "abc"),
-    "point": (None, 5, "10", b"10", (NAN, 0)),
+    "rational": (None, NAN, float("inf"), object(), "abc", "1e10000000", Decimal("1e10000000")),
+    "point": (None, 5, "10", b"10", (NAN, 0), ("1e10000000", 0)),
     "sequence": (None, 5, "ab"),
-    # the last is not self-adjoint, though x^T B x = |x|^2 is positive definite
-    "matrix": (None, 5, ac.AlgebraMatrix(K.REAL, [[1, 5], [-5, 1]])),
+    # the third is not self-adjoint, though x^T B x = |x|^2 is positive
+    # definite; the last holds a Fraction, which a message prints as p/q
+    "matrix": (None, 5, ac.AlgebraMatrix(K.REAL, [[1, 5], [-5, 1]]), [[Fraction(1, 2)]]),
     # no instance of the one class a parameter takes: text, an enum or a record
     "class": (None, 5, b"E", ["E"]),
 }
@@ -224,8 +228,10 @@ ROWS = [
 
 @pytest.mark.parametrize("kind,call,bad", ROWS)
 def test_hostile_argument_raises_a_readable_amplecones_error(kind, call, bad):
+    start = time.perf_counter()
     with pytest.raises((InvalidInput, ShapeMismatch)) as caught:
         call(bad)
+    assert time.perf_counter() - start < 1
     message = str(caught.value)
     assert "Fraction(" not in message
     if kind == "sequence":  # rejected by the reader, not by a later check
@@ -307,6 +313,15 @@ def test_messages_print_scalars_as_p_over_q():
             lambda: ac.ConeSpec([ac.PDBlock(K.REAL, 1), vector]),
             "a cone must be a sequence of blocks; item 1 is of type LorentzVector",
         ),
+        (
+            lambda: ac.is_positive_definite([[half]]),
+            "is_positive_definite needs a HermitianMatrix, got [[1/2]]",
+        ),
+        (
+            lambda: ac.HermitianMatrix(K.REAL, [[[half]]]),
+            "entry [1/2] does not belong to scalar kind R",
+        ),
+        (lambda: ac.act([[half]], one), "act needs a matrix M, got [[1/2]]"),
     ]:
         with pytest.raises(ac.AmpleconesError) as caught:
             call()

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from amplecones import GaussianRational, InvalidInput
@@ -16,6 +16,9 @@ FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.decimals(min_value=-(10**30), max_value=10**30, places=30),
 )
+# one nonzero digit before the point, so that str(Decimal) writes the same
+# exponent as the text
+MANTISSA = st.from_regex(r"[-+]?[1-9](\.[0-9]{0,4})?", fullmatch=True)
 NOT_RATIONAL = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), Decimal("NaN"), None, object(), "abc", 1j, (1,)]
 )
@@ -53,3 +56,30 @@ def test_rational_reader_rejects_nan_infinities_and_non_numbers(values, index, b
 def test_gaussian_rational_reads_what_fraction_reads(x):
     assert GaussianRational(x) == GaussianRational(Fraction(x))
     assert GaussianRational(0, x) == GaussianRational(0, Fraction(x))
+
+
+@given(MANTISSA, st.integers(-8600, 8600))
+@example("1", 4300)
+@example("-9.5", -4300)
+@example("1", 4301)
+@example("-9.5", -4301)
+def test_text_and_decimals_read_up_to_the_exponent_bound(mantissa, exponent):
+    for value in (f"{mantissa}e{exponent}", Decimal(f"{mantissa}E{exponent}")):
+        if abs(exponent) <= 4300:
+            assert _rationals((value,)) == [Fraction(value)]
+        else:
+            with pytest.raises(InvalidInput, match="exponents of at most 4300 in absolute value$"):
+                _rationals((value,))
+
+
+def test_exponent_bound():
+    assert _rationals(("1e4300", "-2.5E-4300")) == [10**4300, Fraction(-25, 10**4301)]
+    assert _rationals((Decimal("1e4300"), " 1e4_300 ")) == [10**4300, 10**4300]
+    for bad in ("1e4301", " 1e4_301 ", "0e10000000", Decimal("-2.5E-4301")):
+        with pytest.raises(InvalidInput) as caught:
+            _rationals((1, bad), "parameters a, b")
+        assert str(caught.value) == (
+            f"parameters a, b of (1, {bad}) must be written with exponents "
+            "of at most 4300 in absolute value"
+        )
+

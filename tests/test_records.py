@@ -175,7 +175,7 @@ _HUGE = f"<{(10**5000).bit_length()}-bit integer>"  # 10**5000 is past str()'s d
             f"PolyhedralCone(2, [[{_HUGE}, 1], [1, 0]])",
         ),
         (
-            lambda: surface_nef_data("1e5000", 1),
+            lambda: surface_nef_data(10**5000, 1),
             f"SurfaceConeData(a=Fraction({_HUGE}, 1), b=Fraction(1, 1), rational_polyhedral=True, "
             f"rays=((1, {10**2500}), (1, -{10**2500})))",
         ),

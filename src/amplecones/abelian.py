@@ -259,7 +259,8 @@ def real_mult_fundamental_domain(d: int, ray) -> tuple[PolyhedralCone, GroupActi
     generator = [[p, d * q], [q, p]]
     action = GroupAction2D(generator, 1, d)
     if not action.open_member(ray):
-        raise NotInCone(f"ray {format_point(ray)} is outside the open cone x1^2 > {d} x2^2")
+        shown = format_point(_rationals(ray))  # the values read, not the text
+        raise NotInCone(f"ray {shown} is outside the open cone x1^2 > {d} x2^2")
     base = primitive_vector(ray)
     pi = PolyhedralCone(2, [base, action.ray_image(base, 1)])
     return pi, action

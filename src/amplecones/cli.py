@@ -65,7 +65,7 @@ def _load_model(path: str) -> abelian.AbelianVarietyModel:
             data = json.load(handle)
     except OSError as exc:
         raise AmpleconesError(f"cannot read model file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise AmpleconesError(f"malformed JSON in {path!r}: {exc}") from None
     return abelian.model_from_json_dict(data)
 

@@ -80,7 +80,9 @@ def _format_coordinate(c) -> str:
         return text if c.denominator == 1 else f"{text}/{_format_integer(c.denominator)}"
     if type(c) in (list, tuple):
         return _sequence(c, _format_coordinate)
-    return _format_integer(c) if isinstance(c, int) else str(c)
+    if isinstance(c, int):
+        return _format_integer(c)
+    return repr(c) if isinstance(c, str) else str(c)  # quoted, so a blank entry shows
 
 
 def format_point(v) -> str:

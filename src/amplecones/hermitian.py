@@ -13,18 +13,18 @@ holds the coercing constructor, immutability, equality, hashing, ``repr``,
 coefficient tuples over one positive denominator, the lcm of its entries'
 denominators; the gcd of that denominator and every coefficient is 1, so
 equal matrices have identical state, and equality and hashing read it.
-``entries`` builds the scalars on each read.  Sums, negation, ``star``,
-products, the action, the trace pairing, ``quadratic_value``, the LDL*
-elimination, invertibility and the self-adjointness check all run on these
-integers.  What differs between R, C and H sits in one table, ``_KINDS``,
-which gives each kind two integer kernels: ``dot``, which accumulates a sum
-of products of two rows of coefficient tuples in one pass, and ``update``,
-the elimination step p x + c y for an integer p.  Matrix products, the
-action, ``quadratic_value`` and the negative certificate compute each
-output entry with one ``dot`` call and reduce the result to lowest terms
-once; the trace pairing is one sum over the flattened coefficients.  The
-action M* D M is fused, with no intermediate matrix reduced, and computes
-the upper triangle only.
+``entries`` builds the scalars on each read.  ``star``, products, the
+action, the trace pairing, ``quadratic_value``, the LDL* elimination, the
+invertibility check of the action and the self-adjointness check all run on
+these integers.  What differs between R, C and H sits in one table,
+``_KINDS``, which gives each kind two integer kernels: ``dot``, which
+accumulates a sum of products of two rows of coefficient tuples in one pass,
+and ``update``, the elimination step p x + c y for an integer p.  Matrix
+products, the action, ``quadratic_value`` and the negative certificate
+compute each output entry with one ``dot`` call and reduce the result to
+lowest terms once; the trace pairing is one sum over the flattened
+coefficients.  The action M* D M is fused, with no intermediate matrix
+reduced, and computes the upper triangle only.
 
 Every verdict on the cone comes from one fraction-free LDL* elimination on
 those rows, run at most once per matrix: the first verdict on a
@@ -40,7 +40,7 @@ pivot signs.  The witness D = L diag(delta) L* (a constructive homogeneity
 certificate) is read off the recorded integer steps as the integer rows of
 L over the lcm of the pivots, and the negative certificate, a violating
 vector carried back through the multipliers, is built as scalars once.
-Invertibility is a fraction-free elimination on the same rows.
+The invertibility check of ``act`` is a fraction-free elimination on them.
 """
 
 from __future__ import annotations
@@ -133,15 +133,11 @@ def _update_quaternion(p: int, c, x, y, product=RationalQuaternion._product) -> 
     return p * x[0] + w, p * x[1] + i, p * x[2] + j, p * x[3] + k
 
 
-def _conjugate(num: tuple) -> tuple:
-    return (num[0],) + tuple([-c for c in num[1:]])
-
-
 # What the matrix code needs to know about one scalar kind: its entry class
 # and its dimension ``width`` over R.  ``split`` reads an entry as (integer
 # coefficient tuple, positive denominator), ``dot`` and ``update`` are the
-# kind's kernels, ``conj`` conjugates a coefficient tuple (negates every
-# coefficient but the first, which on R is the identity), and ``build``
+# kind's kernels, ``conj`` conjugates a coefficient tuple (the scalar
+# class's own ``_conjugate``, and the identity on R), and ``build``
 # turns an integer tuple over a positive denominator back into an entry in
 # lowest terms.  Re(a b*) is the dot product of the coefficient tuples.
 _Kind = namedtuple("_Kind", "cls width split dot update conj build")
@@ -149,7 +145,7 @@ _Kind = namedtuple("_Kind", "cls width split dot update conj build")
 
 def _algebra_kind(cls, width: int, dot, update) -> _Kind:
     split = attrgetter("_num", "_den")
-    return _Kind(cls, width, split, dot, update, _conjugate, cls(0)._reduce)
+    return _Kind(cls, width, split, dot, update, cls._conjugate, cls(0)._reduce)
 
 
 _KINDS = {
@@ -337,31 +333,11 @@ class AlgebraMatrix(_Matrix):
             self._den * other._den,
         )
 
-    def __add__(self, other):
-        if not isinstance(other, _Matrix):
-            return NotImplemented
-        _require_same_space(self, other)
-        den = math.lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        nums = [
-            [tuple([sa * x + sb * y for x, y in zip(p, q)]) for p, q in zip(row, other_row)]
-            for row, other_row in zip(self._rows, other._rows)
-        ]
-        return _from_integers(AlgebraMatrix, self.kind, nums, den)
-
-    def __neg__(self):
-        rows = tuple(tuple(tuple([-c for c in num]) for num in row) for row in self._rows)
-        return _trusted(AlgebraMatrix, self.kind, rows, self._den)
-
     def star(self) -> "AlgebraMatrix":
         """Conjugate transpose."""
         conj = _KINDS[self.kind].conj
         rows = tuple(tuple(map(conj, col)) for col in zip(*self._rows))
         return _trusted(AlgebraMatrix, self.kind, rows, self._den)
-
-    def is_invertible(self) -> bool:
-        """Fraction-free Gaussian elimination on the integer rows."""
-        return _is_invertible(self)
 
 
 def _is_invertible(M: _Matrix) -> bool:

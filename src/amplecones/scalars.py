@@ -12,9 +12,12 @@ The three share one base class, ``_RationalAlgebra``: each stores a
 tuple of integer numerators over one positive common denominator, in lowest
 terms, and does its arithmetic on those integers; results come from a
 private trusted constructor, and a ``Fraction`` is built only where a
-coefficient is read out.  Each class supplies its product; the norm and the
-inverse read one hook, the norm form, which is the sum of squares by default
-and the indefinite a^2 - d*b^2 for Q(sqrt(d)).
+coefficient is read out.  Integer formulas are written once, for the sum,
+negation, product (each class supplies its own), conjugation and the norm
+form, which is the sum of squares by default and the indefinite
+a^2 - d*b^2 for Q(sqrt(d)).  The other operators derive from these, a
+rational r being central: x - y = x + (-y), r - x = (-x) + r, r * x = x * r,
+x^{-1} = conj(x) / N(x), x / y = x * y^{-1} and r / x = x^{-1} * r.
 
 On top of these sit the perfect-square tests for integers and rationals,
 continued fractions of square roots, fundamental units of the orders
@@ -178,24 +181,16 @@ class _RationalAlgebra(_Record):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        num, den = o
-        return self._reduce(
-            tuple(a * den - b * self._den for a, b in zip(self._num, num)),
-            self._den * den,
-        )
-
-    def __rsub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return self._make(*o) - self
-
     def __neg__(self):
         return self._make(tuple(-c for c in self._num), self._den)
+
+    def __sub__(self, other):
+        if self._parts(other) is None:
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._parts(other)
@@ -204,16 +199,14 @@ class _RationalAlgebra(_Record):
         num, den = o
         return self._reduce(self._product(self._num, num), self._den * den)
 
-    def __rmul__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        num, den = o
-        return self._reduce(self._product(num, self._num), den * self._den)
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _conjugate(num: tuple) -> tuple:
+        return (num[0],) + tuple([-c for c in num[1:]])
 
     def conjugate(self):
-        first, *rest = self._num
-        return self._make((first,) + tuple(-c for c in rest), self._den)
+        return self._make(self._conjugate(self._num), self._den)
 
     @staticmethod
     def _norm_form(num: tuple) -> int:
@@ -223,31 +216,24 @@ class _RationalAlgebra(_Record):
         """The element times its conjugate, a rational number."""
         return Fraction(self._norm_form(self._num), self._den * self._den)
 
-    def _inverse(self, num: tuple, den: int):
+    def inverse(self):
         # (num/den)^{-1} = conj(num) * den / N(num); N may be negative
-        n = self._norm_form(num)
+        n = self._norm_form(self._num)
         if n == 0:
             raise ZeroDivisionError(f"division by zero {type(self).__name__}")
-        first, *rest = num
-        return (first * den,) + tuple(-c * den for c in rest), n
-
-    def inverse(self):
-        return self._reduce(*self._inverse(self._num, self._den))
+        return self._reduce(tuple(c * self._den for c in self._conjugate(self._num)), n)
 
     def __truediv__(self, other):
         """Right division: self * other^{-1}."""
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        num, den = self._inverse(*o)
-        return self._reduce(self._product(self._num, num), self._den * den)
+        return self * self._make(*o).inverse()
 
     def __rtruediv__(self, other):
-        o = self._parts(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        num, den = self._inverse(self._num, self._den)
-        return self._reduce(self._product(o[0], num), o[1] * den)
+        return self.inverse() * other
 
     def __bool__(self):
         return any(self._num)

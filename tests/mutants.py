@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 READERS = ["tests/test_readers.py", "tests/test_arguments.py"]
 CLI = ["tests/test_cli.py"]
 HERMITIAN = ["tests/test_hermitian.py"]
+SCALARS = ["tests/test_scalars.py"]
 REDUCTION = ["tests/test_reduction.py"]
 POLYHEDRAL = ["tests/test_polyhedral.py"]
 PICARD = 'lambda m: {"picard_number": abelian.picard_number(m)}'  # cli's picard report
@@ -255,6 +256,27 @@ MUTANTS = [
         '            raise InvalidInput("block origin must be a string")\n',
         "",
         ["tests/test_records.py", "tests/test_arguments.py"],
+    ),
+    (
+        "inverse-skips-the-conjugate",
+        "scalars.py",
+        "tuple(c * self._den for c in self._conjugate(self._num))",
+        "tuple(c * self._den for c in self._num)",
+        SCALARS,
+    ),
+    (
+        "rsub-adds-self-not-its-negation",
+        "scalars.py",
+        "return (-self).__add__(other)",
+        "return self.__add__(other)",
+        SCALARS,
+    ),
+    (
+        "action-skips-the-invertibility-check",
+        "hermitian.py",
+        "    if not _is_invertible(M):\n",
+        "    if False:\n",
+        HERMITIAN,
     ),
     (
         "cone-member-ignores-closed",

@@ -31,6 +31,7 @@ from amplecones import (
     primitive_vector,
 )
 from amplecones.errors import format_point
+from amplecones.hermitian import _is_invertible
 
 MATRIX_KINDS = (ScalarKind.REAL, ScalarKind.COMPLEX, ScalarKind.QUATERNION)
 
@@ -170,7 +171,7 @@ def random_invertible_matrix(
 ) -> AlgebraMatrix:
     while True:
         m = random_algebra_matrix(rng, kind, size, span)
-        if m.is_invertible():
+        if _is_invertible(m):
             return m
 
 

@@ -109,6 +109,16 @@ class TestExitCodes:
         wrong.write_text('{"factors": [{"id": "A"}]}', encoding="utf-8")
         assert main(["picard", "--model", str(wrong)]) == 2
 
+    def test_deeply_nested_model_is_two(self, tmp_path, capsys):
+        # json.load raises RecursionError on arrays nested past the recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
+        assert main(["picard", "--model", str(deep)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: malformed JSON in {str(deep)!r}: ")
+        assert "Traceback" not in err
+
     def test_boolean_m_or_n_is_two(self, tmp_path, capsys):
         model = json.loads((GOLDEN / "model_e2.json").read_text(encoding="utf-8"))
         for path in (("albert", "m"), ("n",)):
@@ -126,6 +136,21 @@ class TestExitCodes:
     def test_bad_flags_are_two(self, capsys):
         assert main(["reduce", "--form", "1,2"]) == 2
         assert main(["verify", "--d", "2", "--pi", "1,0;3,2", "--g", "1,2,3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["reduce"], "the following arguments are required: --form"),
+            (["funddomain", "--d", "2", "--ray", "1"], "--ray wants two coordinates x1,x2"),
+            (["verify", "--d", "2", "--pi", ";"], "--pi wants rays like '1,0;3,2'"),
+            (["reduce", "--form", "1,x,2"], "--form entries must be integers: '1,x,2'"),
+        ],
+        ids=["argparse", "ray", "pi", "form"],
+    )
+    def test_malformed_arguments_are_two(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and "Traceback" not in err
 
     def test_ray_outside_cone_is_two(self, capsys):
         assert main(["funddomain", "--d", "2", "--ray", "1,1"]) == 2
@@ -145,7 +170,7 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert err.endswith(" must be finite rational numbers\n")
-            assert f"({value}, " in err or f", {value})" in err  # the library names the text
+            assert f"({value!r}, " in err or f", {value!r})" in err  # the library quotes the text
             assert "Fraction" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize(

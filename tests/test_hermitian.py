@@ -35,7 +35,7 @@ from amplecones import (
     trace_inner_product,
 )
 from amplecones.abelian import _FORM_RULES
-from amplecones.hermitian import _KINDS, _integer_rows
+from amplecones.hermitian import _KINDS, _integer_rows, _is_invertible
 from support import (
     MATRIX_KINDS,
     flatten_hermitian,
@@ -227,7 +227,7 @@ class TestInternalResults:
                     x = random_hermitian_matrix(rng, kind, size)
                     self._check(act(m1, d), HermitianMatrix, kind)
                     self._check(act(m2, x), HermitianMatrix, kind)
-                    for product in (m1 * m2, m1 * d, m1 + m2, m1 + x, -m1, m1.star()):
+                    for product in (m1 * m2, m1 * d, m1.star()):
                         self._check(product, AlgebraMatrix, kind)
                     self._check(ldl_witness(d)[0], AlgebraMatrix, kind)
 
@@ -288,7 +288,7 @@ class TestIntegerKernel:
                     v = [wide_scalar(rng, kind) for _ in range(size)]
                     self._check_rows(a * b, ref_matrix_product(a.entries, b.entries))
                     self._check_rows(a * d, ref_matrix_product(a.entries, d.entries))
-                    while not a.is_invertible():
+                    while not _is_invertible(a):
                         a = wide_algebra_matrix(rng, kind, size)
                     image = act(a, d)
                     self._check_rows(image, ref_act(a.entries, d.entries))
@@ -314,13 +314,12 @@ class TestCachedRows:
             for size in (1, 2, 3, 4):
                 for make in (random_algebra_matrix, wide_algebra_matrix):
                     a, b = make(rng, kind, size), make(rng, kind, size)
-                    while not (a.is_invertible() and b.is_invertible()):
+                    while not (_is_invertible(a) and _is_invertible(b)):
                         a, b = make(rng, kind, size), make(rng, kind, size)
                     d = random_pd_matrix(rng, kind, size)
                     x = wide_hermitian_matrix(rng, kind, size)
                     results = (
-                        a, d, x, a * b, b * d, act(a, d), act(a, x), act(a * b, d),
-                        a + b, a + (-a), a + x, -a, a.star(),
+                        a, d, x, a * b, b * d, act(a, d), act(a, x), act(a * b, d), a.star(),
                         ldl_witness(d)[0], AlgebraMatrix.identity(kind, size),
                         HermitianMatrix.diagonal(kind, [wide_fraction(rng) for _ in range(size)]),
                     )
@@ -360,9 +359,10 @@ class TestCachedRows:
                     ]
                     pool += [
                         m, h, eye, AlgebraMatrix(kind, unreduced),
-                        m + (-m), AlgebraMatrix.diagonal(kind, [0] * size),
+                        m * AlgebraMatrix.diagonal(kind, [0] * size),
+                        AlgebraMatrix.diagonal(kind, [0] * size),
                         m.star().star(), m.star(), ha.star(), ha,
-                        m * eye, eye * m, eye * h, (m + h) + (-ha),
+                        m * eye, eye * m, eye * h,
                         HermitianMatrix(kind, [[int(i == j) for j in range(size)]
                                                for i in range(size)]),
                     ]
@@ -415,10 +415,10 @@ class TestFractionFreeElimination:
 
     def test_quaternion_product_order(self):
         i, j, k = H.imaginary_units
-        assert AlgebraMatrix(H, [[1, i], [j, k]]).is_invertible()
-        assert not AlgebraMatrix(H, [[1, i], [j, -k]]).is_invertible()
-        assert not AlgebraMatrix(H, [[1, j], [i, k]]).is_invertible()
-        assert AlgebraMatrix(H, [[1, j], [i, -k]]).is_invertible()
+        assert _is_invertible(AlgebraMatrix(H, [[1, i], [j, k]]))
+        assert not _is_invertible(AlgebraMatrix(H, [[1, i], [j, -k]]))
+        assert not _is_invertible(AlgebraMatrix(H, [[1, j], [i, k]]))
+        assert _is_invertible(AlgebraMatrix(H, [[1, j], [i, -k]]))
 
     def test_invertibility_matches_reference(self):
         rng = random.Random(107)
@@ -438,7 +438,7 @@ class TestFractionFreeElimination:
                         else:
                             rows[b] = [value * c for value in rows[a]]
                         m = AlgebraMatrix(kind, rows)
-                    assert m.is_invertible() == ref_is_invertible(matrix_tuples(m))
+                    assert _is_invertible(m) == ref_is_invertible(matrix_tuples(m))
 
 
 WIDTH = {R: 1, C: 2, H: 4}
@@ -628,7 +628,7 @@ class TestPinnedOutputs:
                     except NotPositiveDefinite:
                         yield "NotPositiveDefinite"
                     yield repr(negative_certificate(x))
-                    yield repr(m.is_invertible())
+                    yield repr(_is_invertible(m))
                     try:
                         yield repr(act(m, x))
                     except SingularMatrix:

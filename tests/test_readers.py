@@ -75,11 +75,16 @@ def test_text_and_decimals_read_up_to_the_exponent_bound(mantissa, exponent):
 def test_exponent_bound():
     assert _rationals(("1e4300", "-2.5E-4300")) == [10**4300, Fraction(-25, 10**4301)]
     assert _rationals((Decimal("1e4300"), " 1e4_300 ")) == [10**4300, 10**4300]
-    for bad in ("1e4301", " 1e4_301 ", "0e10000000", Decimal("-2.5E-4301")):
+    for bad, shown in [
+        ("1e4301", "'1e4301'"),
+        (" 1e4_301 ", "' 1e4_301 '"),
+        ("0e10000000", "'0e10000000'"),
+        (Decimal("-2.5E-4301"), "-2.5E-4301"),
+    ]:
         with pytest.raises(InvalidInput) as caught:
             _rationals((1, bad), "parameters a, b")
         assert str(caught.value) == (
-            f"parameters a, b of (1, {bad}) must be written with exponents "
+            f"parameters a, b of (1, {shown}) must be written with exponents "
             "of at most 4300 in absolute value"
         )
 

@@ -22,6 +22,7 @@ from amplecones import (
     BlockDecomposition,
     ConeSpec,
     GaussianRational,
+    GroupAction2D,
     HermitianMatrix,
     IntegralForm,
     InvalidInput,
@@ -38,11 +39,16 @@ from amplecones import (
     SurfaceConeData,
     UnimodularMatrix,
     UnitElement,
+    aut_action,
+    cone_intersection,
     dirichlet_rank,
     fundamental_unit,
     is_square_rational,
+    model_from_json_dict,
+    quadratic_value,
     real_mult_fundamental_domain,
     surface_nef_data,
+    translate_locate,
 )
 from amplecones.abelian import AlbertForm
 
@@ -343,6 +349,45 @@ def test_copies_compare_equal(make):
             lambda: UnitElement(QuadIrrational(5, 2, 1), 1),
             InvalidInput,
             "declared norm does not match value",
+        ),
+        (lambda: PolyhedralCone(2, []), InvalidInput, "a polyhedral cone needs at least one ray"),
+        (
+            lambda: cone_intersection(PolyhedralCone(2, [(1, 0)]), PolyhedralCone(3, [(1, 0, 0)])),
+            ShapeMismatch,
+            "cones live in different dimensions",
+        ),
+        (
+            lambda: GroupAction2D([[1, 0, 0], [0, 1, 0]], 1, 2),
+            ShapeMismatch,
+            "expected a 2 x 2 matrix",
+        ),
+        (
+            lambda: translate_locate(
+                (1, 0),
+                PolyhedralCone(3, [(1, 0, 0), (0, 1, 0)]),
+                GroupAction2D([[3, 4], [2, 3]], 1, 2),
+            ),
+            ShapeMismatch,
+            "translate location works in the plane",
+        ),
+        (
+            lambda: quadratic_value(HermitianMatrix.identity(K.REAL, 2), (1,)),
+            ShapeMismatch,
+            "vector length does not match matrix size",
+        ),
+        (
+            lambda: model_from_json_dict({"factors": [1]}),
+            InvalidInput,
+            "factor entry 1 is not an object",
+        ),
+        (
+            lambda: aut_action(
+                BlockDecomposition((_BLOCK,)),
+                [AlgebraMatrix.identity(K.REAL, 2)],
+                [HermitianMatrix.identity(K.QUATERNION, 2)],
+            ),
+            ShapeMismatch,
+            "block over H^2 got R^2 and H^2",
         ),
     ],
 )

@@ -32,7 +32,7 @@ _DEFAULT_MAX_WORD = 12
 # by g) or a point lies far out; their integers grow linearly in bits, so
 # that work is quadratic in the bound
 _MAX_WORD = 64
-# bound on --samples: a sample of the d = 2 domain costs about 2 microseconds,
+# bound on --samples: a sample of the d = 2 domain costs about 1 microsecond,
 # so a run stays well under a second
 _MAX_SAMPLES = 100_000
 
@@ -125,6 +125,17 @@ def _cmd_reduce(args) -> int:
     parts = args.form.split(",")
     if len(parts) != 3:
         raise AmpleconesError("--form wants three integers g11,g12,g22")
+    # an integer past the int-to-text limit is named by its length: echoing
+    # it would print thousands of digits, and the limit stays as set
+    limit = sys.get_int_max_str_digits()
+    for index, part in enumerate(parts, 1):
+        text = part.strip().replace("_", "")
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if limit and digits.isdecimal() and len(digits) > limit:
+            raise AmpleconesError(
+                f"--form entry {index} has {len(digits)} digits, more than {limit}, "
+                "Python's limit for reading integers"
+            )
     try:
         g11, g12, g22 = (int(p) for p in parts)
     except ValueError:

@@ -424,8 +424,14 @@ def verify_fundamental_domain(
     fundamental pi, all 2 * max_word + 1 when every step overlaps (the
     scalar action, or a ray of pi fixed by g).  A gap or overlap witness
     is the ray of the simplest slope strictly inside it.  The report is a
-    deterministic function of (pi, action, samples, max_word, seed); each
-    sample's verdict is independent of the others.
+    deterministic function of (pi, action, samples, max_word, seed), and it
+    is the report that locating every sample would give.  Both ends of
+    g^k pi move monotonically in k, so the least k whose translate holds a
+    ray is monotone in its slope; when pi and g(pi) leave no gap, a ray
+    between two located samples is covered and its k lies between theirs.
+    So a sample inside the slope range of the samples located so far is
+    covered with |k| <= words_used and is not located; only a sample that
+    widens that range is.  With a gap every sample is located.
 
     A sample is the point (n1/d1, n2/d2) with n1 in 1..60, n2 in -60..60
     and d1, d2 in 1..20, drawn from random.Random(seed).getrandbits
@@ -446,6 +452,11 @@ def verify_fundamental_domain(
     for a, b in ((high, g_low), (g_high, low)):
         if _cross(a, b) > 0:
             witnesses.append({"kind": "uncovered", "point": _simplest_between(a, b)})
+    # (lx, ly) and (hx, hy) bound the slope range of the located samples,
+    # which grows only when there is no gap (see above); (0, 1) lies above
+    # every ray and (0, -1) below, so the range is empty until the first
+    widen = not witnesses
+    lx, ly, hx, hy = 0, 1, 0, -1
     getrandbits = random.Random(seed).getrandbits
     A, B = action._form
     words_used = 0
@@ -474,9 +485,16 @@ def verify_fundamental_domain(
         if A * x * x <= B * y * y:
             continue
         accepted += 1
+        if lx * y - ly * x >= 0 and x * hy - y * hx >= 0:
+            continue  # inside [lo, hi]: covered, and |k| <= words_used
         k = _locate((x, y), table, max_word)  # the route of translate_locate
         if k is not None:
             words_used = max(words_used, abs(k))
+            if widen:
+                if lx * y - ly * x < 0:
+                    lx, ly = x, y
+                if x * hy - y * hx < 0:
+                    hx, hy = x, y
         else:
             point = [
                 _fraction_json(Fraction(n1 + 1, d1 + 1)),

@@ -444,7 +444,9 @@ def fundamental_unit(d: int) -> UnitElement:
     for q in period[:-1]:
         h, h_prev = q * h + h_prev, h
         k, k_prev = q * k + k_prev, k
-    value = QuadIrrational(d, h, k)
+    # d is checked above: build the integral value directly rather than
+    # repeat the squarefree trial division in the public constructor
+    value = object.__new__(QuadIrrational)._set(d=d, _num=(h, k), _den=1)
     return UnitElement(value=value, norm=int(h * h - d * k * k))
 
 

@@ -192,6 +192,32 @@ MUTANTS = [
         REDUCTION,
     ),
     (
+        "slope-range-skips-samples-past-a-gap",
+        "reduction.py",
+        "    widen = not witnesses\n",
+        "    widen = True\n",
+        REDUCTION,
+    ),
+    (
+        "slope-range-widened-by-an-unlocated-sample",
+        "reduction.py",
+        "            words_used = max(words_used, abs(k))\n"
+        "            if widen:\n"
+        "                if lx * y - ly * x < 0:\n"
+        "                    lx, ly = x, y\n"
+        "                if x * hy - y * hx < 0:\n"
+        "                    hx, hy = x, y\n"
+        "        else:\n",
+        "            words_used = max(words_used, abs(k))\n"
+        "        if widen:\n"
+        "            if lx * y - ly * x < 0:\n"
+        "                lx, ly = x, y\n"
+        "            if x * hy - y * hx < 0:\n"
+        "                hx, hy = x, y\n"
+        "        if k is None:\n",
+        REDUCTION,
+    ),
+    (
         "adjacency-pre-check-threshold-off-by-one",
         "polyhedral.py",
         "                if common.bit_count() < need:\n",

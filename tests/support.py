@@ -656,11 +656,14 @@ def simplest_slope(low: Fraction, high: Fraction) -> list:
             return [q, p]
 
 
-def reference_verify(pi, action, samples: int, max_word: int, seed: int) -> dict:
+def reference_verify(
+    pi, action, samples: int, max_word: int, seed: int, locate=reference_translate_locate
+) -> dict:
     """The JSON report of verify_fundamental_domain from the same seeded
-    samples, located by the linear scan, and with disjointness decided by
-    double description of pi and each translate g^k pi, whose witness is
-    the simplest slope inside the overlap.  No exact gap test: covering is
+    samples, each located by ``locate(direction, pi, action, max_word)``
+    (the linear scan by default), and with disjointness decided by double
+    description of pi and each translate g^k pi, whose witness is the
+    simplest slope inside the overlap.  No exact gap test: covering is
     sampled only."""
     for ray in pi.rays:
         if not action.closed_member(ray):
@@ -681,7 +684,7 @@ def reference_verify(pi, action, samples: int, max_word: int, seed: int) -> dict
     words_used = 0
     for x1, x2, direction in points:
         try:
-            k = reference_translate_locate(direction, pi, action, max_word)
+            k = locate(direction, pi, action, max_word)
         except NotFundamental:
             witnesses.append(
                 {"kind": "uncovered", "point": [_fraction_json(x1), _fraction_json(x2)]}

@@ -152,6 +152,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and message in err and "Traceback" not in err
 
+    def test_form_entry_past_the_int_limit_is_two(self, capsys):
+        # the entry is an integer too long to read: name its length and the
+        # limit, not its digits; the limit itself stays as set
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * 5000
+        for form in (f"1,0,{nines}", f"1,0,-{nines}", "1,0," + "1_" * 4400 + "1", f"1,x,{nines}"):
+            assert main(["reduce", "--form", form]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and len(err) < 200
+            assert err.startswith("error: --form entry 3 has ")
+            assert f"more than {limit}" in err and "Traceback" not in err
+        assert sys.get_int_max_str_digits() == limit
+
     def test_ray_outside_cone_is_two(self, capsys):
         assert main(["funddomain", "--d", "2", "--ray", "1,1"]) == 2
         assert main(["funddomain", "--d", "5", "--ray", "0,0"]) == 2

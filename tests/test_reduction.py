@@ -480,6 +480,12 @@ def _random_open_ray(rng, d):
             return ray
 
 
+def _inverse_action(action):
+    """The action of the inverse of a real-multiplication generator."""
+    (p, dq), (q, _) = action.generator
+    return GroupAction2D([[p, -dq], [-q, p]], 1, action.b)
+
+
 def _random_candidate(rng, shape):
     """A candidate cone built from g^a R and g^b R, its action (the squared
     unit or its inverse) and a max_word."""
@@ -487,8 +493,7 @@ def _random_candidate(rng, shape):
     ray = _random_open_ray(rng, d)
     _, action = real_mult_fundamental_domain(d, ray)
     if rng.random() < 0.5:
-        (p, dq), (q, _) = action.generator
-        action = GroupAction2D([[p, -dq], [-q, p]], 1, d)
+        action = _inverse_action(action)
     a = rng.randint(-2, 2)
     lo, hi = action.ray_image(ray, a), action.ray_image(ray, a + 1)
     middle = primitive_vector((lo[0] + hi[0], lo[1] + hi[1]))
@@ -522,6 +527,17 @@ def _gap_witness(pi, action):
     return None
 
 
+def _expected_report(pi, action, samples, max_word, seed, locate=reference_translate_locate):
+    """reference_verify's report, its samples located by ``locate``, with
+    the exact gap witness first: the report of verify_fundamental_domain."""
+    expected = reference_verify(pi, action, samples, max_word, seed, locate=locate)
+    gap = _gap_witness(pi, action)
+    if gap is not None:
+        expected["covering_ok"] = False
+        expected["witnesses"].insert(0, gap)
+    return expected
+
+
 class TestTranslateTable:
     """translate_locate and verify_fundamental_domain against the reference
     scan and double-description loop of tests/support.py; the only allowed
@@ -547,12 +563,9 @@ class TestTranslateTable:
                 assert ours == theirs, (shape, pi, action.generator, max_word, p)
             seed = rng.randrange(1000)
             report = verify_fundamental_domain(pi, action, samples=4, max_word=max_word, seed=seed)
-            expected = reference_verify(pi, action, samples=4, max_word=max_word, seed=seed)
-            gap = _gap_witness(pi, action)
-            if gap is not None:
+            expected = _expected_report(pi, action, 4, max_word, seed)
+            if _gap_witness(pi, action) is not None:
                 gaps[shape] += 1
-                expected["covering_ok"] = False
-                expected["witnesses"].insert(0, gap)
             assert report.to_json_dict() == expected, (shape, pi, action.generator, max_word, seed)
         assert gaps == {"gapped": 170, "single": 170}
 
@@ -568,13 +581,9 @@ class TestTranslateTable:
             "single": PolyhedralCone(2, [pi.rays[0]]),
         }
         for shape, cand in candidates.items():
-            gap = _gap_witness(cand, action)
             for seed in range(5):
                 report = verify_fundamental_domain(cand, action, samples=100, max_word=max_word, seed=seed)
-                expected = reference_verify(cand, action, samples=100, max_word=max_word, seed=seed)
-                if gap is not None:
-                    expected["covering_ok"] = False
-                    expected["witnesses"].insert(0, gap)
+                expected = _expected_report(cand, action, 100, max_word, seed)
                 assert report.to_json_dict() == expected, (shape, seed)
 
 
@@ -614,11 +623,7 @@ class TestTranslateTable:
                     seen["missed" if isinstance(ours, tuple) else (ours > 0) - (ours < 0)] += 1
                 seed = rng.randrange(1000)
                 report = verify_fundamental_domain(pi, action, samples=6, max_word=max_word, seed=seed)
-                expected = reference_verify(pi, action, samples=6, max_word=max_word, seed=seed)
-                gap = _gap_witness(pi, action)
-                if gap is not None:
-                    expected["covering_ok"] = False
-                    expected["witnesses"].insert(0, gap)
+                expected = _expected_report(pi, action, 6, max_word, seed)
                 assert report.to_json_dict() == expected, (generator, pi, max_word, seed)
         # points are located below, at and above k = 0, and some are missed
         assert set(seen) == {-1, 0, 1, "missed"}, seen
@@ -637,20 +642,84 @@ class TestTranslateTable:
             ray = _random_open_ray(rng, d)
             _, action = real_mult_fundamental_domain(d, ray)
             if inverse:
-                (p, dq), (q, _) = action.generator
-                action = GroupAction2D([[p, -dq], [-q, p]], 1, d)
+                action = _inverse_action(action)
             pi = PolyhedralCone(2, [action.ray_image(ray, a), action.ray_image(ray, a + w)])
             seed = rng.randrange(1000)
             report = verify_fundamental_domain(pi, action, samples=4, max_word=max_word, seed=seed)
-            expected = reference_verify(pi, action, samples=4, max_word=max_word, seed=seed)
-            gap = _gap_witness(pi, action)
-            if gap is not None:
-                expected["covering_ok"] = False
-                expected["witnesses"].insert(0, gap)
+            expected = _expected_report(pi, action, 4, max_word, seed)
             assert report.to_json_dict() == expected, (d, pi, action.generator, max_word, seed)
             overlaps = [x["k"] for x in report.witnesses if x["kind"] == "overlap"]
             reach = min(w - 1, max_word)
             assert overlaps == [k for s in range(1, reach + 1) for k in (s, -s)], d
+
+
+def _slope_range_cases(max_word):
+    """(name, pi, action) over the shapes a sample can meet: R_j = g^j R,
+    pi fundamental, shifted by max_word (samples below it lie past
+    -max_word), overlapping, wide, a single ray and gapped, under g and
+    g^-1; the scalar action; and, on x^2 - s^2 y^2, candidates through a
+    boundary ray that every generator fixes."""
+    for d in (2, 7, 13):
+        _, forward = real_mult_fundamental_domain(d, (1, 0))
+        for g, action in (("g", forward), ("g^-1", _inverse_action(forward))):
+            R = {j: action.ray_image((1, 0), j) for j in range(-2, max_word + 2)}
+            shapes = {
+                "fundamental": [R[0], R[1]],
+                "shifted": [R[max_word], R[max_word + 1]],
+                "overlapping": [R[-1], R[1]],
+                "wide": [R[-2], R[2]],
+                "single": [R[1]],
+                "gapped": [R[0], primitive_vector((R[0][0] + R[1][0], R[0][1] + R[1][1]))],
+            }
+            for shape, rays in shapes.items():
+                yield f"d={d} {g} {shape}", PolyhedralCone(2, rays), action
+    scalar = GroupAction2D([[1, 0], [0, 1]], 1, 2)
+    for rays in ([(1, 0), (3, 2)], [(1, 0)], [(3, -2), (3, 2)]):
+        yield f"scalar {rays}", PolyhedralCone(2, rays), scalar
+    for s in (1, 2):
+        low, high = (s, -1), (s, 1)
+        for b in (1, -1):
+            action = GroupAction2D([[s + 1, b * s * s], [b, s + 1]], 1, s * s)
+            for rays in ([low, (3 * s, 1)], [(3 * s, 1), high], [low, high], [high]):
+                yield f"s={s} b={b} {rays}", PolyhedralCone(2, rays), action
+
+
+class TestLocatedSlopeRange:
+    """verify_fundamental_domain locates only the samples that widen the
+    slope range of the samples located so far (when pi and g(pi) leave no
+    gap); its report must be the one that locating every sample with
+    translate_locate gives."""
+
+    @pytest.mark.parametrize("max_word", [1, 2, 3, 12])
+    def test_matches_locating_every_sample(self, max_word):
+        shifted = 0
+        for index, (name, pi, action) in enumerate(_slope_range_cases(max_word)):
+            seed = 1000 * max_word + index
+            report = verify_fundamental_domain(pi, action, samples=300, max_word=max_word, seed=seed)
+            expected = _expected_report(pi, action, 300, max_word, seed, locate=translate_locate)
+            assert report.to_json_dict() == expected, (name, max_word, seed)
+            if name.endswith("shifted"):
+                # no gap, yet the samples past g^-max_word pi are
+                # uncovered, while those in it are located at -max_word
+                assert _gap_witness(pi, action) is None
+                assert not report.covering_ok and report.words_used == max_word, name
+                shifted += 1
+        assert shifted == 6
+
+    def test_locates_only_the_samples_that_widen_the_range(self, monkeypatch):
+        calls = 0
+        locate = reduction._locate
+
+        def counting(p, table, max_word):
+            nonlocal calls
+            calls += 1
+            return locate(p, table, max_word)
+
+        monkeypatch.setattr(reduction, "_locate", counting)
+        pi, action = d2_setup()
+        report = verify_fundamental_domain(pi, action, samples=500, max_word=12, seed=0)
+        assert report.ok and report.words_used == 2
+        assert calls < 60, calls
 
 
 def _power(m, k: int):
@@ -689,8 +758,7 @@ class TestLazyTranslates:
         ray = _random_open_ray(rng, d)
         _, action = real_mult_fundamental_domain(d, ray)
         if inverse:
-            (p, dq), (q, _) = action.generator
-            action = GroupAction2D([[p, -dq], [-q, p]], 1, d)
+            action = _inverse_action(action)
         pi = PolyhedralCone(2, [ray, action.ray_image(ray, rng.randint(1, 3))])
         rows = _translates(pi, action)[0]
         (low, high), read = rows[0], {0}

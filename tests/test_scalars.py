@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -20,7 +21,7 @@ from amplecones import (
     is_squarefree,
     is_totally_positive,
 )
-from amplecones.scalars import squarefree_part
+from amplecones.scalars import is_perfect_square, squarefree_part
 from support import (
     pell_scan,
     ref_add,
@@ -31,6 +32,7 @@ from support import (
     ref_norm,
     ref_quad_mul,
     ref_sub,
+    scalar_state,
 )
 
 
@@ -67,6 +69,12 @@ class TestSquarefreePart:
         for n in (-1, -4, -12, -(10**14 + 31)):
             assert squarefree_part(n) == (1, n)
         assert not is_squarefree(0) and not is_squarefree(-3)
+
+    def test_perfect_squares(self):
+        assert [n for n in range(-50, 50) if is_perfect_square(n)] == [0, 1, 4, 9, 16, 25, 36, 49]
+        for n in (-1, -4, -(10**40)):  # no negative number is a square
+            assert not is_perfect_square(n)
+        assert is_perfect_square(10**40) and not is_perfect_square(10**40 + 1)
 
 
 class TestContinuedFraction:
@@ -153,6 +161,33 @@ class TestFundamentalUnit:
             u = fundamental_unit(d)
             assert pell_scan(d, 10**4) == (u.value.a, u.value.b, u.norm)
 
+    def test_checks_d_once_and_keeps_every_unit(self, monkeypatch):
+        # the squarefree trial division runs once per call, and the unit
+        # built without the public constructor's check has its state; the
+        # digest pins (d, a, b, norm) for every squarefree d <= 3000
+        from amplecones import scalars
+
+        calls = []
+        original = scalars.squarefree_part
+        monkeypatch.setattr(
+            scalars, "squarefree_part", lambda n: calls.append(n) or original(n)
+        )
+        digest = hashlib.sha256()
+        radicands = [d for d in range(2, 3001) if naive_squarefree_part(d)[0] == 1]
+        for d in radicands:
+            del calls[:]
+            u = fundamental_unit(d)
+            assert calls == [d]
+            a, b = u.value.a, u.value.b
+            assert u.value.d == d
+            assert scalar_state(u.value) == scalar_state(QuadIrrational(d, a, b))
+            assert u.norm == u.value.norm() == a * a - d * b * b
+            digest.update(f"{d} {a} {b} {u.norm};".encode())
+        assert len(radicands) == 1823
+        assert digest.hexdigest() == (
+            "008237747d7179cc55bd4cb88c31e91056400d46d2f7f25e8c03e3e5d43f9d2c"
+        )
+
     def test_unit_element_validation(self):
         with pytest.raises(InvalidInput):
             UnitElement(value=QuadIrrational(2, 1, 1), norm=1)  # true norm is -1
@@ -232,6 +267,13 @@ class TestQuadIrrational:
         assert QuadIrrational(2, 3, -2).sign() == 1  # 3 - 2 sqrt(2) > 0
         assert QuadIrrational(2, -1, 0).sign() == -1
         assert QuadIrrational(2, 0, 0).sign() == 0
+        # a and b of opposite signs: the larger of a^2 and d*b^2 wins
+        assert QuadIrrational(2, 3, -1).sign() == 1  # 3 - sqrt(2) > 0
+        assert QuadIrrational(2, -3, 1).sign() == -1  # -3 + sqrt(2) < 0
+        assert QuadIrrational(2, -1, 1).sign() == 1  # -1 + sqrt(2) > 0
+        # a = 0: the sign of b
+        assert QuadIrrational(2, 0, 1).sign() == 1
+        assert QuadIrrational(2, 0, Fraction(-1, 3)).sign() == -1
 
     def test_non_squarefree_radicand_rejected(self):
         with pytest.raises(InvalidInput):

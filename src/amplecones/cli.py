@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import abelian, reduction
-from .errors import AmpleconesError, UnsupportedDimension
+from .errors import AmpleconesError, UnsupportedDimension, _format_coordinate
 from .polyhedral import PolyhedralCone
 from .scalars import is_squarefree, squarefree_part
 
@@ -139,7 +139,10 @@ def _cmd_reduce(args) -> int:
     try:
         g11, g12, g22 = (int(p) for p in parts)
     except ValueError:
-        raise AmpleconesError(f"--form entries must be integers: {args.form!r}") from None
+        # quoted, and cut to a prefix and its length when it is long
+        raise AmpleconesError(
+            f"--form entries must be integers: {_format_coordinate(args.form)}"
+        ) from None
     gred, u = reduction.minkowski_reduce(reduction.IntegralForm(g11, g12, g22))
     _emit_json(
         {"gred": [gred.g11, gred.g12, gred.g22], "u": u.rows()}, args.output

@@ -2,8 +2,8 @@
 through which every public entry point reads its arguments (``_integer``,
 ``_rationals``, the one reader of rationals, ``_coordinates`` for points and
 other sequences, and ``_integer_point``), the formatting of points in its
-messages, and ``_Record``, the immutable base of every value type: the only
-code in the package that assigns to a slot."""
+messages, and ``_Record``, the immutable base of every value type: every
+slot of the package is assigned by it or by the slot setters it hands out."""
 
 import math
 from decimal import Decimal
@@ -13,6 +13,10 @@ from fractions import Fraction
 # builds 10**exponent before any check runs, which takes seconds past a
 # million; 4300 is Python's default limit on the digits of a printed integer
 _MAX_EXPONENT = 4300
+# text in a message longer than _MAX_TEXT characters is shown by its first
+# _TEXT_PREFIX characters and its length
+_MAX_TEXT = 60
+_TEXT_PREFIX = 20
 
 
 class AmpleconesError(Exception):
@@ -75,6 +79,10 @@ def _sequence(value, item) -> str:
 
 
 def _format_coordinate(c) -> str:
+    """One item of a message: a rational as p/q, a list or tuple item by
+    item, and text quoted, so that a blank entry shows; text longer than
+    ``_MAX_TEXT`` characters is cut to its first ``_TEXT_PREFIX`` and named
+    by its length, so that a message never echoes an argument of any size."""
     if isinstance(c, Fraction):
         text = _format_integer(c.numerator)
         return text if c.denominator == 1 else f"{text}/{_format_integer(c.denominator)}"
@@ -82,7 +90,11 @@ def _format_coordinate(c) -> str:
         return _sequence(c, _format_coordinate)
     if isinstance(c, int):
         return _format_integer(c)
-    return repr(c) if isinstance(c, str) else str(c)  # quoted, so a blank entry shows
+    if not isinstance(c, str):
+        return str(c)
+    if len(c) > _MAX_TEXT:
+        return f"{c[:_TEXT_PREFIX]!r}... ({len(c)} characters)"
+    return repr(c)
 
 
 def format_point(v) -> str:
@@ -153,10 +165,23 @@ def _bounded(c, name: str, values: tuple):
     return c
 
 
-def _common_denominator(fracs) -> tuple[tuple[int, ...], int]:
-    """Fractions as integer numerators over ``den``, the lcm of their
-    denominators; no prime divides den and every numerator."""
-    ratios = [f.as_integer_ratio() for f in fracs]
+# the types whose values _common_denominator takes apart without _rationals
+_INT = frozenset([int])
+_EXACT = frozenset([int, Fraction])
+
+
+def _common_denominator(values, name: str = "coordinates") -> tuple[tuple[int, ...], int]:
+    """The rationals ``values``, read by :func:`_rationals` under ``name``,
+    as integer numerators over ``den``, the lcm of their denominators; no
+    prime divides den and every numerator.  Ints and Fractions are taken
+    apart as they are, with no Fraction built, and ints alone are their own
+    numerators over 1."""
+    kinds = set(map(type, values))
+    if kinds == _INT:
+        return tuple(values), 1
+    if not kinds <= _EXACT:
+        values = _rationals(values, name)
+    ratios = [c.as_integer_ratio() for c in values]
     den = math.lcm(*[q for _, q in ratios])
     return tuple([p * (den // q) for p, q in ratios]), den
 
@@ -195,7 +220,7 @@ def _integer_point(v, dim: int | None = None) -> tuple[int, ...]:
     if dim is not None and len(v) != dim:
         raise ShapeMismatch(f"point {format_point(v)} does not live in dimension {dim}")
     if set(map(type, v)) != {int}:
-        v, _ = _common_denominator(_rationals(v))
+        v, _ = _common_denominator(v)
     return v
 
 
@@ -206,19 +231,25 @@ class _Record:
     A subclass lists its slots in ``__slots__``.  Public slots, whose names
     do not start with ``_``, are the constructor's parameters, in order;
     slots that start with ``_`` hold state derived from them.  Every slot is
-    filled by :meth:`_set`, the one trusted constructor of the package, once,
-    in ``__init__`` or in a trusted builder that starts from
-    ``object.__new__``.  One slot is filled later, on first read:
-    ``HermitianMatrix._ldl``, the matrix's LDL* elimination, which the first
-    verdict on the matrix computes and every later one reads; equality,
-    hashing, copies and pickles ignore it.  From the public slots this base
-    gives equality with values of the same class only, a hash of their
-    values, a ``Name(field=value, ...)`` repr, and copies and pickles that
-    are rebuilt through the public constructor, which validates again;
-    assignment and deletion of any attribute raise ``AttributeError``.  A
-    type whose public slots are not its constructor's parameters (a scalar,
-    or a matrix, which is built from rows), or whose equality is coarser (a
-    cone compares its rays as a set), overrides what differs.
+    filled once, in ``__init__`` or in a trusted builder that starts from
+    ``object.__new__``.  :meth:`_set` fills them in every constructor and
+    in most trusted builders.  The two hot builders,
+    ``_RationalAlgebra._make`` (every scalar result; ``QuadIrrational._make``
+    extends it) and ``hermitian._trusted`` (every matrix result), call
+    instead the setters that :meth:`_slot_setters` looks up once at import:
+    each slot descriptor's ``__set__``, with no loop over keyword arguments.
+    One slot is filled later, through ``_set``: ``HermitianMatrix._ldl``,
+    the matrix's LDL* elimination, which the first verdict on the matrix
+    (or ``act``, on its image) computes and every later verdict reads;
+    equality, hashing, copies and pickles ignore it.  From the public slots
+    this base gives equality with values of the same class only, a hash of
+    their values, a ``Name(field=value, ...)`` repr, and copies and pickles
+    that are rebuilt through the public constructor, which validates
+    again; assignment and deletion of any attribute raise
+    ``AttributeError``.  A type whose public slots are not its
+    constructor's parameters (a scalar, or a matrix, which is built from
+    rows), or whose equality is coarser (a cone compares its rays as a
+    set), overrides what differs.
     """
 
     __slots__ = ()
@@ -228,6 +259,12 @@ class _Record:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
         return self
+
+    @classmethod
+    def _slot_setters(cls, *names) -> tuple:
+        """The ``__set__`` of each named slot's descriptor, in order: each
+        fills its slot of a new instance, as ``setter(instance, value)``."""
+        return tuple([getattr(cls, name).__set__ for name in names])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__ if name[0] != "_"])

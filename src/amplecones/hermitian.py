@@ -24,12 +24,13 @@ products, the action, ``quadratic_value`` and the negative certificate
 compute each output entry with one ``dot`` call and reduce the result to
 lowest terms once; the trace pairing is one sum over the flattened
 coefficients.  The action M* D M is fused, with no intermediate matrix
-reduced, and computes the upper triangle only.
+reduced: it computes D c and c* once for each column c of M, and the upper
+triangle only.
 
 Every verdict on the cone comes from one fraction-free LDL* elimination on
 those rows, run at most once per matrix: the first verdict on a
-HermitianMatrix stores the result in the matrix's private ``_ldl`` slot,
-and every later verdict on it reads that slot.  A verdict takes a
+HermitianMatrix (or ``act``, on its image) stores it in its private
+``_ldl`` slot, and every later verdict on it reads that slot.  A verdict takes a
 HermitianMatrix only, so it never reads one triangle of a matrix that is
 not self-adjoint.  Each pivot of a Hermitian Schur complement is real, so
 it is central even in H, and the update S_ij <- p S_ij - S_ik S_kj scales
@@ -40,7 +41,9 @@ pivot signs.  The witness D = L diag(delta) L* (a constructive homogeneity
 certificate) is read off the recorded integer steps as the integer rows of
 L over the lcm of the pivots, and the negative certificate, a violating
 vector carried back through the multipliers, is built as scalars once.
-The invertibility check of ``act`` is a fraction-free elimination on them.
+The invertibility check of ``act`` is a fraction-free elimination on them,
+or, on a D that a verdict has found positive definite, the LDL* elimination
+of the result, which is positive definite exactly when M is invertible.
 """
 
 from __future__ import annotations
@@ -201,7 +204,12 @@ def _trusted(cls, kind: ScalarKind, rows, den: int):
     coefficient: exactly what :func:`_integer_rows` reads off the entries.
     The public constructors keep full validation.
     """
-    return object.__new__(cls)._set(kind=kind, size=len(rows), _rows=rows, _den=den)
+    m = _new(cls)
+    _set_kind(m, kind)
+    _set_size(m, len(rows))
+    _set_rows(m, rows)
+    _set_den(m, den)
+    return m
 
 
 def _integer_rows(ops: _Kind, entries):
@@ -209,10 +217,10 @@ def _integer_rows(ops: _Kind, entries):
     positive denominator, the lcm of the entries' denominators."""
     rows = [list(map(ops.split, row)) for row in entries]
     den = math.lcm(*[d for row in rows for _, d in row])
-    return tuple(
+    return tuple([
         tuple([num if d == den else tuple([c * (den // d) for c in num]) for num, d in row])
         for row in rows
-    ), den
+    ]), den
 
 
 def _from_integers(cls, kind: ScalarKind, nums, den: int):
@@ -265,7 +273,7 @@ class _Matrix(_Record):
     def __init__(self, kind: ScalarKind, rows) -> None:
         rows = [_coordinates(r) for r in _coordinates(rows)]
         n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if set(map(len, rows)) != {n}:  # also when n == 0
             raise ShapeMismatch("matrix must be square and nonempty")
         ops = _kind(kind)
         entries = [[_coerce_entry(kind, ops.cls, v) for v in row] for row in rows]
@@ -317,6 +325,12 @@ class _Matrix(_Record):
         return type(self), (self.kind, self.entries)
 
 
+_new = object.__new__
+_set_kind, _set_size, _set_rows, _set_den = _Matrix._slot_setters(
+    "kind", "size", "_rows", "_den"
+)
+
+
 class AlgebraMatrix(_Matrix):
     """Square matrix over one scalar kind, with no symmetry constraint."""
 
@@ -362,17 +376,16 @@ def _is_invertible(M: _Matrix) -> bool:
         else:
             return False
         a[col], a[r] = a[r], a[col]
-        pivot = a[col]
         below = [row for row in a[col + 1 :] if any(row[col])]
         if not below:
             continue
-        p = pivot[col]
+        p = a[col][col]
         norm = sum([c * c for c in p])
-        p_star = (ops.conj(p),)
+        minus_p_star = (tuple([-c for c in ops.conj(p)]),)
+        tail = a[col][col + 1 :]  # columns up to col are never read again
         for row in below:
-            factor = tuple([-c for c in dot((row[col],), p_star)])  # -a_ic p*
-            # columns up to col are never read again
-            new = [update(norm, factor, row[j], pivot[j]) for j in range(col + 1, n)]
+            factor = dot((row[col],), minus_p_star)  # -a_ic p*
+            new = [update(norm, factor, x, y) for x, y in zip(row[col + 1 :], tail)]
             g = math.gcd(*[c for num in new for c in num])
             if g > 1:
                 new = [tuple([c // g for c in num]) for num in new]
@@ -396,9 +409,9 @@ class HermitianMatrix(_Matrix):
     def __init__(self, kind: ScalarKind, rows) -> None:
         super().__init__(kind, rows)
         rows, conj = self._rows, _KINDS[kind].conj
-        for i in range(self.size):
+        for i, row in enumerate(rows):
             for j in range(i, self.size):
-                if rows[i][j] != conj(rows[j][i]):
+                if row[j] != conj(rows[j][i]):
                     raise InvalidInput(
                         f"matrix is not self-adjoint at position ({i}, {j})"
                     )
@@ -424,8 +437,8 @@ def trace_inner_product(x: HermitianMatrix, y: HermitianMatrix) -> Fraction:
 
 def _eliminate(D: HermitianMatrix):
     """The LDL* elimination of D (see :func:`_elimination`): run on the first
-    verdict on D and kept in D's ``_ldl`` slot, from which every later
-    verdict on D reads it."""
+    verdict on D, or by ``act`` on its image, and kept in D's ``_ldl`` slot,
+    from which every later verdict on D reads it."""
     result = getattr(D, "_ldl", None)
     if result is None:
         result = _elimination(D)
@@ -498,7 +511,7 @@ def _in_cone(D: HermitianMatrix, closed: bool) -> bool:
     """Membership of D in the closed cone (no negative pivot and no zero
     pivot with a nonzero row) or in the open one (every pivot positive)."""
     steps, failure = _eliminate(D)
-    return failure is None and (closed or all(step[0] for step in steps))
+    return failure is None and (closed or all([step[0] for step in steps]))
 
 
 def is_positive_definite(D: HermitianMatrix) -> bool:
@@ -513,6 +526,7 @@ def ldl_witness(D: HermitianMatrix):
         raise NotPositiveDefinite("matrix has a non-positive pivot")
     steps = _eliminate(D)[0]
     ops = _KINDS[D.kind]
+    conj = ops.conj
     n = D.size
     den = math.lcm(*[step[0] for step in steps])
     zero = (0,) * ops.width
@@ -522,7 +536,7 @@ def ldl_witness(D: HermitianMatrix):
         delta.append(Fraction(p * s_den, s_num))
         scale = den // p
         for i, num in enumerate(row, k + 1):
-            lower[i][k] = tuple([scale * c for c in ops.conj(num)])  # S_ik / p over den
+            lower[i][k] = tuple([scale * c for c in conj(num)])  # S_ik / p over den
     return _from_integers(AlgebraMatrix, D.kind, lower, den), tuple(delta)
 
 
@@ -585,29 +599,43 @@ def negative_certificate(D: HermitianMatrix):
 
 
 def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
-    """The cone automorphism D -> M* D M for invertible M."""
+    """The cone automorphism D -> M* D M for invertible M.
+
+    A singular M raises SingularMatrix.  When a verdict has already found D
+    positive definite, M* D M is positive definite exactly when M is
+    invertible, so the check is the LDL* elimination of the result, which
+    the result keeps for its own verdicts; otherwise M goes through the
+    fraction-free elimination of :func:`_is_invertible`.
+    """
     if not isinstance(M, _Matrix):
         raise ShapeMismatch(f"act needs a matrix M, got {_format_coordinate(M)}")
     _hermitian(D, "act")
     _require_same_space(M, D)
-    if not _is_invertible(M):
+    # read D's kept elimination, never start one
+    on_cone = getattr(D, "_ldl", None) is not None and _in_cone(D, False)
+    if not on_cone and not _is_invertible(M):
         raise SingularMatrix("action matrix is singular")
     ops = _KINDS[D.kind]
     dot, conj = ops.dot, ops.conj
-    # column j of D M, and row i of M* (the conjugated column i of M)
-    dm_cols = list(zip(*_product_rows(dot, D._rows, M._rows)))
-    m_star = [list(map(conj, col)) for col in zip(*M._rows)]
+    m_rows, d_rows = M._rows, D._rows
     n = D.size
     nums = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            num = dot(m_star[i], dm_cols[j])
+    star = []  # row i of M*: the conjugated column i of M
+    for j in range(n):
+        col = [row[j] for row in m_rows]
+        star.append([conj(c) for c in col])
+        dm_col = [dot(row, col) for row in d_rows]  # column j of D M
+        for i in range(j + 1):
+            num = dot(star[i], dm_col)
             nums[i][j] = num
-            if j != i:
+            if i != j:
                 # M* D M is self-adjoint, so entry (j, i) is exactly the
                 # conjugate of entry (i, j)
                 nums[j][i] = conj(num)
-    return _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
+    image = _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
+    if on_cone and not _in_cone(image, False):
+        raise SingularMatrix("action matrix is singular")
+    return image
 
 
 class LorentzVector(_Record):

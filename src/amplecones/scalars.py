@@ -13,11 +13,13 @@ tuple of integer numerators over one positive common denominator, in lowest
 terms, and does its arithmetic on those integers; results come from a
 private trusted constructor, and a ``Fraction`` is built only where a
 coefficient is read out.  Integer formulas are written once, for the sum,
-negation, product (each class supplies its own), conjugation and the norm
-form, which is the sum of squares by default and the indefinite
-a^2 - d*b^2 for Q(sqrt(d)).  The other operators derive from these, a
-rational r being central: x - y = x + (-y), r - x = (-x) + r, r * x = x * r,
-x^{-1} = conj(x) / N(x), x / y = x * y^{-1} and r / x = x^{-1} * r.
+negation, product (each class supplies its own), conjugation (negation of
+every coefficient past the first, written out for Q(i) and H, whose
+matrices call it in their inner loops) and the norm form, which is the sum
+of squares by default and the indefinite a^2 - d*b^2 for Q(sqrt(d)).  The
+other operators derive from these, a rational r being central:
+x - y = x + (-y), r - x = (-x) + r, r * x = x * r, x^{-1} = conj(x) / N(x),
+x / y = x * y^{-1} and r / x = x^{-1} * r.
 
 On top of these sit the perfect-square tests for integers and rationals,
 continued fractions of square roots, fundamental units of the orders
@@ -118,23 +120,27 @@ class _RationalAlgebra(_Record):
     ``Fraction`` is built only where a coefficient leaves the class
     (``norm``, the named coefficient properties, ``repr``/``str`` and
     ``hash``).  A subclass supplies its coefficient names, the product
-    ``_product(a, b)`` of two numerator tuples, and ``__str__``; one with
-    per-instance state (the radicand of Q(sqrt(d))) extends ``_make`` to
-    copy it into every result and ``_same_algebra`` to compare it.  Plain
-    integers and rationals embed as the first coefficient; elements of two
-    different algebras never mix.
+    ``_product(a, b)`` of two numerator tuples, and ``__str__``, and may
+    write ``_conjugate`` out for its width; one with per-instance state
+    (the radicand of Q(sqrt(d))) extends ``_make`` to copy it into every
+    result and ``_same_algebra`` to compare it.  Plain integers and
+    rationals embed as the first coefficient; elements of two different
+    algebras never mix.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, *coeffs) -> None:
-        nums, den = _common_denominator(_rationals(coeffs, "coefficients"))
+        nums, den = _common_denominator(coeffs, "coefficients")
         self._set(_num=nums, _den=den)
 
     def _make(self, num: tuple, den: int):
         """Trusted constructor of an element of self's algebra: ``num``/``den``
         already in lowest terms."""
-        return object.__new__(type(self))._set(_num=num, _den=den)
+        new = _new(self.__class__)
+        _set_num(new, num)
+        _set_den(new, den)
+        return new
 
     def _reduce(self, num: tuple, den: int):
         """The element num/den for integers num and den != 0."""
@@ -142,7 +148,7 @@ class _RationalAlgebra(_Record):
         if den < 0:  # an indefinite norm form can make den negative
             g = -g
         if g != 1:
-            num = tuple(c // g for c in num)
+            num = tuple([c // g for c in num])
             den //= g
         return self._make(num, den)
 
@@ -152,7 +158,7 @@ class _RationalAlgebra(_Record):
 
     def _parts(self, other):
         """(numerators, denominator) of an operand, or None if it is foreign."""
-        if isinstance(other, type(self)):
+        if other.__class__ is self.__class__ or isinstance(other, type(self)):
             return other._num, other._den
         if isinstance(other, _RationalLike):
             zeros = (0,) * (len(self._num) - 1)
@@ -174,15 +180,15 @@ class _RationalAlgebra(_Record):
         if o is None:
             return NotImplemented
         num, den = o
+        own = self._den
         return self._reduce(
-            tuple(a * den + b * self._den for a, b in zip(self._num, num)),
-            self._den * den,
+            tuple([a * den + b * own for a, b in zip(self._num, num)]), own * den
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(tuple(-c for c in self._num), self._den)
+        return self._make(tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other):
         if self._parts(other) is None:
@@ -283,7 +289,9 @@ class QuadIrrational(_RationalAlgebra):
 
     def _make(self, num: tuple, den: int):
         # results share self.d, which the public constructor checked
-        return object.__new__(type(self))._set(d=self.d, _num=num, _den=den)
+        new = super()._make(num, den)
+        _set_d(new, self.d)
+        return new
 
     def _parts(self, other):
         if isinstance(other, QuadIrrational) and other.d != self.d:
@@ -351,6 +359,10 @@ class GaussianRational(_RationalAlgebra):
     def _product(a, b):
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
+    @staticmethod
+    def _conjugate(num: tuple) -> tuple:
+        return (num[0], -num[1])
+
     def __str__(self):
         if self.im == 0:
             return _format_coordinate(self.re)
@@ -387,6 +399,11 @@ class RationalQuaternion(_RationalAlgebra):
             a * h + b * g - c * f + d * e,
         )
 
+    @staticmethod
+    def _conjugate(num: tuple) -> tuple:
+        a, b, c, d = num
+        return (a, -b, -c, -d)
+
     def __str__(self):
         parts = []
         for coeff, unit in zip(self._fractions(), ("", "i", "j", "k")):
@@ -395,6 +412,11 @@ class RationalQuaternion(_RationalAlgebra):
             sign = "+" if coeff > 0 and parts else ""
             parts.append(f"{sign}{_format_coordinate(coeff)}{unit}")
         return "".join(parts) if parts else "0"
+
+
+_new = object.__new__
+_set_num, _set_den = _RationalAlgebra._slot_setters("_num", "_den")
+(_set_d,) = QuadIrrational._slot_setters("d")
 
 
 class UnitElement(_Record):

@@ -300,8 +300,36 @@ MUTANTS = [
     (
         "action-skips-the-invertibility-check",
         "hermitian.py",
-        "    if not _is_invertible(M):\n",
+        "    if not on_cone and not _is_invertible(M):\n",
         "    if False:\n",
+        HERMITIAN,
+    ),
+    (
+        "action-on-a-positive-definite-matrix-skips-the-result-check",
+        "hermitian.py",
+        "    if on_cone and not _in_cone(image, False):\n",
+        "    if False:\n",
+        HERMITIAN,
+    ),
+    (
+        "complex-conjugate-keeps-the-imaginary-sign",
+        "scalars.py",
+        "        return (num[0], -num[1])\n",
+        "        return (num[0], num[1])\n",
+        SCALARS,
+    ),
+    (
+        "quaternion-conjugate-drops-one-sign",
+        "scalars.py",
+        "        return (a, -b, -c, -d)\n",
+        "        return (a, -b, -c, d)\n",
+        SCALARS,
+    ),
+    (
+        "trusted-matrix-swaps-the-rows-and-denominator-setters",
+        "hermitian.py",
+        "    _set_rows(m, rows)\n    _set_den(m, den)\n",
+        "    _set_den(m, rows)\n    _set_rows(m, den)\n",
         HERMITIAN,
     ),
     (

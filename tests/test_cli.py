@@ -165,6 +165,25 @@ class TestExitCodes:
             assert f"more than {limit}" in err and "Traceback" not in err
         assert sys.get_int_max_str_digits() == limit
 
+    def test_long_text_is_named_by_its_length(self, capsys):
+        # a long entry that is not a number is quoted by a short prefix and
+        # its length; a short one is quoted whole, as before
+        xs = "x" * 5000
+        for argv, length in (
+            (["reduce", "--form", f"1,0,{xs}"], 5004),
+            (["verify", "--d", "2", "--pi", f"1,0;{xs}"], 5000),
+            (["verify", "--d", "2", "--pi", f"1,0;1,{xs}"], 5000),
+            (["surface", "--a", xs, "--b", "1"], 5000),
+            (["funddomain", "--d", "2", "--ray", f"{xs},1"], 5000),
+        ):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and len(err) < 200
+            assert f"... ({length} characters)" in err and "Traceback" not in err
+        assert main(["reduce", "--form", "1,x,2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --form entries must be integers: '1,x,2'\n"
+
     def test_ray_outside_cone_is_two(self, capsys):
         assert main(["funddomain", "--d", "2", "--ray", "1,1"]) == 2
         assert main(["funddomain", "--d", "5", "--ray", "0,0"]) == 2

@@ -35,7 +35,7 @@ from amplecones import (
     trace_inner_product,
 )
 from amplecones.abelian import _FORM_RULES
-from amplecones.hermitian import _KINDS, _integer_rows, _is_invertible
+from amplecones.hermitian import _KINDS, _elimination, _integer_rows, _is_invertible
 from support import (
     MATRIX_KINDS,
     flatten_hermitian,
@@ -749,6 +749,31 @@ class TestAction:
             act(AlgebraMatrix(R, [[1, 1], [1, 1]]), eye)
         with pytest.raises(ShapeMismatch):
             act(AlgebraMatrix.identity(R, 3), eye)
+
+    def test_both_invertibility_routes_agree(self):
+        # on a D that a verdict found positive definite, act checks M by the
+        # elimination of M* D M and keeps it in the result; on any other D
+        # it eliminates M.  Both give the same image and refuse the same M.
+        rng = random.Random(41)
+        for kind in MATRIX_KINDS:
+            for size in (1, 2, 3, 4):
+                m = random_invertible_matrix(rng, kind, size)
+                zero_column = AlgebraMatrix.diagonal(kind, [1] * (size - 1) + [0])
+                for singular in (m * zero_column, zero_column * m):
+                    assert not _is_invertible(singular)
+                    d = random_pd_matrix(rng, kind, size)
+                    x = random_hermitian_matrix(rng, kind, size)
+                    unread = act(m, d)
+                    assert getattr(unread, "_ldl", None) is None
+                    assert is_positive_definite(d)
+                    image = act(m, d)
+                    assert image == unread and image._ldl == _elimination(unread)
+                    for target in (d, x, HermitianMatrix.identity(kind, size)):
+                        with pytest.raises(SingularMatrix, match="^action matrix is singular$"):
+                            act(singular, target)
+                        is_positive_semidefinite(target)
+                        with pytest.raises(SingularMatrix, match="^action matrix is singular$"):
+                            act(singular, target)
 
 
 class TestSelfDuality:

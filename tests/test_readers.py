@@ -88,3 +88,17 @@ def test_exponent_bound():
             "of at most 4300 in absolute value"
         )
 
+
+
+def test_long_text_is_named_by_its_prefix_and_length():
+    # text of up to 60 characters is quoted whole; longer text by its first
+    # 20 characters and its length, so a message stays short
+    for text, shown in [
+        ("x" * 60, repr("x" * 60)),
+        ("x" * 61, "'xxxxxxxxxxxxxxxxxxxx'... (61 characters)"),
+        ("y" * 20 + "z" * 5000, "'yyyyyyyyyyyyyyyyyyyy'... (5020 characters)"),
+        ("1e" + "0" * 70 + "5000", "'1e000000000000000000'... (76 characters)"),
+    ]:
+        with pytest.raises(InvalidInput) as caught:
+            _rationals((1, text), "parameters a, b")
+        assert str(caught.value).startswith(f"parameters a, b of (1, {shown}) must be ")

@@ -397,6 +397,30 @@ def test_validation_messages(build, error, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "value,name",
+    [
+        (AlgebraMatrix.identity(K.REAL, 2), "__mul__"),
+        (AlgebraMatrix.identity(K.REAL, 2), "__eq__"),
+        (HermitianMatrix.identity(K.COMPLEX, 1), "__eq__"),
+        (UnimodularMatrix.swap(), "__mul__"),
+        (UnimodularMatrix.swap(), "__eq__"),
+        (PolyhedralCone(2, [(1, 0), (0, 1)]), "__eq__"),
+    ],
+    ids=["matrix-mul", "matrix-eq", "hermitian-eq", "unimodular-mul", "record-eq", "cone-eq"],
+)
+def test_foreign_operands_are_not_implemented(value, name):
+    # a foreign operand is handed back to Python, which then raises
+    # TypeError for a product and compares by identity for ==
+    for foreign in (object(), 2, (1, 0)):
+        assert getattr(value, name)(foreign) is NotImplemented
+        if name == "__mul__":
+            with pytest.raises(TypeError):
+                value * foreign
+        else:
+            assert value != foreign and foreign != value
+
+
 def test_cold_start_loads_no_typing_and_one_dataclass():
     # -S keeps site-packages out, as on a bare interpreter; every record
     # but DomainReport is a plain slotted class, because each dataclass

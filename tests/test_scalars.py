@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -574,6 +575,42 @@ class TestIntegerRepresentation:
             assert (x == r) is (x == real) is (p == rr)
 
 
+class TestPinnedOutputs:
+    """Sums, products, conjugates and norms of Q(i), H(Q) and Q(sqrt(7))
+    elements on 900 seeded operand pairs, 12,600 outputs in all, pinned by
+    the SHA-256 of their reprs and stored integers.  Coefficients are ints
+    or Fractions, and the second operand is of the same class, an int or a
+    Fraction, on either side.  The digest was taken with the generic
+    conjugation and with every coefficient read through Fraction, so it
+    pins the written-out conjugates, the direct reading of ints and
+    Fractions and the exact-class operand path byte for byte."""
+
+    DIGEST = "2ed0c8e1724c9c9f688b3fda62e4326ccbf539b0bd596211bf638100959f6c60"
+
+    @staticmethod
+    def outputs():
+        rng = random.Random(127)
+        for make, width in (
+            (GaussianRational, 2),
+            (RationalQuaternion, 4),
+            (partial(QuadIrrational, 7), 2),
+        ):
+            for _ in range(300):
+                x = make(*[_random_rational(rng) for _ in range(width)])
+                y = make(*[_random_rational(rng) for _ in range(width)])
+                for other in (y, _random_rational(rng), rng.randint(-9, 9)):
+                    for value in (x + other, other + x, x * other, other * x):
+                        yield f"{value!r} {scalar_state(value)}"
+                yield f"{x.conjugate()!r} {scalar_state(x.conjugate())} {x.norm()!r}"
+                yield f"{y.conjugate()!r} {scalar_state(y.conjugate())} {y.norm()!r}"
+
+    def test_digest(self):
+        outputs = list(self.outputs())
+        assert len(outputs) == 12600
+        digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
 class TestTotalPositivity:
     def test_examples(self):
         assert is_totally_positive(QuadIrrational(2, 3, 2))  # 3 + 2 sqrt(2)
@@ -605,3 +642,26 @@ def test_copies_compare_equal(x):
     for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(twin) is type(x) and twin == x and repr(twin) == repr(x)
         assert (twin._num, twin._den) == (x._num, x._den)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [GaussianRational(1, 2), RationalQuaternion(1, 2, 3, 4), QuadIrrational(2, 1, 1)],
+    ids=["C", "H", "sqrt2"],
+)
+@pytest.mark.parametrize(
+    "foreign", [object(), "1", 1.5, [1]], ids=["object", "text", "float", "list"]
+)
+def test_foreign_operands_are_not_implemented(x, foreign):
+    # each binary operator, on either side, hands a foreign operand back to
+    # Python, which raises TypeError once the other side declines too
+    names = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv")
+    for name in names:
+        assert getattr(x, f"__{name}__")(foreign) is NotImplemented
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, x)
+    assert x.__eq__(foreign) is NotImplemented
+    assert (x == foreign) is False and (x != foreign) is True

@@ -43,7 +43,7 @@ from .hermitian import (
     hermitian_dimension,
 )
 from .polyhedral import PolyhedralCone, primitive_vector
-from .reduction import GroupAction2D
+from .reduction import GroupAction2D, _trusted as _trusted_action
 from .scalars import (
     QuadIrrational,
     _check_order_input,
@@ -251,13 +251,17 @@ def real_mult_fundamental_domain(d: int, ray) -> tuple[PolyhedralCone, GroupActi
     A unit u acts on NS as x -> u* x u = u^2 x, since the Rosati involution
     is trivial on a totally real field, so the action is by the square.  The
     square is totally positive of norm +1, so g preserves the quadratic cone
-    {x1^2 - d*x2^2 > 0, x1 > 0} and fixes each boundary ray.
+    {x1^2 - d*x2^2 > 0, x1 > 0} and fixes each boundary ray.  The unit and
+    the action are the library's own, so both are built with no
+    re-validation: the action through ``reduction._trusted``, with the
+    slots that ``GroupAction2D(g, 1, d)`` would store.
     """
     # validates d; a unit h + k sqrt(d) of Z[sqrt(d)] has denominator 1
     h, k = fundamental_unit(d).value._num
     p, q = h * h + d * k * k, 2 * h * k  # (h + k sqrt(d))^2
-    generator = [[p, d * q], [q, p]]
-    action = GroupAction2D(generator, 1, d)
+    # p^2 - d q^2 = N(unit)^2 = 1, so gcd(p, q) = 1, and p > 0: the
+    # generator passes every check of the public constructor
+    action = _trusted_action(((p, d * q), (q, p)), 1, d)
     if not action.open_member(ray):
         shown = format_point(_rationals(ray))  # the values read, not the text
         raise NotInCone(f"ray {shown} is outside the open cone x1^2 > {d} x2^2")

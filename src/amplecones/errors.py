@@ -17,6 +17,10 @@ _MAX_EXPONENT = 4300
 # _TEXT_PREFIX characters and its length
 _MAX_TEXT = 60
 _TEXT_PREFIX = 20
+# likewise a point or sequence in a message with more than _MAX_ITEMS items
+# is shown by its first _ITEM_PREFIX items and its item count
+_MAX_ITEMS = 12
+_ITEM_PREFIX = 8
 
 
 class AmpleconesError(Exception):
@@ -70,9 +74,18 @@ def _format_integer(n: int) -> str:
         return f"{'-' if n < 0 else ''}<{abs(n).bit_length()}-bit integer>"
 
 
-def _sequence(value, item) -> str:
-    """A list or tuple as Python writes it, with ``item`` formatting each entry."""
-    text = ", ".join(map(item, value))
+def _items(value) -> str:
+    """The items of a point or sequence in a message, joined by commas;
+    past ``_MAX_ITEMS`` items, its first ``_ITEM_PREFIX`` and its count."""
+    value = tuple(value)
+    if len(value) > _MAX_ITEMS:
+        shown = ", ".join(map(_format_coordinate, value[:_ITEM_PREFIX]))
+        return f"{shown}, ... ({len(value)} items)"
+    return ", ".join(map(_format_coordinate, value))
+
+
+def _sequence(value, text: str) -> str:
+    """A list or tuple as Python writes it, with ``text`` its joined items."""
     if type(value) is list:
         return f"[{text}]"
     return f"({text},)" if len(value) == 1 else f"({text})"
@@ -80,14 +93,15 @@ def _sequence(value, item) -> str:
 
 def _format_coordinate(c) -> str:
     """One item of a message: a rational as p/q, a list or tuple item by
-    item, and text quoted, so that a blank entry shows; text longer than
-    ``_MAX_TEXT`` characters is cut to its first ``_TEXT_PREFIX`` and named
-    by its length, so that a message never echoes an argument of any size."""
+    item (capped as in :func:`format_point`), and text quoted, so that a
+    blank entry shows; text longer than ``_MAX_TEXT`` characters is cut to
+    its first ``_TEXT_PREFIX`` and named by its length, so that a message
+    never echoes an argument of any size."""
     if isinstance(c, Fraction):
         text = _format_integer(c.numerator)
         return text if c.denominator == 1 else f"{text}/{_format_integer(c.denominator)}"
     if type(c) in (list, tuple):
-        return _sequence(c, _format_coordinate)
+        return _sequence(c, _items(c))
     if isinstance(c, int):
         return _format_integer(c)
     if not isinstance(c, str):
@@ -102,9 +116,12 @@ def format_point(v) -> str:
 
     A numerator or denominator too long for ``str`` under the interpreter's
     integer-string limit is printed by its size in bits instead, so that
-    building a message about a huge rational point never raises.
+    building a message about a huge rational point never raises.  A point,
+    or a sequence inside it, of more than ``_MAX_ITEMS`` items is shown by
+    its first ``_ITEM_PREFIX`` items and its count, so that a message stays
+    short however many entries an argument has.
     """
-    return "(" + ", ".join(map(_format_coordinate, v)) + ")"
+    return f"({_items(v)})"
 
 
 def _repr(value) -> str:
@@ -112,7 +129,7 @@ def _repr(value) -> str:
     Fraction, list or tuple, is printed by its size in bits, so that the
     repr of a value never raises."""
     if type(value) in (list, tuple):
-        return _sequence(value, _repr)
+        return _sequence(value, ", ".join(map(_repr, value)))
     if type(value) is Fraction:
         num, den = map(_format_integer, value.as_integer_ratio())
         return f"Fraction({num}, {den})"
@@ -233,7 +250,8 @@ class _Record:
     slots that start with ``_`` hold state derived from them.  Every slot is
     filled once, in ``__init__`` or in a trusted builder that starts from
     ``object.__new__``.  :meth:`_set` fills them in every constructor and
-    in most trusted builders.  The two hot builders,
+    in most trusted builders (``polyhedral._trusted``,
+    ``reduction._trusted``, ``fundamental_unit``).  The two hot builders,
     ``_RationalAlgebra._make`` (every scalar result; ``QuadIrrational._make``
     extends it) and ``hermitian._trusted`` (every matrix result), call
     instead the setters that :meth:`_slot_setters` looks up once at import:

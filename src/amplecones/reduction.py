@@ -158,7 +158,10 @@ class GroupAction2D(_Record):
     all that ray computations need; an integer direction (x, y) with x > 0
     lies in the open cone exactly when A*x^2 > B*y^2.  Two actions are
     equal when their generators and (a, b) are.  Entries, (a, b) and
-    points pass the coordinate check of ``polyhedral``.
+    points pass the coordinate check of ``polyhedral``.  The one action
+    the library builds itself, by a squared unit, comes from the private
+    ``_trusted`` with the same slots and no checks; every action a caller
+    gives goes through this constructor.
     """
 
     __slots__ = ("generator", "a", "b", "_fwd", "_bwd", "_form")
@@ -215,6 +218,27 @@ class GroupAction2D(_Record):
         return [
             [_fraction_json(c) for c in row] for row in self.generator
         ]
+
+
+def _trusted(fwd, A: int, B: int) -> GroupAction2D:
+    """A GroupAction2D from its primitive integer generator ``fwd`` and
+    the positive integers (A, B), with no validation.
+
+    Only the library's own squared units come through here
+    (``abelian.real_mult_fundamental_domain``): fwd must pass every check
+    of the public constructor, and the slots filled are the ones that
+    ``GroupAction2D(fwd, A, B)`` stores.  The public constructor keeps
+    full validation, for every action a caller gives.
+    """
+    (g11, g12), (g21, g22) = fwd
+    return object.__new__(GroupAction2D)._set(
+        generator=((Fraction(g11), Fraction(g12)), (Fraction(g21), Fraction(g22))),
+        a=Fraction(A),
+        b=Fraction(B),
+        _fwd=fwd,
+        _bwd=((g22, -g12), (-g21, g11)),
+        _form=(A, B),
+    )
 
 
 def _fraction_json(f: Fraction):
@@ -330,7 +354,9 @@ def _translates(pi: PolyhedralCone, action: GroupAction2D):
     for ray in pi.rays:
         if not action.closed_member(ray):
             raise PreconditionViolated(f"generator {ray} of pi is outside the closed cone")
-    rays = sorted(pi.rays, key=lambda r: Fraction(r[1], r[0]))
+    rays = pi.rays
+    if len(rays) == 2 and _cross(*rays) < 0:  # listed high, then low
+        rays = rays[::-1]
     low, high = rays[0], rays[-1]
     rows = _Translates(action, (low, high))
     open_low = open_high = 0

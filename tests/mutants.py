@@ -333,6 +333,47 @@ MUTANTS = [
         HERMITIAN,
     ),
     (
+        "unit-centre-formulas-swapped",
+        "scalars.py",
+        "            k, norm = k * k + k_prev * k_prev, -1\n"
+        "            break\n"
+        "        if m_next == m:  # L = 2s, and k_{s-2} = k - a * k_prev\n"
+        "            k, norm = k_prev * (2 * k - a * k_prev), 1\n",
+        "            k, norm = k_prev * (2 * k - a * k_prev), -1\n"
+        "            break\n"
+        "        if m_next == m:  # L = 2s, and k_{s-2} = k - a * k_prev\n"
+        "            k, norm = k * k + k_prev * k_prev, 1\n",
+        SCALARS,
+    ),
+    (
+        "unit-odd-centre-test-starts-one-step-late",
+        "scalars.py",
+        "        if q_next == q:  # L = 2s + 1\n",
+        "        if q_next == q and m:  # L = 2s + 1\n",
+        SCALARS,
+    ),
+    (
+        "unit-odd-centre-norm-sign-flipped",
+        "scalars.py",
+        "            k, norm = k * k + k_prev * k_prev, -1\n",
+        "            k, norm = k * k + k_prev * k_prev, 1\n",
+        SCALARS,
+    ),
+    (
+        "trusted-action-backward-matrix-loses-a-sign",
+        "reduction.py",
+        "        _bwd=((g22, -g12), (-g21, g11)),\n",
+        "        _bwd=((g22, g12), (-g21, g11)),\n",
+        ["tests/test_abelian.py"],
+    ),
+    (
+        "translate-slope-order-reversed",
+        "reduction.py",
+        "    if len(rays) == 2 and _cross(*rays) < 0:  # listed high, then low\n",
+        "    if len(rays) == 2 and _cross(*rays) > 0:  # listed high, then low\n",
+        REDUCTION,
+    ),
+    (
         "cone-member-ignores-closed",
         "hermitian.py",
         "_in_cone(part, closed)",

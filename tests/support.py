@@ -410,6 +410,53 @@ def pell_scan(d: int, bound: int) -> tuple[int, int, int] | None:
     return None
 
 
+def reference_fundamental_unit(d: int) -> tuple[int, int, int, int]:
+    """(h, k, norm, L): the unit h + k sqrt(d) of Z[sqrt(d)] read off the
+    convergent h/k of sqrt(d) one step before its whole period, of length
+    L, closes, and its norm h^2 - d k^2 as computed.  The full-period walk,
+    with its own recurrence of the complete quotients of sqrt(d)."""
+    a0 = math.isqrt(d)
+    period = []
+    m, den, a = 0, 1, a0
+    while True:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        period.append(a)
+        if den == 1:
+            break
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    for q in period[:-1]:
+        h, h_prev = q * h + h_prev, h
+        k, k_prev = q * k + k_prev, k
+    return h, k, h * h - d * k * k, len(period)
+
+
+# the large radicands of the benchmark's domains workload, whose squared
+# units have 500 to 1700 bits
+LARGE_RADICANDS = (100003, 100019, 100043, 250007, 1000003)
+
+
+def unit_radicands(bound: int = 20000, family_bound: int = 300) -> list[int]:
+    """Squarefree non-square radicands, in increasing order: every one up to
+    ``bound``, the members of the short-period families a^2 + 1, a^2 - 1,
+    a^2 + 2 and a^2 - 2 for a <= ``family_bound``, and LARGE_RADICANDS.
+    Squarefree is read off a sieve of prime squares."""
+    families = {
+        a * a + c for a in range(1, family_bound + 1) for c in (1, -1, 2, -2)
+    }
+    candidates = set(range(2, bound + 1)) | families | set(LARGE_RADICANDS)
+    top = max(candidates)
+    squarefree = bytearray([1]) * (top + 1)
+    for p in range(2, math.isqrt(top) + 1):
+        squarefree[p * p :: p * p] = bytes(len(range(p * p, top + 1, p * p)))
+    return sorted(
+        d for d in candidates
+        if d >= 2 and squarefree[d] and math.isqrt(d) ** 2 != d
+    )
+
+
 def square_scan(q: Fraction) -> bool:
     """Is q a rational square?  Linear scan, no isqrt."""
     n = q.numerator * q.denominator  # q = n / den^2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,15 +10,18 @@ from amplecones import (
     AlbertRealType,
     AlgebraMatrix,
     ConeSpec,
+    GroupAction2D,
     HermitianMatrix,
     InvalidInput,
     NotInCone,
     PDBlock,
     PerfectSquareInput,
+    PolyhedralCone,
     QuadIrrational,
     ScalarKind,
     ShapeMismatch,
     SimpleFactor,
+    UnitElement,
     act,
     ample_cone,
     aut_action,
@@ -25,6 +29,7 @@ from amplecones import (
     cone_member,
     dirichlet_data,
     endo_real_decomposition,
+    fundamental_unit,
     model_from_json_dict,
     model_to_json_dict,
     picard_number,
@@ -34,7 +39,13 @@ from amplecones import (
     verify_fundamental_domain,
 )
 from amplecones import abelian, scalars
-from support import random_invertible_matrix, random_model, random_pd_matrix
+from support import (
+    LARGE_RADICANDS,
+    random_invertible_matrix,
+    random_model,
+    random_pd_matrix,
+    unit_radicands,
+)
 
 R, C, H = ScalarKind.REAL, ScalarKind.COMPLEX, ScalarKind.QUATERNION
 
@@ -284,6 +295,38 @@ class TestRealMultFundamentalDomain:
         assert pi.rays[0] == (3, -2)
         report = verify_fundamental_domain(pi, action, samples=100, max_word=12, seed=0)
         assert report.covering_ok and report.disjoint_ok
+
+    def test_trusted_builds_equal_validated_builds(self):
+        # the unit and the squared unit's action are built without the
+        # public constructors' checks: both pass them and hold, slot for
+        # slot, what those constructors store.  Listing pi's rays high then
+        # low leaves the verification report unchanged; that is checked at
+        # three rays for d <= 1000 and the large d only, since in between
+        # the sampler draws 30 to 100 points per accepted sample
+        def slots(record):
+            return [repr(getattr(record, name)) for name in type(record).__slots__]
+
+        rng = random.Random(34)
+        for d in unit_radicands():
+            u = fundamental_unit(d)
+            validated = UnitElement(u.value, u.norm)
+            assert u == validated and slots(u) == slots(validated), d
+            root = math.isqrt(d)
+            rays = [(1, 0), (root + rng.randint(1, 9), 1), (root + rng.randint(1, 9), -1)]
+            if d > 1000 and d not in LARGE_RADICANDS:
+                rays = [rng.choice(rays)]
+            for ray in rays:
+                pi, action = real_mult_fundamental_domain(d, ray)
+                assert slots(action) == slots(GroupAction2D(action.generator, 1, d)), d
+                low, high = pi.rays
+                assert action.ray_image(low, 1) == high
+                if len(rays) == 1:
+                    continue
+                seed = rng.randrange(2**31)
+                report = verify_fundamental_domain(pi, action, samples=4, seed=seed)
+                flipped = PolyhedralCone(2, [high, low])
+                assert verify_fundamental_domain(flipped, action, samples=4, seed=seed) == report
+                assert report.ok, d
 
     def test_input_validation(self):
         with pytest.raises(PerfectSquareInput):

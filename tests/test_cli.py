@@ -167,19 +167,22 @@ class TestExitCodes:
 
     def test_long_text_is_named_by_its_length(self, capsys):
         # a long entry that is not a number is quoted by a short prefix and
-        # its length; a short one is quoted whole, as before
+        # its length, a point with many entries by its first entries and
+        # their count; a short one is quoted whole, as before
         xs = "x" * 5000
-        for argv, length in (
-            (["reduce", "--form", f"1,0,{xs}"], 5004),
-            (["verify", "--d", "2", "--pi", f"1,0;{xs}"], 5000),
-            (["verify", "--d", "2", "--pi", f"1,0;1,{xs}"], 5000),
-            (["surface", "--a", xs, "--b", "1"], 5000),
-            (["funddomain", "--d", "2", "--ray", f"{xs},1"], 5000),
+        ones = ",".join(["1"] * 3000)
+        for argv, named in (
+            (["reduce", "--form", f"1,0,{xs}"], "5004 characters"),
+            (["verify", "--d", "2", "--pi", f"1,0;{xs}"], "5000 characters"),
+            (["verify", "--d", "2", "--pi", f"1,0;1,{xs}"], "5000 characters"),
+            (["surface", "--a", xs, "--b", "1"], "5000 characters"),
+            (["funddomain", "--d", "2", "--ray", f"{xs},1"], "5000 characters"),
+            (["verify", "--d", "2", "--pi", f"1,0;{ones}"], "3000 items"),
         ):
             assert main(argv) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1 and len(err) < 200
-            assert f"... ({length} characters)" in err and "Traceback" not in err
+            assert f"... ({named})" in err and "Traceback" not in err
         assert main(["reduce", "--form", "1,x,2"]) == 2
         err = capsys.readouterr().err
         assert err == "error: --form entries must be integers: '1,x,2'\n"

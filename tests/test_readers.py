@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from amplecones import GaussianRational, InvalidInput
-from amplecones.errors import _integer, _rationals
+from amplecones import GaussianRational, InvalidInput, ShapeMismatch
+from amplecones.errors import _integer, _integer_point, _rationals, format_point
 
 FINITE = st.one_of(
     st.integers(),
@@ -102,3 +102,24 @@ def test_long_text_is_named_by_its_prefix_and_length():
         with pytest.raises(InvalidInput) as caught:
             _rationals((1, text), "parameters a, b")
         assert str(caught.value).startswith(f"parameters a, b of (1, {shown}) must be ")
+
+
+def test_long_point_is_named_by_its_prefix_and_count():
+    # a point, or a sequence inside it, of up to 12 items is shown whole;
+    # a longer one by its first 8 items and its count
+    assert format_point(range(12)) == "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)"
+    assert format_point(range(13)) == "(0, 1, 2, 3, 4, 5, 6, 7, ... (13 items))"
+    assert format_point([(1,) * 13, [2] * 12]) == (
+        "((1, 1, 1, 1, 1, 1, 1, 1, ... (13 items)), [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2])"
+    )
+    with pytest.raises(InvalidInput) as caught:
+        _rationals(["x"] * 3000, "coordinates")
+    assert str(caught.value) == (
+        "coordinates of ('x', 'x', 'x', 'x', 'x', 'x', 'x', 'x', ... (3000 items)) "
+        "must be finite rational numbers"
+    )
+    with pytest.raises(ShapeMismatch) as caught:
+        _integer_point((1,) * 12, 2)
+    assert str(caught.value) == (
+        "point (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1) does not live in dimension 2"
+    )

@@ -33,7 +33,9 @@ from support import (
     ref_norm,
     ref_quad_mul,
     ref_sub,
+    reference_fundamental_unit,
     scalar_state,
+    unit_radicands,
 )
 
 
@@ -188,6 +190,20 @@ class TestFundamentalUnit:
         assert digest.hexdigest() == (
             "008237747d7179cc55bd4cb88c31e91056400d46d2f7f25e8c03e3e5d43f9d2c"
         )
+
+    def test_half_period_walk_matches_the_full_period_walk(self):
+        # value and norm at every squarefree d <= 20,000, the short-period
+        # families a^2 +- 1 and a^2 +- 2 and the benchmark's large d; the
+        # norm is (-1)^(period length)
+        radicands = unit_radicands()
+        assert len(radicands) == 12632
+        for d in radicands:
+            h, k, norm, length = reference_fundamental_unit(d)
+            u = fundamental_unit(d)
+            assert (u.value.d, u.value.a, u.value.b, u.norm) == (d, h, k, norm), d
+            assert type(u.norm) is int and norm == (-1) ** length, d
+            assert len(continued_fraction_sqrt(d)[1]) == length, d
+            assert scalar_state(u.value) == ((h, k), 1)
 
     def test_unit_element_validation(self):
         with pytest.raises(InvalidInput):

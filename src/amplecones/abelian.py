@@ -42,7 +42,7 @@ from .hermitian import (
     hermitian_basis,
     hermitian_dimension,
 )
-from .polyhedral import PolyhedralCone, primitive_vector
+from .polyhedral import PolyhedralCone, _trusted as _trusted_cone, primitive_vector
 from .reduction import GroupAction2D, _trusted as _trusted_action
 from .scalars import (
     QuadIrrational,
@@ -254,7 +254,15 @@ def real_mult_fundamental_domain(d: int, ray) -> tuple[PolyhedralCone, GroupActi
     {x1^2 - d*x2^2 > 0, x1 > 0} and fixes each boundary ray.  The unit and
     the action are the library's own, so both are built with no
     re-validation: the action through ``reduction._trusted``, with the
-    slots that ``GroupAction2D(g, 1, d)`` would store.
+    slots that ``GroupAction2D(g, 1, d)`` would store.  The cone is built
+    in closed form through ``polyhedral._trusted``, with the rays, normals
+    and incidence that ``PolyhedralCone(2, [u, g(u)])`` derives: g has
+    det 1, so the image of the primitive ray u = (x, y) is primitive, and
+    it lies counterclockwise of u, since cross(u, g(u)) = q(x^2 - d y^2)
+    is positive.  The normal tight on u is (-y, x), and the one tight on
+    v = g(u) is (v2, -v1).  ``verify_fundamental_domain`` checks
+    such a domain; its reach cut (see there) leaves the sample stream and
+    the report unchanged.
     """
     # validates d; a unit h + k sqrt(d) of Z[sqrt(d)] has denominator 1
     h, k = fundamental_unit(d).value._num
@@ -265,8 +273,9 @@ def real_mult_fundamental_domain(d: int, ray) -> tuple[PolyhedralCone, GroupActi
     if not action.open_member(ray):
         shown = format_point(_rationals(ray))  # the values read, not the text
         raise NotInCone(f"ray {shown} is outside the open cone x1^2 > {d} x2^2")
-    base = primitive_vector(ray)
-    pi = PolyhedralCone(2, [base, action.ray_image(base, 1)])
+    u = x, y = primitive_vector(ray)
+    v = (p * x + d * q * y, q * x + p * y)
+    pi = _trusted_cone(2, (u, v), ((-y, x), (v[1], -v[0])), (1, 2))
     return pi, action
 
 

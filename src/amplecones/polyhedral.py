@@ -244,7 +244,9 @@ def _trusted(dim: int, rays, normals, masks) -> PolyhedralCone:
     Only the library's own exact results come through here: the rays must
     be the distinct primitive extreme rays of a pointed cone, the normals
     an inequality description of it, and masks[j] the normals tight on
-    rays[j].  The public constructor keeps full validation.
+    rays[j].  The public constructor keeps full validation.  The callers
+    are ``cone_intersection`` and ``abelian.real_mult_fundamental_domain``,
+    which writes its cone in closed form.
     """
     return object.__new__(PolyhedralCone)._set(
         dim=dim,

@@ -20,6 +20,7 @@ no overlap.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -464,7 +465,11 @@ def verify_fundamental_domain(
     exactly as randint draws them, and redrawn while it lies outside the
     open cone.  The smallest nonzero slope is 1/1200, so when
     b/a >= 1200^2 (d > 1,440,000 for real multiplication) every sample lies
-    on the ray (1, 0).
+    on the ray (1, 0).  A candidate lies in the open cone only if
+    b * n2^2 < a * 1200^2, so the exact test runs only when |n2| is at most
+    the reach, isqrt((a * 1200^2 - 1) / b) (3 at d = 100003, so 114 of the
+    121 values of n2 skip it).  Every draw is made before that cut, so it
+    leaves the sample stream and the report unchanged.
     """
     _integer(samples, "samples", 1, "samples and max_word must be positive")
     _integer(max_word, "max_word", 1, "samples and max_word must be positive")
@@ -485,6 +490,10 @@ def verify_fundamental_domain(
     lx, ly, hx, hy = 0, 1, 0, -1
     getrandbits = random.Random(seed).getrandbits
     A, B = action._form
+    # a sample has x <= 60 * 20 and |y| >= |n2 - 60|, so it lies in the open
+    # cone only if B * (n2 - 60)^2 < A * 1200^2, that is |n2 - 60| <= reach
+    reach = math.isqrt((A * 1440000 - 1) // B)
+    low_n2, high_n2 = 60 - reach, 60 + reach
     words_used = 0
     accepted = 0
     while accepted < samples:
@@ -504,6 +513,8 @@ def verify_fundamental_domain(
         d2 = getrandbits(5)
         while d2 >= 20:
             d2 = getrandbits(5)
+        if not low_n2 <= n2 <= high_n2:
+            continue  # drawn in full, so the stream does not change
         # the sample is (n1 + 1)/(d1 + 1), (n2 - 60)/(d2 + 1); (x, y) is it
         # scaled by (d1 + 1)*(d2 + 1) > 0, and x >= 1, so this test is
         # open-cone membership and (x, y) its integer direction

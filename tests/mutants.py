@@ -374,6 +374,30 @@ MUTANTS = [
         REDUCTION,
     ),
     (
+        "sampler-reach-one-short",
+        "reduction.py",
+        "    reach = math.isqrt((A * 1440000 - 1) // B)\n",
+        "    reach = math.isqrt((A * 1440000 - 1) // B) - 1\n",
+        # where b/a >= 1200^2 the short reach is -1 and the sampler never
+        # returns, so the selection is the stream test alone, whose cases
+        # at those ratios come last and are not reached under -x
+        ["tests/test_reduction.py::TestVerifyFundamentalDomain::test_reach_cut_keeps_the_sample_stream"],
+    ),
+    (
+        "domain-cone-masks-swapped",
+        "abelian.py",
+        "((-y, x), (v[1], -v[0])), (1, 2))",
+        "((-y, x), (v[1], -v[0])), (2, 1))",
+        ["tests/test_abelian.py"],
+    ),
+    (
+        "domain-cone-low-normal-negated",
+        "abelian.py",
+        "((-y, x), (v[1], -v[0]))",
+        "((y, -x), (v[1], -v[0]))",
+        ["tests/test_abelian.py"],
+    ),
+    (
         "cone-member-ignores-closed",
         "hermitian.py",
         "_in_cone(part, closed)",

@@ -297,14 +297,21 @@ class TestRealMultFundamentalDomain:
         assert report.covering_ok and report.disjoint_ok
 
     def test_trusted_builds_equal_validated_builds(self):
-        # the unit and the squared unit's action are built without the
-        # public constructors' checks: both pass them and hold, slot for
-        # slot, what those constructors store.  Listing pi's rays high then
+        # the unit, the squared unit's action and the domain cone are built
+        # without the public constructors' checks: all pass them and hold
+        # what those constructors store.  Listing pi's rays high then
         # low leaves the verification report unchanged; that is checked at
         # three rays for d <= 1000 and the large d only, since in between
         # the sampler draws 30 to 100 points per accepted sample
         def slots(record):
             return [repr(getattr(record, name)) for name in type(record).__slots__]
+
+        def incidence(cone):
+            # each normal with the rays tight on it, read off the masks
+            return {
+                n: {r for r, m in zip(cone.rays, cone._masks) if m >> i & 1}
+                for i, n in enumerate(cone._normals)
+            }
 
         rng = random.Random(34)
         for d in unit_radicands():
@@ -318,6 +325,11 @@ class TestRealMultFundamentalDomain:
             for ray in rays:
                 pi, action = real_mult_fundamental_domain(d, ray)
                 assert slots(action) == slots(GroupAction2D(action.generator, 1, d)), d
+                # the cone is written in closed form, with what the
+                # constructor derives, up to the order of the normals
+                validated = PolyhedralCone(2, pi.rays)
+                assert pi.rays == validated.rays, d
+                assert incidence(pi) == incidence(validated), d
                 low, high = pi.rays
                 assert action.ray_image(low, 1) == high
                 if len(rays) == 1:

@@ -459,6 +459,23 @@ class TestVerifyFundamentalDomain:
             "words_used": 0,  # the eighth sample lies on the ray
         }
 
+    # b/a = 1200^2 / t^2 exactly and one part in 10^6 either side, where the
+    # reach cut of the sampler is tight; then b/a past 1200^2, where only
+    # points on (1, 0) are accepted.  Largest t first: a reach one short
+    # fails at t = 3, and from t = 1 on it accepts nothing and never returns
+    @pytest.mark.parametrize("a, b", [
+        (t * t * 10**6, 1440000 * (10**6 + shift))
+        for t in (61, 60, 59, 7, 3, 2, 1) for shift in (-1, 0, 1)
+    ] + [(1, 1440001)])
+    def test_reach_cut_keeps_the_sample_stream(self, a, b):
+        # under the identity every accepted sample off the ray (1, 0) is an
+        # uncovered witness, so the report lists the accepted samples, and
+        # reference_verify draws them with randint and no cut
+        identity = GroupAction2D([[1, 0], [0, 1]], a, b)
+        ray = PolyhedralCone(2, [(1, 0)])
+        report = verify_fundamental_domain(ray, identity, samples=200, max_word=1, seed=a + b)
+        assert report.to_json_dict() == _expected_report(ray, identity, 200, 1, a + b)
+
     def test_scalar_generator_overlaps_every_translate(self):
         pi, _ = d2_setup()
         report = verify_fundamental_domain(pi, GroupAction2D([[1, 0], [0, 1]], 1, 2),

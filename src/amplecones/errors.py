@@ -236,7 +236,7 @@ def _integer_point(v, dim: int | None = None) -> tuple[int, ...]:
         v = _coordinates(v)
     if dim is not None and len(v) != dim:
         raise ShapeMismatch(f"point {format_point(v)} does not live in dimension {dim}")
-    if set(map(type, v)) != {int}:
+    if set(map(type, v)) != _INT:
         v, _ = _common_denominator(v)
     return v
 
@@ -250,10 +250,11 @@ class _Record:
     slots that start with ``_`` hold state derived from them.  Every slot is
     filled once, in ``__init__`` or in a trusted builder that starts from
     ``object.__new__``.  :meth:`_set` fills them in every constructor and
-    in most trusted builders (``polyhedral._trusted``,
-    ``reduction._trusted``, ``fundamental_unit``).  The two hot builders,
-    ``_RationalAlgebra._make`` (every scalar result; ``QuadIrrational._make``
-    extends it) and ``hermitian._trusted`` (every matrix result), call
+    in two trusted builders (``reduction._trusted``, ``fundamental_unit``).
+    The three hot builders, ``_RationalAlgebra._make`` (every scalar
+    result; ``QuadIrrational._make`` extends it), ``hermitian._trusted``
+    (every matrix result) and ``polyhedral._trusted`` (every intersection
+    and real-multiplication domain cone), call
     instead the setters that :meth:`_slot_setters` looks up once at import:
     each slot descriptor's ``__set__``, with no loop over keyword arguments.
     One slot is filled later, through ``_set``: ``HermitianMatrix._ldl``,

@@ -25,8 +25,12 @@ any dimension, reads its normals off the incidence of that run and runs
 no second, dual double description: the normals tight on every ray are
 its implicit equations, and among the others, those whose sets of tight
 rays are maximal are its facets (Fukuda and Prodon, "Double description
-method revisited", 1996).  The order of the stored normals is private.
-Intersections are supported up to ambient dimension 4.
+method revisited", 1996).  The result is assembled in one pass over the
+pairs (normal, tight set), which keeps the equations and the least normal
+of each other tight set, and one scan of those sets by decreasing size,
+which keeps the maximal ones.  The order of the stored normals, of an
+intersection's in particular, is private.  Intersections are supported
+up to ambient dimension 4.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import (
     InvalidInput,
     ShapeMismatch,
     UnsupportedDimension,
+    _INT,
     _integer,
     _integer_point,
     _Record,
@@ -224,6 +229,12 @@ class PolyhedralCone(_Record):
         return f"PolyhedralCone({self.dim}, {_repr([list(r) for r in self.rays])})"
 
 
+_new = object.__new__
+_set_dim, _set_rays, _set_normals, _set_masks = PolyhedralCone._slot_setters(
+    "dim", "rays", "_normals", "_masks"
+)
+
+
 def _transpose(columns, n: int) -> list[int]:
     """The n rows of a 0/1 matrix given by its columns as bit masks: bit i
     of row j is set exactly when bit j of columns[i] is."""
@@ -246,14 +257,15 @@ def _trusted(dim: int, rays, normals, masks) -> PolyhedralCone:
     an inequality description of it, and masks[j] the normals tight on
     rays[j].  The public constructor keeps full validation.  The callers
     are ``cone_intersection`` and ``abelian.real_mult_fundamental_domain``,
-    which writes its cone in closed form.
+    which writes its cone in closed form.  The slots are filled through
+    setters looked up once, as in ``hermitian._trusted``.
     """
-    return object.__new__(PolyhedralCone)._set(
-        dim=dim,
-        rays=tuple(rays),
-        _normals=tuple(normals),
-        _masks=tuple(masks),
-    )
+    cone = _new(PolyhedralCone)
+    _set_dim(cone, dim)
+    _set_rays(cone, tuple(rays))
+    _set_normals(cone, tuple(normals))
+    _set_masks(cone, tuple(masks))
+    return cone
 
 
 def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
@@ -271,7 +283,10 @@ def poly_member(cone: PolyhedralCone, v, interior: bool = False) -> bool:
     coordinate that is not a finite rational, or a point given as text,
     raises InvalidInput.
     """
-    v = _integer_point(v, cone.dim)
+    # a tuple of ints of the cone's dimension, the common query, is read
+    # as it is, with no call to the reader, which checks the same
+    if type(v) is not tuple or len(v) != cone.dim or set(map(type, v)) != _INT:
+        v = _integer_point(v, cone.dim)
     if interior:
         for n in cone._normals:
             if sum(map(mul, n, v)) <= 0:
@@ -293,7 +308,12 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     dimension, takes its normals from the incidence of that run: every
     distinct normal tight on all its rays, and, for each set of tight rays
     that is maximal among the other normals, the least normal with that
-    set, so the normals do not depend on the operands' order."""
+    set, so the set of normals does not depend on the operands' order.
+    One pass over the pairs (normal, tight set) keeps the first kind and
+    the least normal of every other tight set; one scan of those sets, by
+    decreasing bit count, keeps the maximal ones.  The order of the
+    result's normals is private: the equations come first, then the
+    facets by decreasing number of tight rays."""
     if a.dim != b.dim:
         raise ShapeMismatch("cones live in different dimensions")
     if a.dim > MAX_INTERSECTION_DIM:
@@ -313,22 +333,23 @@ def cone_intersection(a: PolyhedralCone, b: PolyhedralCone):
     vectors = [v for v, _ in rays]
     # tight[i], column i of the incidence, holds the rays tight on normal i
     tight = _transpose([m for _, m in rays], len(normals))
-    # the normals tight on every ray are the implicit equations; their cone
-    # is the orthogonal complement of the span, so they cut out the span
-    # together and each is kept as it is, with no basis picked
+    # one pass: the normals tight on every ray are the implicit equations;
+    # their cone is the orthogonal complement of the span, so they cut out
+    # the span together and each is kept as it is, with no basis picked;
+    # every other tight set keeps its least normal, whichever operand seeded
     every = (1 << len(vectors)) - 1
-    kept = {n: t for n, t in zip(normals, tight) if t == every}
-    # the facets are the other normals whose tight sets are maximal; a
-    # strict superset has more bits, so it comes first and lies in a
-    # maximal set already found
+    kept, least = {}, {}
+    for n, t in zip(normals, tight):
+        if t == every:
+            kept[n] = t
+        elif t not in least or n < least[t]:
+            least[t] = n
+    # the facets are the normals whose tight sets are maximal; a strict
+    # superset has more bits, so it comes first and lies in a maximal set
+    # already found
     maximal = []
-    for t in sorted(set(tight) - {every}, key=int.bit_count, reverse=True):
+    for t in sorted(least, key=int.bit_count, reverse=True):
         if not any(m & t == t for m in maximal):
             maximal.append(t)
-    # one normal per maximal set, the least, whichever operand seeded
-    facets = {}
-    for n, t in zip(normals, tight):
-        if t in maximal and (t not in facets or n < facets[t]):
-            facets[t] = n
-    kept.update((n, t) for t, n in facets.items())
+            kept[least[t]] = t
     return _trusted(a.dim, vectors, kept, _transpose(kept.values(), len(vectors)))

@@ -5,7 +5,10 @@ the text that replaces it, and the pytest selection that must catch the
 change.  For each row the script copies ``src/``, ``tests/``, README.md and
 pyproject.toml to a temporary directory, applies the one change there,
 never to the working tree, and runs the selection on the copy in a
-subprocess.  A mutant survives when its selection passes.
+subprocess.  A mutant survives when its selection passes.  A selection that
+runs past ``TIMEOUT`` seconds is stopped and its mutant counts as killed,
+printed as ``killed (timeout)``: a mutant that makes a loop never end is
+caught, not left to hang the run.
 
 Run it from anywhere; it finds the repository from its own path:
 
@@ -33,6 +36,9 @@ SCALARS = ["tests/test_scalars.py"]
 REDUCTION = ["tests/test_reduction.py"]
 POLYHEDRAL = ["tests/test_polyhedral.py"]
 PICARD = 'lambda m: {"picard_number": abelian.picard_number(m)}'  # cli's picard report
+# seconds a selection may run; past it the mutant counts as killed, since
+# the unchanged selections all finish in well under a minute
+TIMEOUT = 300
 
 # (id, file under src/amplecones, exact old text, new text, pytest selection)
 MUTANTS = [
@@ -234,8 +240,8 @@ MUTANTS = [
     (
         "intersection-drops-the-implicit-normals",
         "polyhedral.py",
-        "    kept = {n: t for n, t in zip(normals, tight) if t == every}\n",
-        "    kept = {}\n",
+        "            kept[n] = t\n",
+        "            pass\n",
         POLYHEDRAL,
     ),
     (
@@ -248,9 +254,37 @@ MUTANTS = [
     (
         "intersection-keeps-the-first-normal-per-tight-set",
         "polyhedral.py",
-        "if t in maximal and (t not in facets or n < facets[t]):",
-        "if t in maximal and t not in facets:",
+        "elif t not in least or n < least[t]:",
+        "elif t not in least:",
         POLYHEDRAL,
+    ),
+    (
+        "intersection-skips-the-maximality-scan",
+        "polyhedral.py",
+        "        if not any(m & t == t for m in maximal):\n",
+        "        if True:\n",
+        POLYHEDRAL,
+    ),
+    (
+        "cone-eq-or",
+        "polyhedral.py",
+        "return self.dim == other.dim and set(self.rays) == set(other.rays)",
+        "return self.dim == other.dim or set(self.rays) == set(other.rays)",
+        POLYHEDRAL,
+    ),
+    (
+        "point-reader-passes-a-mixed-point-unscaled",
+        "errors.py",
+        "    if set(map(type, v)) != _INT:\n",
+        "    if int not in map(type, v):\n",
+        READERS,
+    ),
+    (
+        "member-passes-a-mixed-point-unscaled",
+        "polyhedral.py",
+        "or set(map(type, v)) != _INT:",
+        "or int not in map(type, v):",
+        READERS + POLYHEDRAL,
     ),
     (
         "kind-check-accepts-any-value",
@@ -331,6 +365,15 @@ MUTANTS = [
         "    _set_rows(m, rows)\n    _set_den(m, den)\n",
         "    _set_den(m, rows)\n    _set_rows(m, den)\n",
         HERMITIAN,
+    ),
+    (
+        "totally-positive-zero",
+        "scalars.py",
+        "return x.sign() > 0 and x.conjugate().sign() > 0",
+        # both compares: 0 is the one element of sign 0, and so is its
+        # conjugate, so either compare alone still calls 0 not positive
+        "return x.sign() >= 0 and x.conjugate().sign() >= 0",
+        SCALARS,
     ),
     (
         "unit-centre-formulas-swapped",
@@ -415,15 +458,21 @@ def _copy(target: Path) -> None:
         shutil.copy2(ROOT / name, target / name)
 
 
-def _passes(copy: Path, selection) -> bool:
+def _passes(copy: Path, selection) -> bool | None:
+    """Whether the selection passes on the copy; None when it runs past
+    ``TIMEOUT`` seconds, as a mutant that makes a loop never end does."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
-        cwd=copy,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return result.returncode == 0
 
 
@@ -448,8 +497,9 @@ def run(rows) -> int:
                 continue
             path.write_text(text.replace(old, new), encoding="utf-8")
             survived = _passes(copy, selection)
-            print(f"{ident}: {'SURVIVED' if survived else 'killed'}")
-            failures += survived
+            verdict = {True: "SURVIVED", False: "killed", None: "killed (timeout)"}[survived]
+            print(f"{ident}: {verdict}")
+            failures += survived is True
             shutil.rmtree(copy)
     return 1 if failures else 0
 

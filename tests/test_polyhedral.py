@@ -76,6 +76,28 @@ class TestConstruction:
         same = cone_intersection(cone, cone)
         assert cone == same and hash(cone) == hash(same)
 
+    def test_distinct_cones_compare_unequal(self):
+        # cones of one dimension that differ in a ray, a face of a cone
+        # against the cone, and cones of different dimensions; equal cones
+        # hash equal, and these distinct ones (ints and tuples hash the
+        # same in every run) hash apart
+        cones = [
+            PolyhedralCone(2, [(1, 0), (1, 1)]),
+            PolyhedralCone(2, [(1, 0), (0, 1)]),
+            PolyhedralCone(2, [(1, 0)]),
+            PolyhedralCone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]),
+            PolyhedralCone(3, [(1, 1, 1), (1, -1, 1), (-1, 1, 1)]),
+            PolyhedralCone(1, [(1,)]),
+            PolyhedralCone(1, [(-1,)]),
+            PolyhedralCone(3, [(1, 0, 0)]),
+        ]
+        for i, a in enumerate(cones):
+            for j, b in enumerate(cones):
+                assert (a == b) is (i == j) and (a != b) is (i != j), (a, b)
+            assert a == PolyhedralCone(a.dim, a.rays[::-1])
+            assert hash(a) == hash(PolyhedralCone(a.dim, a.rays[::-1]))
+        assert len({hash(c) for c in cones}) == len(cones)
+
 
 class TestMembership:
     def test_examples(self):

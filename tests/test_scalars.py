@@ -633,6 +633,10 @@ class TestTotalPositivity:
         assert not is_totally_positive(QuadIrrational(2, 1, 1))  # 1 - sqrt(2) < 0
         assert not is_totally_positive(QuadIrrational(2, -1, 0))
 
+    def test_zero_is_not_totally_positive(self):
+        for d in (2, 3, 5, 10**12 + 39):
+            assert not is_totally_positive(QuadIrrational(d, 0, 0))
+
 
 class TestDirichletRank:
     def test_examples(self):

@@ -14,18 +14,17 @@ coefficient tuples over one positive denominator, the lcm of its entries'
 denominators; the gcd of that denominator and every coefficient is 1, so
 equal matrices have identical state, and equality and hashing read it.
 ``entries`` builds the scalars on each read.  ``star``, products, the
-action, the trace pairing, ``quadratic_value``, the LDL* elimination, the
-invertibility check of the action and the self-adjointness check all run on
-these integers.  What differs between R, C and H sits in one table,
-``_KINDS``, which gives each kind two integer kernels: ``dot``, which
-accumulates a sum of products of two rows of coefficient tuples in one pass,
-and ``update``, the elimination step p x + c y for an integer p.  Matrix
-products, the action, ``quadratic_value`` and the negative certificate
-compute each output entry with one ``dot`` call and reduce the result to
-lowest terms once; the trace pairing is one sum over the flattened
-coefficients.  The action M* D M is fused, with no intermediate matrix
-reduced: it computes D c and c* once for each column c of M, and the upper
-triangle only.
+action, the trace pairing, ``quadratic_value``, the LDL* elimination and
+the self-adjointness check all run on these integers.  What differs
+between R, C and H sits in one table, ``_KINDS``, which gives each kind two
+integer kernels: ``dot``, which accumulates a sum of products of two rows
+of coefficient tuples in one pass, and ``update``, the elimination step
+p x + c y for an integer p.  Matrix products, the action,
+``quadratic_value`` and the negative certificate compute each output entry
+with one ``dot`` call and reduce the result to lowest terms once; the trace
+pairing is one sum over the flattened coefficients.  The action M* D M is
+fused, with no intermediate matrix reduced: it computes D c and c* once for
+each column c of M, and the upper triangle only.
 
 Every verdict on the cone comes from one fraction-free LDL* elimination on
 those rows, run at most once per matrix: the first verdict on a
@@ -41,9 +40,10 @@ pivot signs.  The witness D = L diag(delta) L* (a constructive homogeneity
 certificate) is read off the recorded integer steps as the integer rows of
 L over the lcm of the pivots, and the negative certificate, a violating
 vector carried back through the multipliers, is built as scalars once.
-The invertibility check of ``act`` is a fraction-free elimination on them,
-or, on a D that a verdict has found positive definite, the LDL* elimination
-of the result, which is positive definite exactly when M is invertible.
+Invertibility is a verdict of the same elimination: M is invertible exactly
+when M* M is positive definite, and, on a D that a verdict has found
+positive definite, exactly when M* D M is, so ``act`` checks M on its image
+there and on M* M otherwise.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class ScalarKind(enum.Enum):
 # dot(row, col) is sum_k row[k] col[k], accumulated in one pass with no
 # tuple built per term: every matrix product, the action, the quadratic
 # value and the negative certificate go through it.  update(p, c, x, y) is
-# p x + c y for an integer p: every step of the LDL* and invertibility
-# eliminations goes through it.  The C and H updates take c y from the
-# scalar classes' own products.
+# p x + c y for an integer p: every step of the LDL* elimination goes
+# through it.  The C and H updates take c y from the scalar classes' own
+# products.
 
 
 def _dot_real(row, col) -> tuple:
@@ -354,45 +354,6 @@ class AlgebraMatrix(_Matrix):
         return _trusted(AlgebraMatrix, self.kind, rows, self._den)
 
 
-def _is_invertible(M: _Matrix) -> bool:
-    """Fraction-free Gaussian elimination on the integer rows of M.
-
-    Over the skew field H a row is cleared by a left multiple of the pivot
-    row: row_i <- N(p) row_i - (a_ic p*) row_k.  Since p* = N(p) p^{-1},
-    this is N(p) (row_i - a_ic p^{-1} row_k), the exact step times a
-    positive integer, so each pivot column has the zero pattern of exact
-    elimination over the scalars, and so does the verdict.  The product
-    order matters: [[1, i], [j, -k]] is singular.  Each updated row is
-    divided by the gcd of its coefficients.
-    """
-    ops = _KINDS[M.kind]
-    dot, update = ops.dot, ops.update
-    a = [list(row) for row in M._rows]
-    n = M.size
-    for col in range(n):
-        for r in range(col, n):
-            if any(a[r][col]):
-                break
-        else:
-            return False
-        a[col], a[r] = a[r], a[col]
-        below = [row for row in a[col + 1 :] if any(row[col])]
-        if not below:
-            continue
-        p = a[col][col]
-        norm = sum([c * c for c in p])
-        minus_p_star = (tuple([-c for c in ops.conj(p)]),)
-        tail = a[col][col + 1 :]  # columns up to col are never read again
-        for row in below:
-            factor = dot((row[col],), minus_p_star)  # -a_ic p*
-            new = [update(norm, factor, x, y) for x, y in zip(row[col + 1 :], tail)]
-            g = math.gcd(*[c for num in new for c in num])
-            if g > 1:
-                new = [tuple([c // g for c in num]) for num in new]
-            row[col + 1 :] = new
-    return True
-
-
 class HermitianMatrix(_Matrix):
     """Square matrix equal to its conjugate transpose.
 
@@ -598,23 +559,9 @@ def negative_certificate(D: HermitianMatrix):
     return tuple([ops.build(num, v_den) for num in v])
 
 
-def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
-    """The cone automorphism D -> M* D M for invertible M.
-
-    A singular M raises SingularMatrix.  When a verdict has already found D
-    positive definite, M* D M is positive definite exactly when M is
-    invertible, so the check is the LDL* elimination of the result, which
-    the result keeps for its own verdicts; otherwise M goes through the
-    fraction-free elimination of :func:`_is_invertible`.
-    """
-    if not isinstance(M, _Matrix):
-        raise ShapeMismatch(f"act needs a matrix M, got {_format_coordinate(M)}")
-    _hermitian(D, "act")
-    _require_same_space(M, D)
-    # read D's kept elimination, never start one
-    on_cone = getattr(D, "_ldl", None) is not None and _in_cone(D, False)
-    if not on_cone and not _is_invertible(M):
-        raise SingularMatrix("action matrix is singular")
+def _image(M: _Matrix, D: HermitianMatrix) -> HermitianMatrix:
+    """M* D M, fused with no intermediate matrix reduced: D c and c* are
+    computed once for each column c of M, and the upper triangle only."""
     ops = _KINDS[D.kind]
     dot, conj = ops.dot, ops.conj
     m_rows, d_rows = M._rows, D._rows
@@ -632,7 +579,37 @@ def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
                 # M* D M is self-adjoint, so entry (j, i) is exactly the
                 # conjugate of entry (i, j)
                 nums[j][i] = conj(num)
-    image = _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
+    return _from_integers(HermitianMatrix, D.kind, nums, M._den * D._den * M._den)
+
+
+def _is_invertible(M: _Matrix) -> bool:
+    """Whether M is invertible, read off the LDL* elimination of M* M.
+
+    v* M* M v = |M v|^2 vanishes only where M v = 0, so M* M is positive
+    definite exactly when the right kernel of M is trivial, which for a
+    square matrix over R, C or H is exactly when M is invertible.
+    """
+    return _in_cone(_image(M, HermitianMatrix.identity(M.kind, M.size)), False)
+
+
+def act(M: AlgebraMatrix, D: HermitianMatrix) -> HermitianMatrix:
+    """The cone automorphism D -> M* D M for invertible M.
+
+    A singular M raises SingularMatrix.  When a verdict has already found D
+    positive definite, M* D M is positive definite exactly when M is
+    invertible, so the check is the LDL* elimination of the result, which
+    the result keeps for its own verdicts; otherwise the check is
+    :func:`_is_invertible`, the same elimination of M* M.
+    """
+    if not isinstance(M, _Matrix):
+        raise ShapeMismatch(f"act needs a matrix M, got {_format_coordinate(M)}")
+    _hermitian(D, "act")
+    _require_same_space(M, D)
+    # read D's kept elimination, never start one
+    on_cone = getattr(D, "_ldl", None) is not None and _in_cone(D, False)
+    if not on_cone and not _is_invertible(M):
+        raise SingularMatrix("action matrix is singular")
+    image = _image(M, D)
     if on_cone and not _in_cone(image, False):
         raise SingularMatrix("action matrix is singular")
     return image

@@ -64,6 +64,11 @@ def is_square_rational(q) -> bool:
     return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
 
 
+# trial divisors stop here: every n below 2^64 still factors, since its
+# cube root is below 2^22, and the longest run takes well under a second
+_TRIAL_LIMIT = 1 << 22
+
+
 def squarefree_part(n: int) -> tuple[int, int]:
     """n = s^2 * d with d squarefree; returns (s, d).
 
@@ -71,12 +76,18 @@ def squarefree_part(n: int) -> tuple[int, int]:
     Every prime factor of m is then at least p, so m has at most two of
     them: m is 1, a prime q, a product q r of two distinct primes, or a
     square q^2, and only the last is a perfect square.  The cost grows with
-    the cube root of n.  n <= 1 gives (1, n).
+    the cube root of n, so a divisor p past 2^22 with p^3 <= m raises
+    InvalidInput.  n <= 1 gives (1, n).
     """
     s, d = 1, 1
     p = 2
     m = n
     while p * p * p <= m:
+        if p > _TRIAL_LIMIT:
+            raise InvalidInput(
+                f"cannot factor a {n.bit_length()}-bit integer: trial division "
+                f"stops at 2^22, which factors every integer below 2^64"
+            )
         e = 0
         while m % p == 0:
             m //= p

@@ -339,6 +339,13 @@ MUTANTS = [
         HERMITIAN,
     ),
     (
+        "invertibility-accepts-semidefinite",
+        "hermitian.py",
+        "    return _in_cone(_image(M, HermitianMatrix.identity(M.kind, M.size)), False)\n",
+        "    return _in_cone(_image(M, HermitianMatrix.identity(M.kind, M.size)), True)\n",
+        HERMITIAN,
+    ),
+    (
         "action-on-a-positive-definite-matrix-skips-the-result-check",
         "hermitian.py",
         "    if on_cone and not _in_cone(image, False):\n",
@@ -365,6 +372,15 @@ MUTANTS = [
         "    _set_rows(m, rows)\n    _set_den(m, den)\n",
         "    _set_den(m, rows)\n    _set_rows(m, den)\n",
         HERMITIAN,
+    ),
+    (
+        "trial-division-has-no-limit",
+        "scalars.py",
+        "        if p > _TRIAL_LIMIT:\n",
+        "        if False:\n",
+        # a 100-bit prime then takes about 5 * 10^8 divisions; the CLI test
+        # runs it in a subprocess with a 10 s timeout, so the row fails fast
+        ["tests/test_cli.py::TestExitCodes::test_integer_too_large_to_factor_is_two"],
     ),
     (
         "totally-positive-zero",

@@ -301,6 +301,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cannot print the report" in err and "--d" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--a", "1000000000000000000000000000057", "--b", "1"],
+            ["verify", "--d", "1000000000000000000000000000057", "--pi", "1,0;3,2", "--g", "3,4,2,3"],
+        ],
+        ids=["surface", "verify"],
+    )
+    def test_integer_too_large_to_factor_is_two(self, argv):
+        # a 100-bit prime: trial division stops at 2^22, where with no limit
+        # it would run through about 5 * 10^8 divisors; a subprocess, so that
+        # a missing limit fails on the timeout instead of hanging
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "amplecones.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.count("\n") == 1 and "100-bit" in result.stderr
+        assert "2^22" in result.stderr and "1000000000000000000000000000057" not in result.stderr
+
     def test_overlap_witness_of_tall_rays_is_one(self, tmp_path):
         # every translate under a scalar generator is pi itself; the rays
         # (n, 1) and (n, 4) have limit digits, but the slope 1/q with

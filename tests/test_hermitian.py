@@ -376,8 +376,8 @@ class TestCachedRows:
 
 
 class TestFractionFreeElimination:
-    """The integer LDL* and invertibility eliminations against Fraction-tuple
-    references that divide by every pivot."""
+    """The integer LDL* elimination, and the invertibility check read off
+    it, against Fraction-tuple references that divide by every pivot."""
 
     @staticmethod
     def _hermitian_inputs(rng, kind, size):
@@ -753,7 +753,7 @@ class TestAction:
     def test_both_invertibility_routes_agree(self):
         # on a D that a verdict found positive definite, act checks M by the
         # elimination of M* D M and keeps it in the result; on any other D
-        # it eliminates M.  Both give the same image and refuse the same M.
+        # it eliminates M* M.  Both give the same image and refuse the same M.
         rng = random.Random(41)
         for kind in MATRIX_KINDS:
             for size in (1, 2, 3, 4):

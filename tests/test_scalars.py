@@ -66,6 +66,13 @@ class TestSquarefreePart:
         assert squarefree_part(10**14 + 31) == (1, 10**14 + 31)
         assert is_squarefree(10**14 + 31)
 
+    def test_trial_division_limit(self):
+        # the largest prime below 2^64 still factors: its cube root is below 2^22
+        assert squarefree_part(2**64 - 59) == (1, 2**64 - 59)
+        with pytest.raises(InvalidInput, match=r"^cannot factor a 100-bit integer: .*2\^22") as info:
+            squarefree_part(10**30 + 57)
+        assert str(10**30 + 57) not in str(info.value)
+
     def test_small_and_negative(self):
         assert squarefree_part(0) == (1, 0)
         assert squarefree_part(1) == (1, 1)
